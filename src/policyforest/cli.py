@@ -34,16 +34,16 @@ def _provenance(args: argparse.Namespace, argv: list[str]) -> str:
 
 def _write(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     print(f"wrote {path}")
 
 
 def _load(args: argparse.Namespace):
     name_map = None
     if getattr(args, "map", None):
-        with open(args.map) as fh:
+        with open(args.map, encoding="utf-8-sig") as fh:
             name_map = parse_name_map(fh)
-    with open(args.data) as fh:
+    with open(args.data, encoding="utf-8-sig") as fh:
         return load_cases(fh, name_map)
 
 
@@ -128,7 +128,7 @@ def _resolve_spec(args, cases, fc) -> FeatureSetSpec:
 
 def cmd_eval(args, argv) -> int:
     if args.config:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         for key, val in cfg.items():
             key = key.replace("-", "_")

@@ -100,14 +100,99 @@ def gini_impurity(n_pos: int, n_neg: int) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def best_split(X: np.ndarray, y: np.ndarray,
+def _check_finite(X: np.ndarray) -> None:
+    finite = np.isfinite(X)
+    if not finite.all():
+        r, c = (int(i) for i in np.argwhere(~finite)[0])
+        raise ForestError(f"row {r}, column {c}: non-finite value {X[r, c]}")
+
+
+@dataclass(frozen=True)
+class BinnedMatrix:
+    """A float matrix with each cell replaced by a bin number, built once
+    and shared by every tree of a forest.
+
+    A cell's bin is the rank of its value among its column's distinct
+    values plus the bin count of all earlier columns, so bin order is
+    feature-major and ascending in value within a column. `rows` are the
+    rows of X that split search counts (a node's sample, with bootstrap
+    repeats).
+    """
+
+    X: np.ndarray            # (n, F) float matrix the bins describe
+    codes: np.ndarray        # (F, n) int32 bin of each cell
+    bin_values: np.ndarray   # (n_bins,) value of each bin
+    bin_feature: np.ndarray  # (n_bins,) column of each bin
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, X: np.ndarray) -> "BinnedMatrix":
+        X = np.asarray(X, dtype=float)
+        _check_finite(X)
+        n, n_features = X.shape
+        codes = np.empty((n_features, n), dtype=np.int32)
+        values, start = [], 0
+        for f in range(n_features):
+            vals = np.unique(X[:, f])
+            codes[f] = np.searchsorted(vals, X[:, f]) + start
+            values.append(vals)
+            start += len(vals)
+        bin_feature = np.repeat(np.arange(n_features),
+                                [len(v) for v in values])
+        # The leading empty array keeps a matrix without columns valid.
+        return cls(X, codes, np.concatenate([np.empty(0), *values]),
+                   bin_feature, np.arange(n))
+
+    @property
+    def n_features(self) -> int:
+        return self.X.shape[1]
+
+    def at(self, rows: np.ndarray) -> "BinnedMatrix":
+        return BinnedMatrix(self.X, self.codes, self.bin_values,
+                            self.bin_feature, rows)
+
+
+def _cuts(view: BinnedMatrix, y: np.ndarray, n_pos: int, candidate_features):
+    """Every cut between adjacent values present in the view's rows, over
+    the candidate columns, in feature-major then ascending order.
+
+    Returns (low bin, high bin, n_left, pos_left) per cut: the bins on
+    either side of the cut and the row and positive counts at or below it.
+    """
+    n = len(y)
+    cands = sorted({int(f) for f in candidate_features})
+    keys = view.codes[cands].take(view.rows, axis=1)
+    counts = np.bincount(keys.ravel())
+    # y is 0/1, so compressing by it keeps the positive rows.
+    pos = np.bincount(keys.compress(y, axis=1).ravel(), minlength=len(counts))
+    present = counts.nonzero()[0]
+    cum = counts[present].cumsum()
+    # Each candidate column holds all n rows, so the running counts
+    # restart every n rows: the j-th candidate's bins start at j * n.
+    j = (cum - 1) // n
+    n_left = cum - j * n
+    pos_left = pos[present].cumsum() - j * n_pos
+    cut = (n_left < n).nonzero()[0]
+    return present[cut], present[cut + 1], n_left[cut], pos_left[cut]
+
+
+def _split_between(view: BinnedMatrix, low: int,
+                   high: int) -> tuple[int, float]:
+    """(feature, midpoint threshold) of the cut between two bins."""
+    return (int(view.bin_feature[low]),
+            float(0.5 * (view.bin_values[low] + view.bin_values[high])))
+
+
+def best_split(X: np.ndarray | BinnedMatrix, y: np.ndarray,
                candidate_features) -> tuple[int, float, float] | None:
     """Greedy search over candidate features and midpoint thresholds.
 
-    Returns (feature, threshold, impurity_decrease) maximizing the
-    weighted Gini decrease, or None when no split has positive gain.
-    Ties break toward the lowest feature index, then lowest threshold.
+    X is a float matrix, or a BinnedMatrix whose rows match y. Returns
+    (feature, threshold, impurity_decrease) maximizing the weighted Gini
+    decrease, or None when no split has positive gain. Ties break toward
+    the lowest feature index, then lowest threshold.
     """
+    view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
     n = len(y)
     if n < 2:
         return None
@@ -116,44 +201,22 @@ def best_split(X: np.ndarray, y: np.ndarray,
         return None
     parent = gini_impurity(n_pos, n - n_pos)
 
-    best: tuple[int, float, float] | None = None
-    for f in sorted(int(f) for f in candidate_features):
-        order = np.argsort(X[:, f], kind="stable")
-        xs = X[order, f]
-        ys = y[order]
-        # Candidate cut positions: boundaries between distinct values.
-        boundary = np.nonzero(xs[1:] > xs[:-1])[0]  # split after index i
-        if boundary.size == 0:
-            continue
-        cum_pos = np.cumsum(ys)
-        n_left = boundary + 1
-        pos_left = cum_pos[boundary]
-        n_right = n - n_left
-        pos_right = n_pos - pos_left
-        p_l = pos_left / n_left
-        p_r = pos_right / n_right
-        gain = parent - (n_left / n) * 2 * p_l * (1 - p_l) \
-                      - (n_right / n) * 2 * p_r * (1 - p_r)
-        k = int(np.argmax(gain))
-        if gain[k] <= GAIN_EPS:
-            continue
-        thr = 0.5 * (xs[boundary[k]] + xs[boundary[k] + 1])
-        if best is None or gain[k] > best[2]:
-            best = (f, float(thr), float(gain[k]))
-    return best
+    low, high, n_left, pos_left = _cuts(view, y, n_pos, candidate_features)
+    if low.size == 0:
+        return None
+    n_right = n - n_left
+    pos_right = n_pos - pos_left
+    p_l = pos_left / n_left
+    p_r = pos_right / n_right
+    gain = parent - (n_left / n) * 2 * p_l * (1 - p_l) \
+                  - (n_right / n) * 2 * p_r * (1 - p_r)
+    k = int(gain.argmax())
+    if gain[k] <= GAIN_EPS:
+        return None
+    return _split_between(view, low[k], high[k]) + (float(gain[k]),)
 
 
-def _zero_gain_split(X: np.ndarray,
-                     candidate_features) -> tuple[int, float, float] | None:
-    """First midpoint of the lowest-index non-constant candidate feature."""
-    for f in sorted(int(f) for f in candidate_features):
-        vals = np.unique(X[:, f])
-        if vals.size > 1:
-            return f, float(0.5 * (vals[0] + vals[1])), 0.0
-    return None
-
-
-def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
+def _grow(view: BinnedMatrix, y: np.ndarray, idx: np.ndarray, depth: int,
           config: ForestConfig, k_features: int, rng: np.random.Generator,
           importance: np.ndarray, n_total: int) -> TreeNode:
     sub_y = y[idx]
@@ -168,18 +231,19 @@ def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
     if n < 2 * config.min_samples_leaf or n < 2:
         return node
 
-    n_features = X.shape[1]
-    candidates = rng.choice(n_features, size=k_features, replace=False)
-    found = best_split(X[idx], sub_y, candidates)
+    candidates = rng.choice(view.n_features, size=k_features, replace=False)
+    node_view = view.at(idx)
+    found = best_split(node_view, sub_y, candidates)
     if found is None:
-        # Impure node with no positive-gain split: take a deterministic
-        # zero-gain split so consistent data is still memorized (parity
-        # splits such as XOR have zero first-level gain).
-        found = _zero_gain_split(X[idx], candidates)
-        if found is None:
+        # Impure node with no positive-gain split: take the first cut of
+        # the lowest non-constant candidate, so consistent data is still
+        # memorized (parity splits such as XOR have zero first-level gain).
+        low, high, _, _ = _cuts(node_view, sub_y, n_pos, candidates)
+        if low.size == 0:
             return node
+        found = _split_between(view, low[0], high[0]) + (0.0,)
     f, thr, gain = found
-    mask = X[idx, f] <= thr
+    mask = view.X[idx, f] <= thr
     left_idx = idx[mask]
     right_idx = idx[~mask]
     if (len(left_idx) < config.min_samples_leaf
@@ -189,28 +253,29 @@ def _grow(X: np.ndarray, y: np.ndarray, idx: np.ndarray, depth: int,
     importance[f] += (n / n_total) * gain
     node.feature_index = f
     node.threshold = thr
-    node.left = _grow(X, y, left_idx, depth + 1, config, k_features, rng,
+    node.left = _grow(view, y, left_idx, depth + 1, config, k_features, rng,
                       importance, n_total)
-    node.right = _grow(X, y, right_idx, depth + 1, config, k_features, rng,
-                       importance, n_total)
+    node.right = _grow(view, y, right_idx, depth + 1, config, k_features,
+                       rng, importance, n_total)
     return node
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, sample_indices: np.ndarray,
-             config: ForestConfig,
+def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
+             sample_indices: np.ndarray, config: ForestConfig,
              tree_seed: int) -> tuple[TreeNode, np.ndarray]:
     """Grow one CART tree on the given sample; returns (root, importances).
 
-    Importances are unnormalized per-feature sums of sample-weighted
-    impurity decreases.
+    X is a float matrix or its BinnedMatrix. Importances are unnormalized
+    per-feature sums of sample-weighted impurity decreases.
     """
+    view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
     idx = np.asarray(sample_indices, dtype=int)
     if len(idx) == 0:
         raise ForestError("cannot fit a tree on an empty sample")
     rng = np.random.default_rng(tree_seed)
-    k = config.resolve_features_per_split(X.shape[1])
-    importance = np.zeros(X.shape[1])
-    root = _grow(X, y, idx, 0, config, k, rng, importance, len(idx))
+    k = config.resolve_features_per_split(view.n_features)
+    importance = np.zeros(view.n_features)
+    root = _grow(view, y, idx, 0, config, k, rng, importance, len(idx))
     return root, importance
 
 
@@ -247,6 +312,7 @@ def fit_forest(matrix: EncodedMatrix, config: ForestConfig,
         raise ForestError(f"need at least 2 samples, got {n}")
     if y.sum() == 0 or y.sum() == n:
         raise ForestError("training labels contain a single class")
+    view = BinnedMatrix.of(X)
 
     def build(i: int) -> tuple[TreeNode, np.ndarray]:
         tree_seed = mix_seed(config.seed, i)
@@ -255,7 +321,7 @@ def fit_forest(matrix: EncodedMatrix, config: ForestConfig,
             idx = boot_rng.integers(0, n, size=n)
         else:
             idx = np.arange(n)
-        return fit_tree(X, y, idx, config, mix_seed(tree_seed, 1))
+        return fit_tree(view, y, idx, config, mix_seed(tree_seed, 1))
 
     if n_jobs > 1:
         with ThreadPoolExecutor(max_workers=n_jobs) as pool:
@@ -283,15 +349,12 @@ def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] != len(model.column_names):
         raise ForestError(f"row arity {rows.shape[1]} does not match model "
                           f"feature count {len(model.column_names)}")
+    _check_finite(rows)
     acc = np.zeros(rows.shape[0])
     for t in model.trees:
         acc += tree_predict(t, rows)
     probs = acc / len(model.trees)
     return float(probs[0]) if single else probs
-
-
-def gini_importance(model: ForestModel) -> np.ndarray:
-    return model.gini_importance
 
 
 def permutation_importance(model: ForestModel, matrix: EncodedMatrix,

@@ -39,6 +39,17 @@ class TestValidate:
         assert main(["validate", "--data", str(bad)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_utf8_bom(self, tmp_path, capsys):
+        text = dump_cases(make_cases(10, seed=1))
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+        map_file = tmp_path / "map.txt"
+        map_file.write_bytes(b"\xef\xbb\xbfYEAR=year\n")
+        assert main(["validate", "--data", str(bom)]) == 0
+        assert main(["validate", "--data", str(bom),
+                     "--map", str(map_file)]) == 0
+        assert "10 valid cases" in capsys.readouterr().out
+
     def test_bad_flag_exits_2(self, data_file):
         with pytest.raises(SystemExit) as e:
             main(["validate", "--data", data_file, "--frobnicate"])

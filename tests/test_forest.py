@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from policyforest.dataset import EncodedMatrix
-from policyforest.forest import (ForestConfig, ForestError, GAIN_EPS,
-                                 TreeNode, best_split, fit_forest, fit_tree,
-                                 forest_from_json, forest_to_json,
+from policyforest.forest import (ForestConfig, ForestError, ForestModel,
+                                 GAIN_EPS, TreeNode, best_split, fit_forest,
+                                 fit_tree, forest_from_json, forest_to_json,
                                  gini_impurity, mix_seed,
                                  permutation_importance, predict_proba,
                                  tree_predict)
@@ -44,6 +44,71 @@ def brute_force_best_split(X, y, features):
             if gain > GAIN_EPS and (best is None or gain > best[2]):
                 best = (f, float(thr), float(gain))
     return best
+
+
+def first_midpoint(X, features):
+    """Zero-gain fallback: first midpoint of the lowest non-constant
+    candidate."""
+    for f in sorted(features):
+        xs = np.unique(X[:, f])
+        if xs.size > 1:
+            return f, float(0.5 * (xs[0] + xs[1])), 0.0
+    return None
+
+
+def reference_grow(X, y, idx, depth, config, k, rng, importance, n_total,
+                   fallbacks):
+    """Recursive depth-first growth with one rng.choice per splitting node
+    and brute-force split search."""
+    sub_y = y[idx]
+    n = len(idx)
+    n_pos = int(sub_y.sum())
+    node = TreeNode(positive_fraction=n_pos / n, n_samples=n)
+    if (n_pos in (0, n) or n < 2 * config.min_samples_leaf
+            or (config.max_depth is not None and depth >= config.max_depth)):
+        return node
+    candidates = [int(c) for c in
+                  rng.choice(X.shape[1], size=k, replace=False)]
+    found = brute_force_best_split(X[idx], sub_y, candidates)
+    if found is None:
+        found = first_midpoint(X[idx], candidates)
+        if found is None:
+            return node
+        fallbacks.append(found)
+    f, thr, gain = found
+    left = X[idx, f] <= thr
+    if min(left.sum(), (~left).sum()) < config.min_samples_leaf:
+        return node
+    importance[f] += (n / n_total) * gain
+    node.feature_index, node.threshold = f, thr
+    node.left = reference_grow(X, y, idx[left], depth + 1, config, k, rng,
+                               importance, n_total, fallbacks)
+    node.right = reference_grow(X, y, idx[~left], depth + 1, config, k, rng,
+                                importance, n_total, fallbacks)
+    return node
+
+
+def reference_fit_forest(matrix, config, fallbacks):
+    X, y = matrix.X, matrix.y
+    n = len(y)
+    k = config.resolve_features_per_split(X.shape[1])
+    trees, raws = [], []
+    for i in range(config.n_trees):
+        tree_seed = mix_seed(config.seed, i)
+        if config.bootstrap:
+            boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
+            idx = boot_rng.integers(0, n, size=n)
+        else:
+            idx = np.arange(n)
+        rng = np.random.default_rng(mix_seed(tree_seed, 1))
+        importance = np.zeros(X.shape[1])
+        trees.append(reference_grow(X, y, idx, 0, config, k, rng, importance,
+                                    n, fallbacks))
+        raws.append(importance)
+    raw = np.mean(raws, axis=0)
+    total = raw.sum()
+    return ForestModel(trees, config, list(matrix.column_names),
+                       raw / total if total > 0 else raw)
 
 
 class TestGiniImpurity:
@@ -237,6 +302,69 @@ class TestFitForest:
         model = fit_forest(m, ForestConfig(n_trees=3, seed=0))
         with pytest.raises(ForestError, match="arity"):
             predict_proba(model, np.zeros((2, 5)))
+
+
+class TestModelIdentity:
+    """The binned split search grows the same forests as recursive growth
+    over brute-force split search, byte for byte."""
+
+    @staticmethod
+    def _noisy_matrix():
+        rng = np.random.default_rng(31)
+        n = 90
+        X = np.column_stack([
+            np.round(rng.normal(size=n), 1),          # continuous with ties
+            rng.integers(-2, 3, size=n),              # ordinal
+            np.full(n, 4.0),                          # constant
+            rng.integers(0, 2, size=n),               # binary
+            rng.uniform(size=n),                      # continuous
+            np.zeros(n),                              # constant
+            rng.integers(0, 2, size=n),               # binary
+        ]).astype(float)
+        y = ((X[:, 0] + 0.5 * X[:, 1] + rng.normal(0, 1, n)) > 0).astype(int)
+        return matrix_from(X, y)
+
+    @staticmethod
+    def _parity_matrix():
+        # Every split of the full grid has zero gain, and each
+        # non-constant column offers three cuts to the fallback.
+        a, b = np.meshgrid(np.arange(4.0), np.arange(4.0))
+        X = np.column_stack([np.full(16, 1.0), a.ravel(), b.ravel()])
+        y = ((a + b).ravel() % 2).astype(int)
+        return matrix_from(X, y)
+
+    def test_matches_reference_grower(self):
+        fallbacks = []
+        for m in (self._noisy_matrix(), self._parity_matrix()):
+            for overrides in ({}, {"max_depth": 3}, {"min_samples_leaf": 5},
+                              {"bootstrap": False},
+                              {"features_per_split": m.n_features}):
+                for seed in (0, 1, 2):
+                    cfg = ForestConfig(n_trees=4, seed=seed, **overrides)
+                    expected = reference_fit_forest(m, cfg, fallbacks)
+                    assert forest_to_json(fit_forest(m, cfg)) == \
+                        forest_to_json(expected), (overrides, seed)
+        assert fallbacks  # the zero-gain fallback was exercised
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejected_naming_first_row_and_column(self, bad):
+        rng = np.random.default_rng(2)
+        X = rng.normal(size=(12, 3))
+        y = np.array([0, 1] * 6)
+        cfg = ForestConfig(n_trees=2)
+        model = fit_forest(matrix_from(X, y), cfg)
+        X[7, 0] = bad
+        X[4, 2] = bad
+        with pytest.raises(ForestError, match="row 4, column 2"):
+            fit_forest(matrix_from(X, y), cfg)
+        with pytest.raises(ForestError, match="row 4, column 2"):
+            fit_tree(X, y, np.arange(12), cfg, 0)
+        with pytest.raises(ForestError, match="row 0, column 1"):
+            predict_proba(model, np.array([0.0, bad, 0.0]))
+        with pytest.raises(ForestError, match="row 4, column 2"):
+            predict_proba(model, X)
 
 
 class TestImportances:
