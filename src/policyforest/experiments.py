@@ -18,8 +18,8 @@ from . import forest as rf
 from . import logistic as lr
 from . import metrics as mx
 from .dataset import (IG_NAMES, PD_LABELS, EncodedMatrix, FeatureSetSpec,
-                      PolicyCase, DatasetError, encode, random_split,
-                      rescale_p90, retrodiction_split, zero_noncommittal)
+                      PolicyCase, encode, random_split, rescale_p90,
+                      retrodiction_split, zero_noncommittal)
 from .forest import ForestConfig, mix_seed
 from .logistic import LogisticConfig
 
@@ -38,13 +38,20 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
-def _usable_cases(cases: list[PolicyCase],
-                  spec: FeatureSetSpec) -> tuple[list[PolicyCase], int]:
-    """Drop cases missing p90 when the spec needs it; report the count."""
-    if not spec.use_p90:
-        return list(cases), 0
-    kept = [c for c in cases if c.p90 is not None]
-    return kept, len(cases) - len(kept)
+def _split_forests(matrix: EncodedMatrix, n_splits: int, base_seed: int,
+                   forest_config: ForestConfig, train_fraction: float,
+                   n_jobs: int, first: int = 0):
+    """Yield (plan, train, model) for runs first .. first + n_splits - 1.
+
+    Run j splits with seed mix_seed(base_seed, j) and fits its forest with
+    seed mix_seed(run_seed, 1).
+    """
+    for j in range(first, first + n_splits):
+        run_seed = mix_seed(base_seed, j)
+        plan = random_split(matrix.n_samples, train_fraction, run_seed)
+        train = matrix.subset(plan.train_indices)
+        cfg = replace(forest_config, seed=mix_seed(run_seed, 1))
+        yield plan, train, rf.fit_forest(train, cfg, n_jobs=n_jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -123,12 +130,12 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
         raise ExperimentError(f"unknown regime {regime!r}")
     if n_runs is None:
         n_runs = 25 if regime == "random_draw" else 1
-    usable, dropped = _usable_cases(cases, spec)
-    matrix = encode(usable, spec)
+    matrix = encode(cases, spec)
 
     fixed_plan = None
     if regime == "retrodiction":
-        fixed_plan = retrodiction_split(usable, cutoff_year)
+        fixed_plan = retrodiction_split(
+            [cases[i] for i in matrix.case_indices], cutoff_year)
 
     runs: list[RunResult] = []
     for j in range(n_runs):
@@ -152,7 +159,8 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
             tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn))
     return EvalReport(feature_set_id=spec.id, regime=regime,
                       model_kind=model_kind, base_seed=base_seed,
-                      n_dropped_missing_p90=dropped, runs=runs)
+                      n_dropped_missing_p90=matrix.n_dropped_missing_p90,
+                      runs=runs)
 
 
 # ---------------------------------------------------------------------------
@@ -208,13 +216,6 @@ def _ranking_spec() -> FeatureSetSpec:
                           ig_subset=IG_NAMES, policy_encoding="none")
 
 
-def _ranking_matrix(cases: list[PolicyCase]) -> EncodedMatrix:
-    """P90 rescaled to [-2,2] plus the 43 IG columns, no policy labels."""
-    matrix = encode(cases, _ranking_spec())
-    matrix.X[:, 0] = 4.0 * matrix.X[:, 0] - 2.0
-    return matrix
-
-
 def rank_igs_by_domain(cases: list[PolicyCase], domain: str,
                        n_splits: int = 21, base_seed: int = 0,
                        forest_config: ForestConfig = ForestConfig(),
@@ -232,18 +233,15 @@ def rank_igs_by_domain(cases: list[PolicyCase], domain: str,
     if len(sub) < 2 or n_pos == 0 or n_pos == len(sub):
         raise ExperimentError(f"domain {domain!r} is degenerate: cannot rank "
                               f"({len(sub)} usable cases, {n_pos} positive)")
-    matrix = _ranking_matrix(sub)
+    matrix = encode(sub, _ranking_spec())
     names = matrix.column_names
 
     importances = np.zeros((n_splits, matrix.n_features))
     corrs: dict[str, list[float]] = {name: [] for name in names}
     at_bats: dict[str, list[int]] = {name: [] for name in names}
-    for j in range(n_splits):
-        run_seed = mix_seed(base_seed, j)
-        plan = random_split(matrix.n_samples, train_fraction, run_seed)
-        train = matrix.subset(plan.train_indices)
-        cfg = replace(forest_config, seed=mix_seed(run_seed, 1))
-        model = rf.fit_forest(train, cfg, n_jobs=n_jobs)
+    for j, (plan, _, model) in enumerate(_split_forests(
+            matrix, n_splits, base_seed, forest_config, train_fraction,
+            n_jobs)):
         importances[j] = model.gini_importance
         test_cases = [sub[i] for i in plan.test_indices]
         for name in names:
@@ -278,18 +276,13 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     """Derive the reduced IG subset from Set-B forests over random draws."""
     if not (1 <= k <= len(IG_NAMES)):
         raise ExperimentError(f"k must be in [1, {len(IG_NAMES)}], got {k}")
-    spec_b = FeatureSetSpec.set_b()
-    usable, _ = _usable_cases(cases, spec_b)
-    matrix = encode(usable, spec_b)
+    matrix = encode(cases, FeatureSetSpec.set_b())
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
 
     acc = np.zeros(matrix.n_features)
-    for j in range(n_splits):
-        run_seed = mix_seed(base_seed, j)
-        plan = random_split(matrix.n_samples, train_fraction, run_seed)
-        train = matrix.subset(plan.train_indices)
-        cfg = replace(forest_config, seed=mix_seed(run_seed, 1))
-        acc += rf.fit_forest(train, cfg, n_jobs=n_jobs).gini_importance
+    for _, _, model in _split_forests(matrix, n_splits, base_seed,
+                                      forest_config, train_fraction, n_jobs):
+        acc += model.gini_importance
     ig_scores = acc[ig_cols]
     order = sorted(range(len(IG_NAMES)), key=lambda i: (-ig_scores[i], i))
     chosen = tuple(IG_NAMES[i] for i in sorted(order[:k]))
@@ -428,12 +421,9 @@ def _select_subsets(matrix: EncodedMatrix, k: int, n_splits: int,
     ig_cols = {name: matrix.column_names.index(name) for name in IG_NAMES}
     gini_acc = np.zeros(len(IG_NAMES))
     beta_acc = np.zeros(len(IG_NAMES))
-    for j in range(n_splits):
-        run_seed = mix_seed(base_seed, 10_000 + j)
-        plan = random_split(matrix.n_samples, train_fraction, run_seed)
-        train = matrix.subset(plan.train_indices)
-        cfg = replace(forest_config, seed=mix_seed(run_seed, 1))
-        fmodel = rf.fit_forest(train, cfg, n_jobs=n_jobs)
+    for _, train, fmodel in _split_forests(matrix, n_splits, base_seed,
+                                           forest_config, train_fraction,
+                                           n_jobs, first=10_000):
         lmodel = lr.fit(train, logistic_config)
         mags = dict(lr.coefficient_ranking(lmodel))
         for i, name in enumerate(IG_NAMES):
@@ -460,11 +450,8 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     the chosen IGs) under paired split seeds; gain rows are the mean of
     per-split differences, not the difference of means.
     """
-    spec_full = _ranking_spec()
-    usable, _ = _usable_cases(cases, spec_full)
-    sel_matrix = _ranking_matrix(usable)
     rf_chosen, lg_chosen = _select_subsets(
-        sel_matrix, k, n_splits, base_seed, forest_config, logistic_config,
+        encode(cases, _ranking_spec()), k, n_splits, base_seed, forest_config, logistic_config,
         train_fraction, n_jobs)
 
     specs = {
@@ -482,7 +469,7 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
                 if regime == "retrodiction" and model_kind == "logistic":
                     n_runs = 1  # deterministic on a fixed split
                 per_sel[sel] = run_feature_set_eval(
-                    usable, spec, regime, model_kind, n_runs=n_runs,
+                    cases, spec, regime, model_kind, n_runs=n_runs,
                     base_seed=base_seed, forest_config=forest_config,
                     logistic_config=logistic_config,
                     train_fraction=train_fraction, cutoff_year=cutoff_year,
@@ -493,9 +480,6 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
                     rep.balanced_accuracy_mean, rep.balanced_accuracy_std,
                     rep.auc_mean, rep.auc_std))
             a, b = per_sel["rf_gini"].runs, per_sel["logistic_beta"].runs
-            n_pairs = min(len(a), len(b))
-            if len(a) != len(b):  # paired up to the shorter run list
-                a, b = a[:n_pairs], b[:n_pairs]
             ba_diffs = [x.balanced_accuracy - y.balanced_accuracy
                         for x, y in zip(a, b)]
             auc_diffs = [x.auc - y.auc for x, y in zip(a, b)]

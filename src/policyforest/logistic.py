@@ -139,11 +139,6 @@ def fit(matrix: EncodedMatrix,
                 "coefficients diverging: data appear perfectly separable; "
                 "refit with l2 > 0")
 
-    if config.l2 == 0 and np.linalg.norm(theta[1:]) > 20.0:
-        raise LogisticError(
-            "coefficients diverging: data appear perfectly separable; "
-            "refit with l2 > 0")
-
     if not converged:
         s = A @ theta
         p = sigmoid(s)

@@ -12,7 +12,8 @@ import numpy as np
 
 
 class MetricsError(ValueError):
-    """Raised for degenerate inputs (single-class labels, length mismatch)."""
+    """Raised for degenerate inputs (single-class or non-binary labels,
+    non-finite scores, length mismatch)."""
 
 
 @dataclass(frozen=True)
@@ -64,6 +65,12 @@ def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
                            f"got shapes {scores.shape} and {labels.shape}")
     if scores.size == 0:
         raise MetricsError("empty score vector")
+    if not np.all((labels == 0) | (labels == 1)):
+        raise MetricsError("labels must be 0 or 1")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        raise MetricsError(f"non-finite score {float(scores[bad[0]])} at "
+                           f"index {bad[0]}")
     return scores, labels
 
 
@@ -84,13 +91,36 @@ def balanced_accuracy(c: ConfusionCounts) -> float:
     return 0.5 * (c.sensitivity + c.specificity)
 
 
-def _threshold_candidates(scores: np.ndarray) -> np.ndarray:
+def _threshold_candidates(distinct: np.ndarray) -> np.ndarray:
     """Midpoints between consecutive distinct scores, plus sentinels below
     the minimum and above the maximum. Covers every achievable confusion
     table under the >= rule."""
-    distinct = np.unique(scores)
     mids = 0.5 * (distinct[:-1] + distinct[1:])
     return np.concatenate(([distinct[0] - 1.0], mids, [distinct[-1] + 1.0]))
+
+
+def _sweep(scores, labels, thresholds_of):
+    """Returns (thresholds, tp, fp, n_pos, n_neg) from one ascending sort,
+    with thresholds = thresholds_of(ascending distinct scores) and tp[i],
+    fp[i] the positives and negatives scoring >= thresholds[i].
+
+    Searching each threshold's own value counts a midpoint that rounds
+    onto a neighbouring score exactly as the >= rule does.
+    """
+    scores, labels = _check_pair(scores, labels)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    if n_pos == 0 or n_neg == 0:
+        raise MetricsError(f"both classes must be present in the labels, "
+                           f"got {n_pos} positive and {n_neg} negative")
+    order = np.argsort(scores, kind="stable")
+    s = scores[order]
+    cum_pos = np.concatenate(([0], np.cumsum(labels[order])))
+    thresholds = thresholds_of(s[np.concatenate(([True], s[1:] != s[:-1]))])
+    below = np.searchsorted(s, thresholds, side="left")
+    tp = n_pos - cum_pos[below]
+    fp = (s.size - below) - tp
+    return thresholds, tp, fp, n_pos, n_neg
 
 
 def select_operating_point(train_scores, train_labels) -> OperatingPoint:
@@ -98,20 +128,12 @@ def select_operating_point(train_scores, train_labels) -> OperatingPoint:
 
     Ties break toward the smallest qualifying threshold.
     """
-    scores, labels = _check_pair(train_scores, train_labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise MetricsError("operating point requires both classes in "
-                           "training labels")
-    best_t = None
-    best_ba = -1.0
-    for t in _threshold_candidates(scores):
-        ba = balanced_accuracy(confusion_at_threshold(scores, labels, t))
-        if ba > best_ba:
-            best_ba = ba
-            best_t = float(t)
-    return OperatingPoint(threshold=best_t, train_balanced_accuracy=best_ba)
+    thresholds, tp, fp, n_pos, n_neg = _sweep(train_scores, train_labels,
+                                              _threshold_candidates)
+    ba = 0.5 * (tp / n_pos + (n_neg - fp) / n_neg)
+    best = int(np.argmax(ba))
+    return OperatingPoint(threshold=float(thresholds[best]),
+                          train_balanced_accuracy=float(ba[best]))
 
 
 def roc_and_auc(scores, labels) -> tuple[RocCurve, float]:
@@ -120,28 +142,9 @@ def roc_and_auc(scores, labels) -> tuple[RocCurve, float]:
     Tied scores advance tpr and fpr jointly, so the trapezoidal area
     equals the Mann-Whitney statistic P(s_pos > s_neg) + 0.5 P(equal).
     """
-    scores, labels = _check_pair(scores, labels)
-    n_pos = int(labels.sum())
-    n_neg = labels.size - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise MetricsError("ROC requires both classes present")
-
-    order = np.argsort(-scores, kind="stable")
-    s = scores[order]
-    l = labels[order]
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    i = 0
-    n = s.size
-    while i < n:
-        j = i
-        while j < n and s[j] == s[i]:
-            tp += int(l[j] == 1)
-            fp += int(l[j] == 0)
-            j += 1
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    curve = RocCurve(tuple(points))
-    pts = np.asarray(points)
+    _, tp, fp, n_pos, n_neg = _sweep(scores, labels, lambda d: d[::-1])
+    pts = np.column_stack((np.concatenate(([0], fp)) / n_neg,
+                           np.concatenate(([0], tp)) / n_pos))
+    curve = RocCurve(tuple(map(tuple, pts.tolist())))
     auc = float(np.trapezoid(pts[:, 1], pts[:, 0]))
     return curve, auc

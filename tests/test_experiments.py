@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from policyforest import experiments
 from policyforest.dataset import (IG_NAMES, FeatureSetSpec, PolicyCase)
 from policyforest.experiments import (ExperimentError, build_set_c,
                                       compare_selectors, gain_per_ig,
@@ -107,6 +108,40 @@ class TestRunFeatureSetEval:
     def test_unknown_regime(self, cases_200):
         with pytest.raises(ExperimentError):
             run_feature_set_eval(cases_200, FeatureSetSpec.set_a(), "bogus")
+
+    @pytest.mark.parametrize("regime", ["random_draw", "retrodiction"])
+    def test_missing_p90_dropped_and_counted(self, regime, monkeypatch):
+        cases = make_cases(200, seed=7, missing_p90_every=4)
+        kept = [i for i, c in enumerate(cases) if c.p90 is not None]
+        seen = []
+        fit_and_score = experiments._fit_and_score
+
+        def spy(model_kind, train, test, *args, **kwargs):
+            seen.append((train.case_indices, test.case_indices))
+            return fit_and_score(model_kind, train, test, *args, **kwargs)
+
+        monkeypatch.setattr(experiments, "_fit_and_score", spy)
+        rep = run_feature_set_eval(cases, FeatureSetSpec.set_a(), regime,
+                                   n_runs=2, forest_config=FAST_FOREST)
+        assert rep.n_dropped_missing_p90 == 50
+        assert len(seen) == 2
+        for train_idx, test_idx in seen:
+            assert sorted([*train_idx, *test_idx]) == kept
+            if regime == "retrodiction":
+                assert all(cases[i].year < 1997 for i in train_idx)
+                assert all(cases[i].year >= 1997 for i in test_idx)
+        for run, (_, test_idx) in zip(rep.runs, seen):
+            assert run.tp + run.fp + run.tn + run.fn == len(test_idx)
+
+    def test_spec_without_p90_keeps_every_case(self):
+        cases = make_cases(120, seed=7, missing_p90_every=4)
+        spec = FeatureSetSpec("custom", False, False, IG_NAMES[:5], "pd")
+        rep = run_feature_set_eval(cases, spec, "retrodiction",
+                                   forest_config=FAST_FOREST)
+        assert rep.n_dropped_missing_p90 == 0
+        run = rep.runs[0]
+        assert run.tp + run.fp + run.tn + run.fn == \
+            sum(c.year >= 1997 for c in cases)
 
 
 class TestIgOutcomeCorrelation:

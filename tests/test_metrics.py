@@ -6,6 +6,79 @@ from policyforest.metrics import (ConfusionCounts, MetricsError,
                                   roc_and_auc, select_operating_point)
 
 
+def reference_operating_point(scores, labels):
+    """One confusion table per candidate threshold (midpoints between
+    distinct scores plus the -1/+1 sentinels); the first maximum wins."""
+    scores = np.asarray(scores, dtype=float)
+    distinct = np.unique(scores)
+    mids = 0.5 * (distinct[:-1] + distinct[1:])
+    best_t, best_ba = None, -1.0
+    for t in np.concatenate(([distinct[0] - 1.0], mids,
+                             [distinct[-1] + 1.0])):
+        ba = balanced_accuracy(confusion_at_threshold(scores, labels, t))
+        if ba > best_ba:
+            best_t, best_ba = float(t), ba
+    return best_t, best_ba
+
+
+def reference_roc_and_auc(scores, labels):
+    """ROC points by walking the descending scores one tie group at a
+    time, and their trapezoidal area."""
+    scores = np.asarray(scores, dtype=float)
+    labels = np.asarray(labels, dtype=int)
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    order = np.argsort(-scores, kind="stable")
+    s, l = scores[order], labels[order]
+    points = [(0.0, 0.0)]
+    tp = fp = 0
+    i = 0
+    while i < s.size:
+        j = i
+        while j < s.size and s[j] == s[i]:
+            tp += int(l[j] == 1)
+            fp += int(l[j] == 0)
+            j += 1
+        points.append((fp / n_neg, tp / n_pos))
+        i = j
+    pts = np.asarray(points)
+    return tuple(points), float(np.trapezoid(pts[:, 1], pts[:, 0]))
+
+
+def sweep_inputs(n_cases=60, seed=3):
+    """Score vectors with ties, adjacent doubles and extreme magnitudes,
+    each with labels holding both classes."""
+    rng = np.random.default_rng(seed)
+    for k in range(n_cases):
+        n = int(rng.integers(2, 30))
+        kind = k % 6
+        if kind == 0:
+            scores = np.round(rng.uniform(size=n), 2)
+        elif kind == 1:  # heavy ties
+            scores = rng.choice([0.0, 0.25, 0.5, 1.0], size=n)
+        elif kind == 2:  # adjacent doubles: midpoints round onto a score
+            a = rng.uniform()
+            b = np.nextafter(a, 2.0)
+            scores = rng.choice([a, b, np.nextafter(b, 2.0)], size=n)
+        elif kind == 3:  # sentinels +-1.0 vanish at this scale
+            scores = rng.choice([-3e20, -1e20, 0.0, 1e20, 2e20], size=n)
+        elif kind == 4:
+            scores = np.round(rng.normal(size=n), 1)
+        else:
+            scores = rng.uniform(size=n)
+        labels = rng.integers(0, 2, size=n)
+        if labels.sum() in (0, n):
+            labels[0] = 1 - labels[0]
+        yield scores, labels
+
+
+def midpoints_separate(scores):
+    """True when every midpoint lies strictly between its neighbours."""
+    distinct = np.unique(scores)
+    mids = 0.5 * (distinct[:-1] + distinct[1:])
+    return bool(np.all((distinct[:-1] < mids) & (mids < distinct[1:])))
+
+
 def pairwise_auc(scores, labels):
     """Mann-Whitney statistic: P(s_pos > s_neg) + 0.5 P(equal)."""
     pos = [s for s, l in zip(scores, labels) if l == 1]
@@ -64,6 +137,19 @@ class TestConfusion:
         with pytest.raises(MetricsError):
             confusion_at_threshold([0.1, 0.2], [1], 0.5)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("fn", [
+        lambda s, l: confusion_at_threshold(s, l, 0.5),
+        select_operating_point, roc_and_auc])
+    def test_non_finite_score_rejected(self, fn, bad):
+        scores = [0.1, 0.9, bad, 0.4, bad]
+        with pytest.raises(MetricsError, match="at index 2"):
+            fn(scores, [0, 1, 1, 0, 1])
+
+    def test_non_binary_labels_rejected(self):
+        with pytest.raises(MetricsError, match="0 or 1"):
+            select_operating_point([0.1, 0.5, 0.9], [0, 1, 2])
+
 
 class TestBalancedAccuracy:
     def test_perfect(self):
@@ -116,16 +202,21 @@ class TestOperatingPoint:
             select_operating_point([0.1, 0.9], [1, 1])
 
     def test_matches_sweep_oracle(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            n = int(rng.integers(2, 30))
-            scores = np.round(rng.uniform(size=n), 2)
-            labels = rng.integers(0, 2, size=n)
-            if labels.sum() in (0, n):
-                labels[0] = 1 - labels[0]
+        n_separate = 0
+        for scores, labels in sweep_inputs():
             op = select_operating_point(scores, labels)
-            assert op.train_balanced_accuracy == pytest.approx(
-                sweep_operating_point(scores, labels), abs=1e-12)
+            assert (op.threshold, op.train_balanced_accuracy) == \
+                reference_operating_point(scores, labels)
+            curve, auc = roc_and_auc(scores, labels)
+            assert (curve.points, auc) == \
+                reference_roc_and_auc(scores, labels)
+            # Where a midpoint rounds onto a score, the candidates miss a
+            # table the exhaustive sweep reaches; compare only elsewhere.
+            if midpoints_separate(scores):
+                n_separate += 1
+                assert op.train_balanced_accuracy == \
+                    sweep_operating_point(scores, labels)
+        assert n_separate >= 40
 
     def test_tie_breaks_to_smallest_threshold(self):
         # two thresholds achieve balAcc 1.0 is impossible; use flat case
