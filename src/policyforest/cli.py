@@ -48,6 +48,10 @@ def _load(args: argparse.Namespace):
 
 
 def _forest_config(args: argparse.Namespace) -> ForestConfig:
+    # Every command that uses --jobs builds its forest config here, after
+    # any config-file override.
+    if args.jobs < 1:
+        raise ex.ExperimentError(f"--jobs must be >= 1, got {args.jobs}")
     return ForestConfig(
         n_trees=args.trees,
         max_depth=args.max_depth,
@@ -316,7 +320,9 @@ def _add_common(p: argparse.ArgumentParser, data_required=True) -> None:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory")
     p.add_argument("--jobs", type=int, default=1,
-                   help="parallel tree-fitting workers")
+                   help="worker processes for the seeded runs (or, for "
+                        "a single forest, its trees); capped at the core "
+                        "count")
     p.add_argument("--trees", type=int, default=500)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--min-leaf", type=int, default=1)

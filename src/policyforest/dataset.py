@@ -68,6 +68,10 @@ IG_NAMES: tuple[str, ...] = tuple(sorted([
 
 assert len(IG_NAMES) == 43
 
+# Column of each IG in PolicyCase.ig_alignments; a dict lookup in place of
+# IG_NAMES.index, which scans the tuple on every call.
+_IG_INDEX: dict[str, int] = {name: i for i, name in enumerate(IG_NAMES)}
+
 # Policy-area labels and the fixed PA -> PD assignment (each case carries
 # exactly one PA; its domain must agree with this table).
 PA_TO_PD: dict[str, str] = {
@@ -146,7 +150,7 @@ class PolicyCase:
                                    f"outside [0,1]")
 
     def alignment(self, ig_name: str) -> int:
-        return self.ig_alignments[IG_NAMES.index(ig_name)]
+        return self.ig_alignments[_IG_INDEX[ig_name]]
 
 
 @dataclass(frozen=True)
@@ -321,7 +325,7 @@ def encode(cases: list[PolicyCase], spec: FeatureSetSpec) -> EncodedMatrix:
             X[r, j] = net_iga(tally_alignments(c))
             j += 1
         for name in ig_selected:
-            X[r, j] = c.ig_alignments[IG_NAMES.index(name)]
+            X[r, j] = c.ig_alignments[_IG_INDEX[name]]
             j += 1
         if spec.policy_encoding == "pd":
             X[r, j + sorted(PD_LABELS).index(c.policy_domain)] = 1.0

@@ -5,12 +5,15 @@ comparisons, and the nonlinearity case study.
 Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
-execution parallelism.
+execution parallelism: each seeded run is a module-level function of its
+run index, fanned out by forest.map_ordered, and callers reduce the
+results in run order.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -18,9 +21,9 @@ from . import forest as rf
 from . import logistic as lr
 from . import metrics as mx
 from .dataset import (IG_NAMES, PD_LABELS, EncodedMatrix, FeatureSetSpec,
-                      PolicyCase, encode, random_split, rescale_p90,
-                      retrodiction_split, zero_noncommittal)
-from .forest import ForestConfig, mix_seed
+                      PolicyCase, SplitPlan, encode, random_split,
+                      rescale_p90, retrodiction_split, zero_noncommittal)
+from .forest import ForestConfig, map_ordered, mix_seed
 from .logistic import LogisticConfig
 
 REGIMES = ("random_draw", "retrodiction")
@@ -38,20 +41,44 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
+def _tree_jobs(n_runs: int, n_jobs: int) -> int:
+    """Workers for each forest's trees. The outermost loop with more than
+    one item gets the workers: the runs, unless there is only one, in which
+    case its trees. So pools never nest."""
+    return n_jobs if n_runs == 1 else 1
+
+
+def _split_run(matrix: EncodedMatrix, base_seed: int,
+               forest_config: ForestConfig, train_fraction: float,
+               logistic_config: LogisticConfig | None, tree_jobs: int,
+               j: int):
+    """Run j of a seeded split series: split with seed
+    mix_seed(base_seed, j), fit a forest with seed mix_seed(run_seed, 1)
+    and, given a logistic_config, a logistic model on the same train rows.
+
+    Returns (plan, forest Gini importance, {name: |beta|} or None).
+    """
+    run_seed = mix_seed(base_seed, j)
+    plan = random_split(matrix.n_samples, train_fraction, run_seed)
+    train = matrix.subset(plan.train_indices)
+    cfg = replace(forest_config, seed=mix_seed(run_seed, 1))
+    model = rf.fit_forest(train, cfg, n_jobs=tree_jobs)
+    betas = None
+    if logistic_config is not None:
+        betas = dict(lr.coefficient_ranking(lr.fit(train, logistic_config)))
+    return plan, model.gini_importance, betas
+
+
 def _split_forests(matrix: EncodedMatrix, n_splits: int, base_seed: int,
                    forest_config: ForestConfig, train_fraction: float,
-                   n_jobs: int, first: int = 0):
-    """Yield (plan, train, model) for runs first .. first + n_splits - 1.
-
-    Run j splits with seed mix_seed(base_seed, j) and fits its forest with
-    seed mix_seed(run_seed, 1).
-    """
-    for j in range(first, first + n_splits):
-        run_seed = mix_seed(base_seed, j)
-        plan = random_split(matrix.n_samples, train_fraction, run_seed)
-        train = matrix.subset(plan.train_indices)
-        cfg = replace(forest_config, seed=mix_seed(run_seed, 1))
-        yield plan, train, rf.fit_forest(train, cfg, n_jobs=n_jobs)
+                   n_jobs: int, first: int = 0,
+                   logistic_config: LogisticConfig | None = None) -> list:
+    """_split_run for runs first .. first + n_splits - 1, in run order,
+    on up to n_jobs worker processes."""
+    run = partial(_split_run, matrix, base_seed, forest_config,
+                  train_fraction, logistic_config,
+                  _tree_jobs(n_splits, n_jobs))
+    return map_ordered(run, range(first, first + n_splits), n_jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +139,32 @@ def _fit_and_score(model_kind: str, train: EncodedMatrix, test: EncodedMatrix,
     raise ExperimentError(f"unknown model kind {model_kind!r}")
 
 
+def _eval_run(matrix: EncodedMatrix, fixed_plan: SplitPlan | None,
+              model_kind: str, base_seed: int, forest_config: ForestConfig,
+              logistic_config: LogisticConfig, train_fraction: float,
+              tree_jobs: int, j: int) -> RunResult:
+    """Run j of run_feature_set_eval: split (unless the plan is fixed), fit
+    with seed mix_seed(run_seed, 1), pick the threshold on train, score
+    test."""
+    run_seed = mix_seed(base_seed, j)
+    plan = fixed_plan
+    if plan is None:
+        plan = random_split(matrix.n_samples, train_fraction, run_seed)
+    train = matrix.subset(plan.train_indices)
+    test = matrix.subset(plan.test_indices)
+    train_scores, test_scores = _fit_and_score(
+        model_kind, train, test, mix_seed(run_seed, 1),
+        forest_config, logistic_config, n_jobs=tree_jobs)
+    op = mx.select_operating_point(train_scores, train.y)
+    conf = mx.confusion_at_threshold(test_scores, test.y, op.threshold)
+    _, auc = mx.roc_and_auc(test_scores, test.y)
+    return RunResult(
+        run_index=j, seed=run_seed, threshold=op.threshold,
+        train_balanced_accuracy=op.train_balanced_accuracy,
+        balanced_accuracy=mx.balanced_accuracy(conf), auc=auc,
+        tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn)
+
+
 def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
                          regime: str, model_kind: str = "forest",
                          n_runs: int | None = None, base_seed: int = 0,
@@ -137,26 +190,10 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
         fixed_plan = retrodiction_split(
             [cases[i] for i in matrix.case_indices], cutoff_year)
 
-    runs: list[RunResult] = []
-    for j in range(n_runs):
-        run_seed = mix_seed(base_seed, j)
-        if regime == "random_draw":
-            plan = random_split(matrix.n_samples, train_fraction, run_seed)
-        else:
-            plan = fixed_plan
-        train = matrix.subset(plan.train_indices)
-        test = matrix.subset(plan.test_indices)
-        train_scores, test_scores = _fit_and_score(
-            model_kind, train, test, mix_seed(run_seed, 1),
-            forest_config, logistic_config, n_jobs=n_jobs)
-        op = mx.select_operating_point(train_scores, train.y)
-        conf = mx.confusion_at_threshold(test_scores, test.y, op.threshold)
-        _, auc = mx.roc_and_auc(test_scores, test.y)
-        runs.append(RunResult(
-            run_index=j, seed=run_seed, threshold=op.threshold,
-            train_balanced_accuracy=op.train_balanced_accuracy,
-            balanced_accuracy=mx.balanced_accuracy(conf), auc=auc,
-            tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn))
+    run = partial(_eval_run, matrix, fixed_plan, model_kind, base_seed,
+                  forest_config, logistic_config, train_fraction,
+                  _tree_jobs(n_runs, n_jobs))
+    runs = map_ordered(run, range(n_runs), n_jobs)
     return EvalReport(feature_set_id=spec.id, regime=regime,
                       model_kind=model_kind, base_seed=base_seed,
                       n_dropped_missing_p90=matrix.n_dropped_missing_p90,
@@ -239,10 +276,10 @@ def rank_igs_by_domain(cases: list[PolicyCase], domain: str,
     importances = np.zeros((n_splits, matrix.n_features))
     corrs: dict[str, list[float]] = {name: [] for name in names}
     at_bats: dict[str, list[int]] = {name: [] for name in names}
-    for j, (plan, _, model) in enumerate(_split_forests(
+    for j, (plan, importance, _) in enumerate(_split_forests(
             matrix, n_splits, base_seed, forest_config, train_fraction,
             n_jobs)):
-        importances[j] = model.gini_importance
+        importances[j] = importance
         test_cases = [sub[i] for i in plan.test_indices]
         for name in names:
             corr, n_ab = ig_outcome_correlation(test_cases, name)
@@ -280,9 +317,10 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
 
     acc = np.zeros(matrix.n_features)
-    for _, _, model in _split_forests(matrix, n_splits, base_seed,
-                                      forest_config, train_fraction, n_jobs):
-        acc += model.gini_importance
+    for _, importance, _ in _split_forests(matrix, n_splits, base_seed,
+                                           forest_config, train_fraction,
+                                           n_jobs):
+        acc += importance
     ig_scores = acc[ig_cols]
     order = sorted(range(len(IG_NAMES)), key=lambda i: (-ig_scores[i], i))
     chosen = tuple(IG_NAMES[i] for i in sorted(order[:k]))
@@ -315,6 +353,40 @@ class GainReport:
         return asdict(self)
 
 
+def _gain_run(mat_b: EncodedMatrix, mat_a: EncodedMatrix, align: np.ndarray,
+              base_seed: int, forest_config: ForestConfig,
+              train_fraction: float, tree_jobs: int,
+              j: int) -> list[tuple[int, float | None]]:
+    """Run j of gain_per_ig: per IG, (strong-stance test cases, spec_b
+    accuracy minus spec_a accuracy on them, or None when there are none)."""
+    run_seed = mix_seed(base_seed, j)
+    plan = random_split(mat_b.n_samples, train_fraction, run_seed)
+    test_idx = np.asarray(plan.test_indices, dtype=int)
+    preds = {}
+    # Same model seed for both fits: the comparison is paired, so the
+    # models differ only by feature set (identical specs give gain 0).
+    model_seed = mix_seed(run_seed, 1)
+    for tag, mat in (("b", mat_b), ("a", mat_a)):
+        train = mat.subset(plan.train_indices)
+        test = mat.subset(plan.test_indices)
+        train_scores, test_scores = _fit_and_score(
+            "forest", train, test, model_seed,
+            forest_config, LogisticConfig(), n_jobs=tree_jobs)
+        op = mx.select_operating_point(train_scores, train.y)
+        preds[tag] = (test_scores >= op.threshold).astype(int)
+    y_test = mat_b.y[test_idx]
+    out: list[tuple[int, float | None]] = []
+    for g in range(len(IG_NAMES)):
+        mask = np.abs(align[test_idx, g]) == 2
+        gain = None
+        if mask.any():
+            acc_b = float(np.mean(preds["b"][mask] == y_test[mask]))
+            acc_a = float(np.mean(preds["a"][mask] == y_test[mask]))
+            gain = acc_b - acc_a
+        out.append((int(mask.sum()), gain))
+    return out
+
+
 def gain_per_ig(cases: list[PolicyCase],
                 spec_b: FeatureSetSpec | None = None,
                 spec_a: FeatureSetSpec | None = None,
@@ -331,6 +403,9 @@ def gain_per_ig(cases: list[PolicyCase],
     """
     spec_b = spec_b or FeatureSetSpec.set_b()
     spec_a = spec_a or FeatureSetSpec.set_a()
+    # Filtered here, not only in encode: when one spec uses P90 and the
+    # other does not, encode would drop rows from one matrix only, and
+    # mat_b, mat_a and align must stay row-aligned.
     usable = [c for c in cases
               if not (spec_b.use_p90 or spec_a.use_p90) or c.p90 is not None]
     mat_b = encode(usable, spec_b)
@@ -339,30 +414,13 @@ def gain_per_ig(cases: list[PolicyCase],
 
     gains: dict[str, list[float]] = {name: [] for name in IG_NAMES}
     counts: dict[str, list[int]] = {name: [] for name in IG_NAMES}
-    for j in range(n_runs):
-        run_seed = mix_seed(base_seed, j)
-        plan = random_split(mat_b.n_samples, train_fraction, run_seed)
-        test_idx = np.asarray(plan.test_indices, dtype=int)
-        preds = {}
-        # Same model seed for both fits: the comparison is paired, so the
-        # models differ only by feature set (identical specs give gain 0).
-        model_seed = mix_seed(run_seed, 1)
-        for tag, mat in (("b", mat_b), ("a", mat_a)):
-            train = mat.subset(plan.train_indices)
-            test = mat.subset(plan.test_indices)
-            train_scores, test_scores = _fit_and_score(
-                "forest", train, test, model_seed,
-                forest_config, LogisticConfig(), n_jobs=n_jobs)
-            op = mx.select_operating_point(train_scores, train.y)
-            preds[tag] = (test_scores >= op.threshold).astype(int)
-        y_test = mat_b.y[test_idx]
-        for g, name in enumerate(IG_NAMES):
-            mask = np.abs(align[test_idx, g]) == 2
-            counts[name].append(int(mask.sum()))
-            if mask.any():
-                acc_b = float(np.mean(preds["b"][mask] == y_test[mask]))
-                acc_a = float(np.mean(preds["a"][mask] == y_test[mask]))
-                gains[name].append(acc_b - acc_a)
+    run = partial(_gain_run, mat_b, mat_a, align, base_seed, forest_config,
+                  train_fraction, _tree_jobs(n_runs, n_jobs))
+    for per_ig in map_ordered(run, range(n_runs), n_jobs):
+        for name, (count, gain) in zip(IG_NAMES, per_ig):
+            counts[name].append(count)
+            if gain is not None:
+                gains[name].append(gain)
 
     rows: list[GainRow] = []
     excluded: list[str] = []
@@ -421,13 +479,12 @@ def _select_subsets(matrix: EncodedMatrix, k: int, n_splits: int,
     ig_cols = {name: matrix.column_names.index(name) for name in IG_NAMES}
     gini_acc = np.zeros(len(IG_NAMES))
     beta_acc = np.zeros(len(IG_NAMES))
-    for _, train, fmodel in _split_forests(matrix, n_splits, base_seed,
-                                           forest_config, train_fraction,
-                                           n_jobs, first=10_000):
-        lmodel = lr.fit(train, logistic_config)
-        mags = dict(lr.coefficient_ranking(lmodel))
+    for _, gini, mags in _split_forests(matrix, n_splits, base_seed,
+                                        forest_config, train_fraction,
+                                        n_jobs, first=10_000,
+                                        logistic_config=logistic_config):
         for i, name in enumerate(IG_NAMES):
-            gini_acc[i] += fmodel.gini_importance[ig_cols[name]]
+            gini_acc[i] += gini[ig_cols[name]]
             beta_acc[i] += mags.get(name, 0.0)
 
     def top_k(scores: np.ndarray) -> tuple[str, ...]:

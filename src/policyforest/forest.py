@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import os
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -36,6 +37,31 @@ def mix_seed(seed: int, index: int) -> int:
 
 class ForestError(ValueError):
     """Raised for invalid forest configuration or inputs."""
+
+
+def map_ordered(fn, items, n_jobs: int = 1) -> list:
+    """[fn(x) for x in items], on up to n_jobs worker processes.
+
+    fn must pickle (a module-level function, or a functools.partial of one
+    binding the shared inputs). The items are cut into one chunk per
+    worker, so the shared inputs are sent once per worker, not once per
+    item. Results come back in item order, so a caller that reduces them
+    in order gets the same floats serially and in parallel. Workers are
+    capped at the core count and the item count; fn must not call
+    map_ordered with n_jobs > 1 itself.
+    """
+    if n_jobs < 1:
+        raise ForestError(f"n_jobs must be >= 1, got {n_jobs}")
+    items = list(items)
+    workers = min(n_jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return [fn(x) for x in items]
+    # Imported here: the pool costs import time and memory that serial
+    # runs never need.
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items,
+                             chunksize=math.ceil(len(items) / workers)))
 
 
 # Impurity decreases at or below this are treated as zero gain (guards
@@ -303,32 +329,34 @@ class ForestModel:
     gini_importance: np.ndarray  # normalized to sum 1 when any split exists
 
 
+def _build_tree(view: BinnedMatrix, y: np.ndarray, config: ForestConfig,
+                i: int) -> tuple[TreeNode, np.ndarray]:
+    """Tree i of a forest: its bootstrap sample and growth both draw from
+    seeds derived from (config.seed, i) alone."""
+    n = len(y)
+    tree_seed = mix_seed(config.seed, i)
+    if config.bootstrap:
+        boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
+        idx = boot_rng.integers(0, n, size=n)
+    else:
+        idx = np.arange(n)
+    return fit_tree(view, y, idx, config, mix_seed(tree_seed, 1))
+
+
 def fit_forest(matrix: EncodedMatrix, config: ForestConfig,
                n_jobs: int = 1) -> ForestModel:
-    """Fit the ensemble; deterministic given config.seed, parallel or not."""
+    """Fit the ensemble; deterministic given config.seed, parallel or not.
+
+    With n_jobs > 1 the trees are grown in worker processes (map_ordered).
+    """
     X, y = matrix.X, matrix.y
     n = X.shape[0]
     if n < 2:
         raise ForestError(f"need at least 2 samples, got {n}")
     if y.sum() == 0 or y.sum() == n:
         raise ForestError("training labels contain a single class")
-    view = BinnedMatrix.of(X)
-
-    def build(i: int) -> tuple[TreeNode, np.ndarray]:
-        tree_seed = mix_seed(config.seed, i)
-        if config.bootstrap:
-            boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
-            idx = boot_rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
-        return fit_tree(view, y, idx, config, mix_seed(tree_seed, 1))
-
-    if n_jobs > 1:
-        with ThreadPoolExecutor(max_workers=n_jobs) as pool:
-            results = list(pool.map(build, range(config.n_trees)))
-    else:
-        results = [build(i) for i in range(config.n_trees)]
-
+    results = map_ordered(partial(_build_tree, BinnedMatrix.of(X), y, config),
+                          range(config.n_trees), n_jobs)
     trees = [r[0] for r in results]
     raw = np.mean([r[1] for r in results], axis=0)
     total = raw.sum()

@@ -45,3 +45,30 @@ def cases_200():
 @pytest.fixture(scope="session")
 def cases_noise_100():
     return make_cases(100, seed=11, signal=False)
+
+
+@pytest.fixture
+def recording_pool(monkeypatch):
+    """Replace the worker pool with an in-process stand-in and return the
+    list of (max_workers, chunksize) it was asked for. No process starts."""
+    import concurrent.futures
+
+    requests = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            requests.append((self.max_workers, chunksize))
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    return requests

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import policyforest
 
 from policyforest.cli import main
 from policyforest.dataset import IG_NAMES, PA_TO_PD, dump_cases
@@ -162,3 +168,60 @@ class TestNameMap:
         map_file.write_text("YEAR=year\n")
         assert main(["validate", "--data", str(renamed),
                      "--map", str(map_file)]) == 0
+
+
+def _bodies(out_dir):
+    """Each report file's bytes below the provenance header, by name."""
+    return {p.name: b"\n".join(l for l in p.read_bytes().split(b"\n")
+                                if not l.startswith(b"#"))
+            for p in sorted(Path(out_dir).iterdir())}
+
+
+class TestJobs:
+    # AARP is the fixture's driver IG, so every case takes a stance on it.
+    COMMANDS = {
+        "eval_c_forest": ["eval", "--set", "C", "--selection-splits", "2",
+                          "--runs", "3"],
+        "eval_forest_retro": ["eval", "--regime", "retrodiction"],
+        "eval_logistic": ["eval", "--model", "logistic", "--runs", "3"],
+        "eval_logistic_retro": ["eval", "--model", "logistic",
+                                "--regime", "retrodiction"],
+        "rank": ["rank", "--domain", "Economic", "--runs", "3"],
+        "set_c": ["set-c", "--k", "3", "--runs", "3"],
+        "gains": ["gains", "--runs", "3", "--min-test-cases", "1"],
+        "compare_selectors": ["compare-selectors", "--k", "3",
+                              "--runs", "2"],
+        "case_study": ["case-study", "--pivot", "AARP"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_reports_identical_serial_and_parallel(self, name, data_file,
+                                                   tmp_path):
+        bodies = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main(self.COMMANDS[name] + [
+                "--data", data_file, "--trees", "6", "--seed", "4",
+                "--jobs", jobs, "--out", str(out)]) == 0
+            bodies.append(_bodies(out))
+        assert bodies[0] and bodies[0] == bodies[1]
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_below_one_rejected(self, jobs, data_file, tmp_path, capsys):
+        assert main(["rank", "--data", data_file, "--jobs", jobs]) == 1
+        assert f"--jobs must be >= 1, got {jobs}" in capsys.readouterr().err
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"jobs": int(jobs)}))
+        assert main(["eval", "--data", data_file, "--set", "A",
+                     "--config", str(cfg)]) == 1
+        assert "--jobs" in capsys.readouterr().err
+
+    def test_import_loads_no_pool(self):
+        code = ("import sys, policyforest.cli; "
+                "print(sorted(m for m in ('multiprocessing', "
+                "'concurrent.futures.process') if m in sys.modules))")
+        src = str(Path(policyforest.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=60,
+                             env={**os.environ, "PYTHONPATH": src})
+        assert out.stdout.strip() == "[]"

@@ -363,3 +363,28 @@ class TestNonlinearityCaseStudy:
     def test_unknown_pivot(self):
         with pytest.raises(ExperimentError):
             nonlinearity_case_study([], pivot_ig="Nobody")
+
+
+class TestWorkerFanOut:
+    """The outermost loop with more than one item gets the workers, and
+    nothing inside a worker asks for a pool of its own."""
+
+    @pytest.fixture(autouse=True)
+    def eight_cores(self, monkeypatch):
+        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+
+    def test_runs_fan_out_not_trees(self, cases_200, recording_pool):
+        run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
+                             "random_draw", n_runs=3,
+                             forest_config=FAST_FOREST, n_jobs=2)
+        gain_per_ig(cases_200, n_runs=3, forest_config=FAST_FOREST,
+                    n_jobs=2)
+        rank_igs_by_domain(cases_200, "Economic", n_splits=3,
+                           forest_config=FAST_FOREST, n_jobs=2)
+        assert recording_pool == [(2, 2)] * 3
+
+    def test_single_run_fans_out_trees(self, cases_200, recording_pool):
+        run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
+                             "retrodiction", forest_config=FAST_FOREST,
+                             n_jobs=2)
+        assert recording_pool == [(2, 8)]

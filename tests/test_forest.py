@@ -1,4 +1,5 @@
 import json
+import os
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from policyforest.dataset import EncodedMatrix
 from policyforest.forest import (ForestConfig, ForestError, ForestModel,
                                  GAIN_EPS, TreeNode, best_split, fit_forest,
                                  fit_tree, forest_from_json, forest_to_json,
-                                 gini_impurity, mix_seed,
+                                 gini_impurity, map_ordered, mix_seed,
                                  permutation_importance, predict_proba,
                                  tree_predict)
 
@@ -302,6 +303,39 @@ class TestFitForest:
         model = fit_forest(m, ForestConfig(n_trees=3, seed=0))
         with pytest.raises(ForestError, match="arity"):
             predict_proba(model, np.zeros((2, 5)))
+
+
+class TestMapOrdered:
+    def test_workers_capped_by_cores_and_items(self, recording_pool,
+                                               monkeypatch):
+        assert map_ordered(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+        bound = min(os.cpu_count() or 1, 3)
+        assert all(w <= bound for w, _ in recording_pool)
+        recording_pool.clear()
+        for cores, expected in ((8, (3, 1)), (2, (2, 2))):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            assert map_ordered(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+            assert recording_pool.pop() == expected
+
+    def test_one_worker_needs_no_pool(self, recording_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        assert map_ordered(abs, [-4, 5], 1) == [4, 5]
+        assert map_ordered(abs, [-4], 4) == [4]
+        assert map_ordered(abs, [], 4) == []
+        assert recording_pool == []
+
+    @pytest.mark.parametrize("n_jobs", [0, -3])
+    def test_rejects_n_jobs_below_one(self, n_jobs):
+        with pytest.raises(ForestError, match="n_jobs"):
+            map_ordered(abs, [1, 2], n_jobs)
+
+    def test_forest_fans_out_trees_once(self, recording_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        m = _separable_matrix(seed=4)
+        cfg = ForestConfig(n_trees=7, seed=1)
+        model = fit_forest(m, cfg, n_jobs=3)
+        assert recording_pool == [(3, 3)]
+        assert forest_to_json(model) == forest_to_json(fit_forest(m, cfg))
 
 
 class TestModelIdentity:
