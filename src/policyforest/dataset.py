@@ -268,6 +268,15 @@ class FeatureSetSpec:
         return cols
 
 
+def check_finite(X: np.ndarray, error: type[Exception]) -> None:
+    """Raise `error` naming the first row and column of the 2-D matrix X
+    that holds NaN or +-inf."""
+    finite = np.isfinite(X)
+    if not finite.all():
+        r, c = (int(i) for i in np.argwhere(~finite)[0])
+        raise error(f"row {r}, column {c}: non-finite value {X[r, c]}")
+
+
 @dataclass
 class EncodedMatrix:
     """Feature matrix plus labels for a list of cases.

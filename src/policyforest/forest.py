@@ -16,7 +16,7 @@ from functools import partial
 
 import numpy as np
 
-from .dataset import EncodedMatrix
+from .dataset import EncodedMatrix, check_finite
 
 SCHEMA_VERSION = 1
 
@@ -126,13 +126,6 @@ def gini_impurity(n_pos: int, n_neg: int) -> float:
     return 2.0 * p * (1.0 - p)
 
 
-def _check_finite(X: np.ndarray) -> None:
-    finite = np.isfinite(X)
-    if not finite.all():
-        r, c = (int(i) for i in np.argwhere(~finite)[0])
-        raise ForestError(f"row {r}, column {c}: non-finite value {X[r, c]}")
-
-
 @dataclass(frozen=True)
 class BinnedMatrix:
     """A float matrix with each cell replaced by a bin number, built once
@@ -154,7 +147,7 @@ class BinnedMatrix:
     @classmethod
     def of(cls, X: np.ndarray) -> "BinnedMatrix":
         X = np.asarray(X, dtype=float)
-        _check_finite(X)
+        check_finite(X, ForestError)
         n, n_features = X.shape
         codes = np.empty((n_features, n), dtype=np.int32)
         values, start = [], 0
@@ -377,7 +370,7 @@ def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     if rows.shape[1] != len(model.column_names):
         raise ForestError(f"row arity {rows.shape[1]} does not match model "
                           f"feature count {len(model.column_names)}")
-    _check_finite(rows)
+    check_finite(rows, ForestError)
     acc = np.zeros(rows.shape[0])
     for t in model.trees:
         acc += tree_predict(t, rows)

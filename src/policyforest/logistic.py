@@ -4,18 +4,22 @@ Inputs are standardized to zero mean / unit variance before fitting
 (constant columns are dropped and recorded), so coefficient magnitudes
 are comparable across features. The optimizer is damped Newton ascent
 with a ridge penalty; each accepted step does not decrease the penalized
-log-likelihood, and iteration stops when the gradient norm falls below
-tolerance.
+log-likelihood. Iteration stops when the gradient norm falls below
+tolerance (the fit has converged) or when a step no longer raises the
+penalized log-likelihood (ascent has reached float precision; the fit
+reports converged only if the gradient test passes). Inputs must be
+finite.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dataset import EncodedMatrix
+from .dataset import EncodedMatrix, check_finite
 
 SCHEMA_VERSION = 1
 
@@ -31,6 +35,14 @@ class LogisticConfig:
     l2: float = 1e-6
 
     def __post_init__(self):
+        if self.max_iters < 1:
+            raise LogisticError(f"max_iters must be >= 1, got "
+                                f"{self.max_iters}")
+        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
+            raise LogisticError(f"tolerance must be finite and > 0, got "
+                                f"{self.tolerance}")
+        if not math.isfinite(self.l2):
+            raise LogisticError(f"l2 must be finite, got {self.l2}")
         if self.l2 < 0:
             raise LogisticError(f"l2 must be >= 0, got {self.l2}")
 
@@ -94,6 +106,7 @@ def fit(matrix: EncodedMatrix,
         raise LogisticError(f"need at least 2 samples, got {n}")
     if y.sum() == 0 or y.sum() == n:
         raise LogisticError("training labels contain a single class")
+    check_finite(X, LogisticError)
 
     stds_all = X.std(axis=0)
     keep = stds_all > 0
@@ -108,29 +121,38 @@ def fit(matrix: EncodedMatrix,
     pen = np.concatenate(([0.0], np.full(m, config.l2)))
     A = np.hstack([np.ones((n, 1)), Z])
 
+    # p and ll always belong to the current theta: the line search
+    # computes them for the step it accepts.
+    p = sigmoid(A @ theta)
+    ll = _penalized_ll(y, p, theta[1:], config.l2)
     history: list[float] = []
     converged = False
     for _ in range(config.max_iters):
-        s = A @ theta
-        p = sigmoid(s)
-        ll = _penalized_ll(y, p, theta[1:], config.l2)
         history.append(ll)
         grad = A.T @ (y - p) - pen * theta
         if np.linalg.norm(grad) < config.tolerance:
             converged = True
             break
+        # The line search only accepts steps that do not lower ll (short
+        # of its 2**-60 fallback), so an ll no higher than the last one
+        # means ascent has hit float precision: later steps would only
+        # move theta in its last bits.
+        if len(history) > 1 and ll <= history[-2]:
+            break
         w = np.maximum(p * (1 - p), 1e-10)
         H = (A * w[:, None]).T @ A + np.diag(pen + 1e-12)
         step = np.linalg.solve(H, grad)
-        # Halve the step until the penalized log-likelihood does not drop.
+        # Halve the step until the penalized log-likelihood does not drop;
+        # after 60 halvings take the step 2**-60 as it is.
         scale = 1.0
-        for _ in range(60):
+        for halvings in range(61):
             cand = theta + scale * step
             p_c = sigmoid(A @ cand)
-            if _penalized_ll(y, p_c, cand[1:], config.l2) >= ll:
+            ll_c = _penalized_ll(y, p_c, cand[1:], config.l2)
+            if ll_c >= ll or halvings == 60:
                 break
             scale *= 0.5
-        theta = theta + scale * step
+        theta, p, ll = cand, p_c, ll_c
         # Unpenalized likelihood on separable data has no finite optimum:
         # the gradient vanishes as |beta| grows, so flag runaway
         # coefficients instead of reporting a spurious convergence.
@@ -140,8 +162,6 @@ def fit(matrix: EncodedMatrix,
                 "refit with l2 > 0")
 
     if not converged:
-        s = A @ theta
-        p = sigmoid(s)
         grad = A.T @ (y - p) - pen * theta
         converged = bool(np.linalg.norm(grad) < config.tolerance)
         if not converged and config.l2 == 0:
@@ -167,6 +187,7 @@ def predict_proba(model: LogisticModel, rows: np.ndarray,
     single = rows.ndim == 1
     if single:
         rows = rows[None, :]
+    check_finite(rows, LogisticError)
     if input_columns is not None and input_columns != model.column_names:
         try:
             sel = [input_columns.index(c) for c in model.column_names]

@@ -3,7 +3,8 @@ import pytest
 
 from policyforest.dataset import EncodedMatrix
 from policyforest.logistic import (LogisticConfig, LogisticError,
-                                   LogisticModel, coefficient_ranking, fit,
+                                   LogisticModel, _penalized_ll,
+                                   coefficient_ranking, fit,
                                    log_likelihood_gradient, logistic_from_json,
                                    logistic_to_json, penalized_log_likelihood,
                                    predict_proba, sigmoid)
@@ -14,6 +15,57 @@ def matrix_from(X, y):
     y = np.asarray(y, dtype=int)
     return EncodedMatrix(X, y, [f"f{i}" for i in range(X.shape[1])],
                          np.arange(len(y)))
+
+
+def reference_fit(matrix, config=LogisticConfig()):
+    """Damped Newton ascent that stops only when the gradient norm falls
+    below tolerance or at max_iters, recomputing each iteration's
+    likelihood from theta."""
+    X, y = matrix.X, matrix.y.astype(float)
+    stds = X.std(axis=0)
+    keep = stds > 0
+    means, stds = X[:, keep].mean(axis=0), stds[keep]
+    A = np.hstack([np.ones((len(y), 1)), (X[:, keep] - means) / stds])
+    pen = np.concatenate(([0.0], np.full(A.shape[1] - 1, config.l2)))
+    theta = np.zeros(A.shape[1])
+    history, converged = [], False
+    for _ in range(config.max_iters):
+        p = sigmoid(A @ theta)
+        ll = _penalized_ll(y, p, theta[1:], config.l2)
+        history.append(ll)
+        grad = A.T @ (y - p) - pen * theta
+        if np.linalg.norm(grad) < config.tolerance:
+            converged = True
+            break
+        w = np.maximum(p * (1 - p), 1e-10)
+        H = (A * w[:, None]).T @ A + np.diag(pen + 1e-12)
+        step = np.linalg.solve(H, grad)
+        scale = 1.0
+        for _ in range(60):
+            cand = theta + scale * step
+            if _penalized_ll(y, sigmoid(A @ cand), cand[1:], config.l2) >= ll:
+                break
+            scale *= 0.5
+        theta = theta + scale * step
+    names = [name for name, k in zip(matrix.column_names, keep) if k]
+    return LogisticModel(beta=theta[1:], intercept=float(theta[0]),
+                         means=means, stds=stds, column_names=names,
+                         dropped_columns=[], ll_history=history,
+                         converged=converged)
+
+
+def collinear_design(seed=108, n=200, k=5):
+    """A full one-hot block (its columns sum to the intercept column), one
+    uniform and one ordinal column; for seed 108 the gradient norm stalls
+    above the default tolerance while the likelihood stops rising."""
+    rng = np.random.default_rng(seed)
+    X = np.zeros((n, k + 2))
+    X[np.arange(n), rng.integers(k, size=n)] = 1.0
+    X[:, k] = rng.uniform(size=n)
+    X[:, k + 1] = rng.integers(-2, 3, size=n)
+    y = (2 * X[:, k] - 1 + 0.5 * X[:, k + 1] + rng.normal(0, 0.8, n)
+         > 0).astype(int)
+    return X, y
 
 
 class TestSigmoid:
@@ -122,6 +174,72 @@ class TestFit:
         with pytest.raises(LogisticError, match="l2 > 0"):
             fit(matrix_from(x[:, None], y),
                 LogisticConfig(l2=0.0, max_iters=200))
+
+
+class TestStallStop:
+    def test_collinear_design_stops_when_likelihood_stops_rising(self):
+        X, y = collinear_design()
+        m = matrix_from(X, y)
+        cfg = LogisticConfig()
+        ref = reference_fit(m, cfg)
+        assert len(ref.ll_history) == cfg.max_iters and not ref.converged
+        model = fit(m, cfg)
+        assert len(model.ll_history) < 50
+        assert np.all(np.diff(model.ll_history) >= 0)
+        # The gradient never met the tolerance, so the fit is unconverged.
+        assert not model.converged
+        assert np.max(np.abs(predict_proba(model, X)
+                             - predict_proba(ref, X))) <= 1e-8
+
+    @pytest.mark.parametrize("seed,l2", [(4, 1e-6), (5, 1e-6), (2, 0.01)])
+    def test_well_conditioned_fit_unchanged(self, seed, l2):
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(300, 3))
+        y = (X @ np.array([1.0, -1.0, 0.5]) + rng.normal(0, 1, 300)
+             > 0).astype(int)
+        cfg = LogisticConfig(l2=l2)
+        ref = reference_fit(matrix_from(X, y), cfg)
+        model = fit(matrix_from(X, y), cfg)
+        assert ref.converged and model.converged
+        assert model.ll_history == ref.ll_history
+        assert np.array_equal(model.beta, ref.beta)
+        assert model.intercept == ref.intercept
+
+
+class TestValidation:
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"max_iters": 0}, "max_iters"),
+        ({"max_iters": -3}, "max_iters"),
+        ({"tolerance": 0.0}, "tolerance"),
+        ({"tolerance": -1e-8}, "tolerance"),
+        ({"tolerance": float("nan")}, "tolerance"),
+        ({"tolerance": float("inf")}, "tolerance"),
+        ({"l2": float("nan")}, "l2 must be finite"),
+        ({"l2": float("inf")}, "l2 must be finite"),
+        ({"l2": -1.0}, "l2 must be >= 0"),
+    ])
+    def test_bad_config_rejected(self, kwargs, message):
+        with pytest.raises(LogisticError, match=message):
+            LogisticConfig(**kwargs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_names_first_row_and_column(self, bad):
+        rng = np.random.default_rng(12)
+        X = rng.normal(size=(40, 3))
+        y = (X[:, 0] > 0).astype(int)
+        model = fit(matrix_from(X, y))
+        X[9, 0] = bad
+        X[5, 2] = bad
+        with pytest.raises(LogisticError, match="row 5, column 2"):
+            fit(matrix_from(X, y))
+        with pytest.raises(LogisticError, match="row 5, column 2"):
+            predict_proba(model, X)
+        with pytest.raises(LogisticError, match="row 0, column 0"):
+            predict_proba(model, X[9])
+        # Columns are named in the caller's input, before selection.
+        wide = np.hstack([np.zeros((40, 1)), X])
+        with pytest.raises(LogisticError, match="row 5, column 3"):
+            predict_proba(model, wide, ["c", "f0", "f1", "f2"])
 
 
 class TestGradientCheck:
