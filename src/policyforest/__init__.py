@@ -9,9 +9,9 @@ from .dataset import (IG_NAMES, PA_LABELS, PA_TO_PD, PD_LABELS,
                       FeatureSetSpec, PolicyCase, SplitPlan, domain_counts,
                       encode, load_cases, net_iga, random_split, rescale_p90,
                       retrodiction_split, tally_alignments, zero_noncommittal)
-from .forest import (ForestConfig, ForestError, ForestModel, TreeNode,
-                     best_split, fit_forest, fit_tree, gini_impurity,
-                     mix_seed, permutation_importance)
+from .forest import (ForestConfig, ForestError, ForestModel, Tree,
+                     best_split, fit_forest, fit_forests, fit_tree,
+                     gini_impurity, mix_seed, permutation_importance)
 from .logistic import LogisticConfig, LogisticError, LogisticModel, sigmoid
 from .metrics import (ConfusionCounts, MetricsError, OperatingPoint, RocCurve,
                       balanced_accuracy, confusion_at_threshold, roc_and_auc,

@@ -5,9 +5,10 @@ comparisons, and the nonlinearity case study.
 Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
-execution parallelism: each seeded run is a module-level function of its
-run index, fanned out by forest.map_ordered, and callers reduce the
-results in run order.
+execution parallelism: seeded runs are handed out in contiguous chunks
+by forest.map_chunks, each chunk grows the forests of all its runs
+together (forest.fit_forests), and callers reduce the results in run
+order.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import metrics as mx
 from .dataset import (IG_NAMES, PD_LABELS, EncodedMatrix, FeatureSetSpec,
                       PolicyCase, SplitPlan, encode, random_split,
                       rescale_p90, retrodiction_split, zero_noncommittal)
-from .forest import ForestConfig, map_ordered, mix_seed
+from .forest import ForestConfig, map_chunks, mix_seed
 from .logistic import LogisticConfig
 
 REGIMES = ("random_draw", "retrodiction")
@@ -41,44 +42,89 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
-def _tree_jobs(n_runs: int, n_jobs: int) -> int:
-    """Workers for each forest's trees. The outermost loop with more than
-    one item gets the workers: the runs, unless there is only one, in which
-    case its trees. So pools never nest."""
-    return n_jobs if n_runs == 1 else 1
-
-
-def _split_run(matrix: EncodedMatrix, base_seed: int,
-               forest_config: ForestConfig, train_fraction: float,
-               logistic_config: LogisticConfig | None, tree_jobs: int,
-               j: int):
-    """Run j of a seeded split series: split with seed
-    mix_seed(base_seed, j), fit a forest with seed mix_seed(run_seed, 1)
+def _split_chunk(matrix: EncodedMatrix, base_seed: int,
+                 forest_config: ForestConfig, train_fraction: float,
+                 logistic_config: LogisticConfig | None, n_jobs: int,
+                 js: list[int]) -> list:
+    """Runs js of a seeded split series: run j splits with seed
+    mix_seed(base_seed, j), fits a forest with seed mix_seed(run_seed, 1)
     and, given a logistic_config, a logistic model on the same train rows.
 
-    Returns (plan, forest Gini importance, {name: |beta|} or None).
+    Returns (plan, forest Gini importance, {name: |beta|} or None) per
+    run, in run order.
     """
-    run_seed = mix_seed(base_seed, j)
-    plan = random_split(matrix.n_samples, train_fraction, run_seed)
-    train = matrix.subset(plan.train_indices)
-    cfg = replace(forest_config, seed=mix_seed(run_seed, 1))
-    model = rf.fit_forest(train, cfg, n_jobs=tree_jobs)
-    betas = None
+    run_seeds = [mix_seed(base_seed, j) for j in js]
+    plans = [random_split(matrix.n_samples, train_fraction, s)
+             for s in run_seeds]
+    forests = [(plan.train_indices,
+                replace(forest_config, seed=mix_seed(s, 1)))
+               for plan, s in zip(plans, run_seeds)]
+    gini = [None] * len(js)
+    for i, model in rf.fit_forests(matrix, forests, n_jobs):
+        gini[i] = model.gini_importance
+    betas = [None] * len(js)
     if logistic_config is not None:
-        betas = dict(lr.coefficient_ranking(lr.fit(train, logistic_config)))
-    return plan, model.gini_importance, betas
+        betas = [dict(lr.coefficient_ranking(
+                     lr.fit(matrix.subset(plan.train_indices),
+                            logistic_config)))
+                 for plan in plans]
+    return list(zip(plans, gini, betas))
 
 
 def _split_forests(matrix: EncodedMatrix, n_splits: int, base_seed: int,
                    forest_config: ForestConfig, train_fraction: float,
                    n_jobs: int, first: int = 0,
                    logistic_config: LogisticConfig | None = None) -> list:
-    """_split_run for runs first .. first + n_splits - 1, in run order,
+    """_split_chunk for runs first .. first + n_splits - 1, in run order,
     on up to n_jobs worker processes."""
-    run = partial(_split_run, matrix, base_seed, forest_config,
-                  train_fraction, logistic_config,
-                  _tree_jobs(n_splits, n_jobs))
-    return map_ordered(run, range(first, first + n_splits), n_jobs)
+    chunk = partial(_split_chunk, matrix, base_seed, forest_config,
+                    train_fraction, logistic_config)
+    return map_chunks(chunk, range(first, first + n_splits), n_jobs)
+
+
+def _logistic_scores(matrix: EncodedMatrix, plan: SplitPlan,
+                     logistic_config: LogisticConfig) -> tuple:
+    """(train labels, test labels, train scores, test scores) of a
+    logistic model fit on the plan's train rows."""
+    train = matrix.subset(plan.train_indices)
+    test = matrix.subset(plan.test_indices)
+    model = lr.fit(train, logistic_config)
+    return (train.y, test.y,
+            lr.predict_proba(model, train.X, train.column_names),
+            lr.predict_proba(model, test.X, test.column_names))
+
+
+def _run_scores(model_kind: str, matrix: EncodedMatrix, runs,
+                forest_config: ForestConfig,
+                logistic_config: LogisticConfig | None, n_jobs: int):
+    """Fit one model per (plan, model seed) in runs on the plan's train
+    rows. Yields (i, train labels, test labels, train scores, test scores)
+    for runs[i] as each fit completes; the forests of all runs grow
+    together. No frame holds a model or its rows while the next one fits."""
+    if model_kind == "logistic":
+        for i, (plan, _) in enumerate(runs):
+            yield (i, *_logistic_scores(matrix, plan, logistic_config))
+        return
+    if model_kind != "forest":
+        raise ExperimentError(f"unknown model kind {model_kind!r}")
+    split = {}
+
+    def forests():
+        for i, (plan, model_seed) in enumerate(runs):
+            train_idx = np.asarray(plan.train_indices, dtype=int)
+            split[i] = train_idx, np.asarray(plan.test_indices, dtype=int)
+            yield train_idx, replace(forest_config, seed=model_seed)
+
+    def score(done):
+        i, model = done
+        train_idx, test_idx = split.pop(i)
+        return (i, matrix.y[train_idx], matrix.y[test_idx],
+                rf.predict_proba(model, matrix.X[train_idx]),
+                rf.predict_proba(model, matrix.X[test_idx]))
+
+    # map, not a loop, so that no frame holds the last model while the
+    # next forests grow.
+    yield from map(score, rf.fit_forests(matrix, forests(), n_jobs))
 
 
 # ---------------------------------------------------------------------------
@@ -122,47 +168,36 @@ class EvalReport:
         return asdict(self)
 
 
-def _fit_and_score(model_kind: str, train: EncodedMatrix, test: EncodedMatrix,
-                   model_seed: int, forest_config: ForestConfig,
-                   logistic_config: LogisticConfig,
-                   n_jobs: int = 1) -> tuple[np.ndarray, np.ndarray]:
-    """Returns (train_scores, test_scores) for one fitted model."""
-    if model_kind == "forest":
-        cfg = replace(forest_config, seed=model_seed)
-        model = rf.fit_forest(train, cfg, n_jobs=n_jobs)
-        return (rf.predict_proba(model, train.X),
-                rf.predict_proba(model, test.X))
-    if model_kind == "logistic":
-        model = lr.fit(train, logistic_config)
-        return (lr.predict_proba(model, train.X, train.column_names),
-                lr.predict_proba(model, test.X, test.column_names))
-    raise ExperimentError(f"unknown model kind {model_kind!r}")
+def _eval_chunk(matrix: EncodedMatrix, fixed_plan: SplitPlan | None,
+                model_kind: str, base_seed: int, forest_config: ForestConfig,
+                logistic_config: LogisticConfig, train_fraction: float,
+                n_jobs: int, js: list[int]) -> list[RunResult]:
+    """Runs js of run_feature_set_eval, in run order. Run j splits with
+    seed mix_seed(base_seed, j) (unless the plan is fixed), fits with seed
+    mix_seed(run_seed, 1), picks the threshold on train and scores test."""
+    def runs():
+        for j in js:
+            run_seed = mix_seed(base_seed, j)
+            plan = fixed_plan
+            if plan is None:
+                plan = random_split(matrix.n_samples, train_fraction,
+                                    run_seed)
+            yield plan, mix_seed(run_seed, 1)
 
-
-def _eval_run(matrix: EncodedMatrix, fixed_plan: SplitPlan | None,
-              model_kind: str, base_seed: int, forest_config: ForestConfig,
-              logistic_config: LogisticConfig, train_fraction: float,
-              tree_jobs: int, j: int) -> RunResult:
-    """Run j of run_feature_set_eval: split (unless the plan is fixed), fit
-    with seed mix_seed(run_seed, 1), pick the threshold on train, score
-    test."""
-    run_seed = mix_seed(base_seed, j)
-    plan = fixed_plan
-    if plan is None:
-        plan = random_split(matrix.n_samples, train_fraction, run_seed)
-    train = matrix.subset(plan.train_indices)
-    test = matrix.subset(plan.test_indices)
-    train_scores, test_scores = _fit_and_score(
-        model_kind, train, test, mix_seed(run_seed, 1),
-        forest_config, logistic_config, n_jobs=tree_jobs)
-    op = mx.select_operating_point(train_scores, train.y)
-    conf = mx.confusion_at_threshold(test_scores, test.y, op.threshold)
-    _, auc = mx.roc_and_auc(test_scores, test.y)
-    return RunResult(
-        run_index=j, seed=run_seed, threshold=op.threshold,
-        train_balanced_accuracy=op.train_balanced_accuracy,
-        balanced_accuracy=mx.balanced_accuracy(conf), auc=auc,
-        tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn)
+    results = {}
+    for i, train_y, test_y, train_scores, test_scores in _run_scores(
+            model_kind, matrix, runs(), forest_config, logistic_config,
+            n_jobs):
+        op = mx.select_operating_point(train_scores, train_y)
+        conf = mx.confusion_at_threshold(test_scores, test_y, op.threshold)
+        _, auc = mx.roc_and_auc(test_scores, test_y)
+        results[i] = RunResult(
+            run_index=js[i], seed=mix_seed(base_seed, js[i]),
+            threshold=op.threshold,
+            train_balanced_accuracy=op.train_balanced_accuracy,
+            balanced_accuracy=mx.balanced_accuracy(conf), auc=auc,
+            tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn)
+    return [results[i] for i in range(len(js))]
 
 
 def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
@@ -190,10 +225,9 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
         fixed_plan = retrodiction_split(
             [cases[i] for i in matrix.case_indices], cutoff_year)
 
-    run = partial(_eval_run, matrix, fixed_plan, model_kind, base_seed,
-                  forest_config, logistic_config, train_fraction,
-                  _tree_jobs(n_runs, n_jobs))
-    runs = map_ordered(run, range(n_runs), n_jobs)
+    chunk = partial(_eval_chunk, matrix, fixed_plan, model_kind, base_seed,
+                    forest_config, logistic_config, train_fraction)
+    runs = map_chunks(chunk, range(n_runs), n_jobs)
     return EvalReport(feature_set_id=spec.id, regime=regime,
                       model_kind=model_kind, base_seed=base_seed,
                       n_dropped_missing_p90=matrix.n_dropped_missing_p90,
@@ -353,37 +387,39 @@ class GainReport:
         return asdict(self)
 
 
-def _gain_run(mat_b: EncodedMatrix, mat_a: EncodedMatrix, align: np.ndarray,
-              base_seed: int, forest_config: ForestConfig,
-              train_fraction: float, tree_jobs: int,
-              j: int) -> list[tuple[int, float | None]]:
-    """Run j of gain_per_ig: per IG, (strong-stance test cases, spec_b
-    accuracy minus spec_a accuracy on them, or None when there are none)."""
-    run_seed = mix_seed(base_seed, j)
-    plan = random_split(mat_b.n_samples, train_fraction, run_seed)
-    test_idx = np.asarray(plan.test_indices, dtype=int)
-    preds = {}
+def _gain_chunk(mat_b: EncodedMatrix, mat_a: EncodedMatrix,
+                align: np.ndarray, base_seed: int, forest_config: ForestConfig,
+                train_fraction: float, n_jobs: int,
+                js: list[int]) -> list[list[tuple[int, float | None]]]:
+    """Runs js of gain_per_ig, in run order: per run, per IG, (strong-
+    stance test cases, spec_b accuracy minus spec_a accuracy on them, or
+    None when there are none)."""
+    run_seeds = [mix_seed(base_seed, j) for j in js]
+    plans = [random_split(mat_b.n_samples, train_fraction, s)
+             for s in run_seeds]
     # Same model seed for both fits: the comparison is paired, so the
     # models differ only by feature set (identical specs give gain 0).
-    model_seed = mix_seed(run_seed, 1)
+    runs = [(plan, mix_seed(s, 1)) for plan, s in zip(plans, run_seeds)]
+    preds = {}
     for tag, mat in (("b", mat_b), ("a", mat_a)):
-        train = mat.subset(plan.train_indices)
-        test = mat.subset(plan.test_indices)
-        train_scores, test_scores = _fit_and_score(
-            "forest", train, test, model_seed,
-            forest_config, LogisticConfig(), n_jobs=tree_jobs)
-        op = mx.select_operating_point(train_scores, train.y)
-        preds[tag] = (test_scores >= op.threshold).astype(int)
-    y_test = mat_b.y[test_idx]
-    out: list[tuple[int, float | None]] = []
-    for g in range(len(IG_NAMES)):
-        mask = np.abs(align[test_idx, g]) == 2
-        gain = None
-        if mask.any():
-            acc_b = float(np.mean(preds["b"][mask] == y_test[mask]))
-            acc_a = float(np.mean(preds["a"][mask] == y_test[mask]))
-            gain = acc_b - acc_a
-        out.append((int(mask.sum()), gain))
+        for i, train_y, _, train_scores, test_scores in _run_scores(
+                "forest", mat, runs, forest_config, None, n_jobs):
+            op = mx.select_operating_point(train_scores, train_y)
+            preds[tag, i] = (test_scores >= op.threshold).astype(int)
+    out = []
+    for i, plan in enumerate(plans):
+        test_idx = np.asarray(plan.test_indices, dtype=int)
+        y_test = mat_b.y[test_idx]
+        per_ig: list[tuple[int, float | None]] = []
+        for g in range(len(IG_NAMES)):
+            mask = np.abs(align[test_idx, g]) == 2
+            gain = None
+            if mask.any():
+                acc_b = float(np.mean(preds["b", i][mask] == y_test[mask]))
+                acc_a = float(np.mean(preds["a", i][mask] == y_test[mask]))
+                gain = acc_b - acc_a
+            per_ig.append((int(mask.sum()), gain))
+        out.append(per_ig)
     return out
 
 
@@ -414,9 +450,9 @@ def gain_per_ig(cases: list[PolicyCase],
 
     gains: dict[str, list[float]] = {name: [] for name in IG_NAMES}
     counts: dict[str, list[int]] = {name: [] for name in IG_NAMES}
-    run = partial(_gain_run, mat_b, mat_a, align, base_seed, forest_config,
-                  train_fraction, _tree_jobs(n_runs, n_jobs))
-    for per_ig in map_ordered(run, range(n_runs), n_jobs):
+    chunk = partial(_gain_chunk, mat_b, mat_a, align, base_seed,
+                    forest_config, train_fraction)
+    for per_ig in map_chunks(chunk, range(n_runs), n_jobs):
         for name, (count, gain) in zip(IG_NAMES, per_ig):
             counts[name].append(count)
             if gain is not None:

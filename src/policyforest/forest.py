@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import os
+from array import array
 from dataclasses import dataclass
 from functools import partial
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from .dataset import EncodedMatrix, check_finite
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 _MASK64 = (1 << 64) - 1
 
@@ -64,9 +65,37 @@ def map_ordered(fn, items, n_jobs: int = 1) -> list:
                              chunksize=math.ceil(len(items) / workers)))
 
 
+def map_chunks(fn, items, n_jobs: int = 1) -> list:
+    """fn(jobs, chunk) over contiguous chunks of items, one chunk per
+    worker, concatenated in item order.
+
+    fn maps a list of items to a list of results, so one call can share
+    work across its items (fit_forests grows all their trees together).
+    jobs is the worker count fn may use itself: n_jobs when all items make
+    one chunk in this process, so that a single forest can fan out its
+    trees, and 1 inside workers, so that pools never nest.
+    """
+    if n_jobs < 1:
+        raise ForestError(f"n_jobs must be >= 1, got {n_jobs}")
+    items = list(items)
+    workers = min(n_jobs, os.cpu_count() or 1, len(items))
+    if workers <= 1:
+        return fn(n_jobs, items)
+    size = math.ceil(len(items) / workers)
+    chunks = [items[i:i + size] for i in range(0, len(items), size)]
+    return [r for part in map_ordered(partial(fn, 1), chunks, n_jobs)
+            for r in part]
+
+
 # Impurity decreases at or below this are treated as zero gain (guards
 # against float noise on splits that are exactly neutral).
 GAIN_EPS = 1e-12
+
+# Trees grown at once by one lockstep pass, and the rows one step may
+# search, in samples of the largest tree in flight. More of either spreads
+# the per-step NumPy call cost over more nodes but holds more memory.
+TREES_IN_FLIGHT = 32
+STEP_SAMPLES = 2
 
 
 @dataclass(frozen=True)
@@ -101,20 +130,26 @@ class ForestConfig:
         return self.features_per_split
 
 
-@dataclass
-class TreeNode:
-    """Internal node (feature_index set) or leaf (feature_index None)."""
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A fitted tree as flat arrays over its nodes in preorder.
 
-    feature_index: int | None = None
-    threshold: float = 0.0
-    left: "TreeNode | None" = None
-    right: "TreeNode | None" = None
-    positive_fraction: float = 0.0
-    n_samples: int = 0
+    Node i sends a row with `row[feature[i]] <= threshold[i]` to node
+    i + 1 and any other row to node right[i]. A leaf has feature and
+    right -1. value is a node's positive fraction and n_samples its
+    sample size, bootstrap repeats included.
+    """
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.feature_index is None
+    feature: np.ndarray    # int32
+    threshold: np.ndarray  # float64
+    right: np.ndarray      # int32
+    value: np.ndarray      # float64
+    n_samples: np.ndarray  # int32
+
+
+_TREE_DTYPES = {"feature": np.int32, "threshold": np.float64,
+                "right": np.int32, "value": np.float64,
+                "n_samples": np.int32}
 
 
 def gini_impurity(n_pos: int, n_neg: int) -> float:
@@ -128,78 +163,117 @@ def gini_impurity(n_pos: int, n_neg: int) -> float:
 
 @dataclass(frozen=True)
 class BinnedMatrix:
-    """A float matrix with each cell replaced by a bin number, built once
-    and shared by every tree of a forest.
+    """A float matrix with each cell replaced by the rank of its value
+    among its column's distinct values, built once and shared by every
+    tree grown on the matrix's rows.
 
-    A cell's bin is the rank of its value among its column's distinct
-    values plus the bin count of all earlier columns, so bin order is
-    feature-major and ascending in value within a column. `rows` are the
-    rows of X that split search counts (a node's sample, with bootstrap
-    repeats).
+    A cut only uses the values present in its node, so binning a
+    superset of a forest's rows gives the same thresholds as binning
+    exactly those rows.
     """
 
-    X: np.ndarray            # (n, F) float matrix the bins describe
-    codes: np.ndarray        # (F, n) int32 bin of each cell
-    bin_values: np.ndarray   # (n_bins,) value of each bin
-    bin_feature: np.ndarray  # (n_bins,) column of each bin
-    rows: np.ndarray
+    X: np.ndarray           # (n, F) float matrix the bins describe
+    codes: np.ndarray       # (n, F) int32 rank of each cell in its column
+    bin_start: np.ndarray   # (F + 1,) first bin of each column
+    bin_values: np.ndarray  # (n_bins,) value of each bin, column-major
 
     @classmethod
     def of(cls, X: np.ndarray) -> "BinnedMatrix":
         X = np.asarray(X, dtype=float)
         check_finite(X, ForestError)
         n, n_features = X.shape
-        codes = np.empty((n_features, n), dtype=np.int32)
-        values, start = [], 0
+        codes = np.empty((n, n_features), dtype=np.int32)
+        values = []
         for f in range(n_features):
             vals = np.unique(X[:, f])
-            codes[f] = np.searchsorted(vals, X[:, f]) + start
+            codes[:, f] = np.searchsorted(vals, X[:, f])
             values.append(vals)
-            start += len(vals)
-        bin_feature = np.repeat(np.arange(n_features),
-                                [len(v) for v in values])
+        bin_start = np.cumsum([0] + [len(v) for v in values])
         # The leading empty array keeps a matrix without columns valid.
-        return cls(X, codes, np.concatenate([np.empty(0), *values]),
-                   bin_feature, np.arange(n))
+        return cls(X, codes, bin_start,
+                   np.concatenate([np.empty(0), *values]))
 
     @property
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    def at(self, rows: np.ndarray) -> "BinnedMatrix":
-        return BinnedMatrix(self.X, self.codes, self.bin_values,
-                            self.bin_feature, rows)
 
+def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
+               row_node: np.ndarray, node_n: np.ndarray,
+               node_pos: np.ndarray, cands: np.ndarray):
+    """Best cut of each node of one growth step, all nodes at once.
 
-def _cuts(view: BinnedMatrix, y: np.ndarray, n_pos: int, candidate_features):
-    """Every cut between adjacent values present in the view's rows, over
-    the candidate columns, in feature-major then ascending order.
+    rows holds the nodes' rows back to back (node_n[i] rows for node i,
+    node_pos[i] of them positive), labels their labels as booleans and
+    row_node the node of each. cands[i] holds node i's candidate columns
+    in ascending order. Each (node, candidate) lane counts rows and
+    positives per bin of its column, in one table for all lanes; each cut
+    lies between two adjacent bins present in its node.
 
-    Returns (low bin, high bin, n_left, pos_left) per cut: the bins on
-    either side of the cut and the row and positive counts at or below it.
+    Returns per node (feature, threshold, gain): the cut with the largest
+    weighted Gini decrease, ties to the lowest column, then the lowest
+    threshold. When no cut gains more than GAIN_EPS it is the node's first
+    cut with gain 0.0, so that consistent data is still memorized (parity
+    splits such as XOR have zero first-level gain). feature is -1 when no
+    candidate column varies within the node.
     """
-    n = len(y)
-    cands = sorted({int(f) for f in candidate_features})
-    keys = view.codes[cands].take(view.rows, axis=1)
-    counts = np.bincount(keys.ravel())
-    # y is 0/1, so compressing by it keeps the positive rows.
-    pos = np.bincount(keys.compress(y, axis=1).ravel(), minlength=len(counts))
+    m, k = cands.shape
+    feature = np.full(m, -1)
+    threshold = np.zeros(m)
+    gain_out = np.zeros(m)
+    lane_feature = cands.ravel()
+    lane_bins = view.bin_start[lane_feature + 1] - view.bin_start[lane_feature]
+    lane_table = np.cumsum(lane_bins) - lane_bins
+    # Table slot of each (row, candidate) cell, in node then column order.
+    cell = (rows * view.n_features)[:, None] + cands[row_node]
+    key = view.codes.ravel()[cell] + lane_table.reshape(m, k)[row_node]
+    size = int(lane_bins.sum())
+    counts = np.bincount(key.ravel(), minlength=size)
+    pos = np.bincount(key[labels].ravel(), minlength=size)
     present = counts.nonzero()[0]
-    cum = counts[present].cumsum()
-    # Each candidate column holds all n rows, so the running counts
-    # restart every n rows: the j-th candidate's bins start at j * n.
-    j = (cum - 1) // n
-    n_left = cum - j * n
-    pos_left = pos[present].cumsum() - j * n_pos
-    cut = (n_left < n).nonzero()[0]
-    return present[cut], present[cut + 1], n_left[cut], pos_left[cut]
+    lane = np.searchsorted(lane_table, present, side="right") - 1
+    # Every lane holds all of its node's rows, so the running counts over
+    # the table restart at each lane's first row.
+    lane_n = np.repeat(node_n, k)
+    lane_pos = np.repeat(node_pos, k)
+    n_left = counts[present].cumsum() - (np.cumsum(lane_n) - lane_n)[lane]
+    pos_left = pos[present].cumsum() - (np.cumsum(lane_pos) - lane_pos)[lane]
+    cut = (n_left < lane_n[lane]).nonzero()[0]
+    if cut.size == 0:
+        return feature, threshold, gain_out
+    cut_lane = lane[cut]
+    node = cut_lane // k
+    n = node_n[node]
+    n_pos = node_pos[node]
+    n_left = n_left[cut]
+    pos_left = pos_left[cut]
+    p = n_pos / n
+    parent = 2.0 * p * (1.0 - p)
+    n_right = n - n_left
+    pos_right = n_pos - pos_left
+    p_l = pos_left / n_left
+    p_r = pos_right / n_right
+    gain = parent - (n_left / n) * 2 * p_l * (1 - p_l) \
+                  - (n_right / n) * 2 * p_r * (1 - p_r)
 
-
-def _split_between(view: BinnedMatrix, low: int,
-                   high: int) -> tuple[int, float]:
-    """(feature, midpoint threshold) of the cut between two bins."""
-    return (int(view.bin_feature[low]),
-            float(0.5 * (view.bin_values[low] + view.bin_values[high])))
+    # Cuts come in (node, column, value) order: each node's first maximum
+    # is its tie-broken best.
+    new_node = np.diff(node, prepend=-1) != 0
+    starts = new_node.nonzero()[0]
+    best = np.maximum.reduceat(gain, starts)
+    at_best = np.where(gain == best[new_node.cumsum() - 1],
+                       np.arange(len(gain)), len(gain))
+    positive = best > GAIN_EPS
+    chosen = np.where(positive, np.minimum.reduceat(at_best, starts), starts)
+    lanes = cut_lane[chosen]
+    col = lane_feature[lanes]
+    low = present[cut[chosen]] - lane_table[lanes] + view.bin_start[col]
+    high = low + present[cut[chosen] + 1] - present[cut[chosen]]
+    at = node[chosen]
+    feature[at] = col
+    threshold[at] = 0.5 * (view.bin_values[low] + view.bin_values[high])
+    gain_out[at] = np.where(positive, best, 0.0)
+    return feature, threshold, gain_out
 
 
 def best_split(X: np.ndarray | BinnedMatrix, y: np.ndarray,
@@ -209,152 +283,315 @@ def best_split(X: np.ndarray | BinnedMatrix, y: np.ndarray,
     X is a float matrix, or a BinnedMatrix whose rows match y. Returns
     (feature, threshold, impurity_decrease) maximizing the weighted Gini
     decrease, or None when no split has positive gain. Ties break toward
-    the lowest feature index, then lowest threshold.
+    the lowest feature index, then lowest threshold. This is one node of
+    the search that grows trees.
     """
     view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
+    y = np.asarray(y)
     n = len(y)
     if n < 2:
         return None
     n_pos = int(y.sum())
     if n_pos == 0 or n_pos == n:
         return None
-    parent = gini_impurity(n_pos, n - n_pos)
-
-    low, high, n_left, pos_left = _cuts(view, y, n_pos, candidate_features)
-    if low.size == 0:
+    cands = np.unique(np.asarray(list(candidate_features), dtype=int))
+    f, thr, gain = _best_cuts(view, np.arange(n), y != 0,
+                              np.zeros(n, dtype=int), np.array([n]),
+                              np.array([n_pos]), cands[None, :])
+    if gain[0] <= GAIN_EPS:
         return None
-    n_right = n - n_left
-    pos_right = n_pos - pos_left
-    p_l = pos_left / n_left
-    p_r = pos_right / n_right
-    gain = parent - (n_left / n) * 2 * p_l * (1 - p_l) \
-                  - (n_right / n) * 2 * p_r * (1 - p_r)
-    k = int(gain.argmax())
-    if gain[k] <= GAIN_EPS:
+    return int(f[0]), float(thr[0]), float(gain[0])
+
+
+class _Growth:
+    """One tree being grown: its sample, permuted in place so that every
+    node's rows are contiguous; the stack of nodes still to visit in
+    preorder, as (first row, rows, positives, depth, parent whose right
+    child it is or -1); and the nodes visited so far."""
+
+    __slots__ = ("key", "sample", "rng", "k", "min_leaf", "max_depth",
+                 "n_total", "stack", "pending", "importance", "feature",
+                 "threshold", "right", "n", "n_pos")
+
+    def __init__(self, key, sample: np.ndarray, config: ForestConfig,
+                 seed: int, labels: np.ndarray, n_features: int):
+        self.key = key
+        self.sample = sample
+        self.rng = np.random.default_rng(seed)
+        self.k = config.resolve_features_per_split(n_features)
+        self.min_leaf = config.min_samples_leaf
+        self.max_depth = (math.inf if config.max_depth is None
+                          else config.max_depth)
+        self.n_total = len(sample)
+        self.stack = [(0, len(sample), int(labels[sample].sum()), 0, -1)]
+        self.pending = None
+        self.importance = np.zeros(n_features)
+        self.feature, self.right = array("i"), array("i")
+        self.n, self.n_pos = array("i"), array("i")
+        self.threshold = array("d")
+
+    def next_split(self):
+        """Visit nodes in preorder until one may split and return it with
+        its candidate columns, drawn as one-tree-at-a-time growth draws
+        them; None once the tree is complete."""
+        while self.stack:
+            start, n, n_pos, depth, parent = self.stack.pop()
+            node = len(self.n)
+            self.n.append(n)
+            self.n_pos.append(n_pos)
+            self.feature.append(-1)
+            self.threshold.append(0.0)
+            self.right.append(-1)
+            if parent >= 0:
+                self.right[parent] = node
+            if (0 < n_pos < n and n >= 2 * self.min_leaf and n >= 2
+                    and depth < self.max_depth):
+                cands = self.rng.choice(len(self.importance), size=self.k,
+                                        replace=False)
+                return node, start, n, n_pos, depth, cands
         return None
-    return _split_between(view, low[k], high[k]) + (float(gain[k]),)
+
+    def tree(self) -> Tree:
+        n = np.array(self.n)
+        return Tree(np.array(self.feature), np.array(self.threshold),
+                    np.array(self.right), np.array(self.n_pos) / n, n)
 
 
-def _grow(view: BinnedMatrix, y: np.ndarray, idx: np.ndarray, depth: int,
-          config: ForestConfig, k_features: int, rng: np.random.Generator,
-          importance: np.ndarray, n_total: int) -> TreeNode:
-    sub_y = y[idx]
-    n = len(idx)
-    n_pos = int(sub_y.sum())
-    node = TreeNode(positive_fraction=n_pos / n, n_samples=n)
+def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
+    """Grow one tree per task (key, sample, config, seed) and yield (key,
+    tree, raw importance) as each tree completes.
 
-    if n_pos == 0 or n_pos == n:
-        return node
-    if config.max_depth is not None and depth >= config.max_depth:
-        return node
-    if n < 2 * config.min_samples_leaf or n < 2:
-        return node
+    sample holds the tree's rows of view (bootstrap repeats included) and
+    is permuted in place; seed seeds the candidate draws. Up to
+    TREES_IN_FLIGHT trees grow in lockstep: each step takes the next
+    splittable node of each tree while the step holds at most
+    STEP_SAMPLES samples' worth of rows, and searches them together.
+    Every tree visits its nodes in depth-first preorder and draws from its
+    own generator, so it is the same tree as when grown alone.
+    Importances are the per-feature sums of sample-weighted impurity
+    decreases.
+    """
+    labels = np.asarray(y) != 0
+    n_features = view.n_features
+    tasks = iter(tasks)
+    growing: list[_Growth] = []
+    while True:
+        while len(growing) < TREES_IN_FLIGHT:
+            task = next(tasks, None)
+            if task is None:
+                break
+            growing.append(_Growth(*task, labels, n_features))
+        if not growing:
+            return
+        budget = STEP_SAMPLES * max(g.n_total for g in growing)
+        batch, rows_in_step, waiting = [], 0, []
+        for g in growing:
+            if g.pending is None:
+                g.pending = g.next_split()
+                if g.pending is None:
+                    yield g.key, g.tree(), g.importance
+                    continue
+            # A step searches nodes with equal candidate counts.
+            if not batch or (rows_in_step + g.pending[2] <= budget
+                             and g.k == batch[0].k):
+                batch.append(g)
+                rows_in_step += g.pending[2]
+            else:
+                waiting.append(g)
+        # Trees left out of this step go first in the next.
+        growing = waiting + batch
+        if batch:
+            _step(view, labels, batch)
+            for g in batch:
+                g.pending = None
 
-    candidates = rng.choice(view.n_features, size=k_features, replace=False)
-    node_view = view.at(idx)
-    found = best_split(node_view, sub_y, candidates)
-    if found is None:
-        # Impure node with no positive-gain split: take the first cut of
-        # the lowest non-constant candidate, so consistent data is still
-        # memorized (parity splits such as XOR have zero first-level gain).
-        low, high, _, _ = _cuts(node_view, sub_y, n_pos, candidates)
-        if low.size == 0:
-            return node
-        found = _split_between(view, low[0], high[0]) + (0.0,)
-    f, thr, gain = found
-    mask = view.X[idx, f] <= thr
-    left_idx = idx[mask]
-    right_idx = idx[~mask]
-    if (len(left_idx) < config.min_samples_leaf
-            or len(right_idx) < config.min_samples_leaf):
-        return node
 
-    importance[f] += (n / n_total) * gain
-    node.feature_index = f
-    node.threshold = thr
-    node.left = _grow(view, y, left_idx, depth + 1, config, k_features, rng,
-                      importance, n_total)
-    node.right = _grow(view, y, right_idx, depth + 1, config, k_features,
-                       rng, importance, n_total)
-    return node
+def _step(view: BinnedMatrix, labels: np.ndarray, batch: list) -> None:
+    """Search the pending node of every tree in batch and split each node
+    that has a cut leaving min_samples_leaf rows on both sides."""
+    nodes = [g.pending for g in batch]
+    m = len(nodes)
+    node_n = np.array([p[2] for p in nodes])
+    node_pos = np.array([p[3] for p in nodes])
+    rows = np.concatenate([g.sample[p[1]:p[1] + p[2]]
+                           for g, p in zip(batch, nodes)])
+    row_labels = labels[rows]
+    row_node = np.repeat(np.arange(m), node_n)
+    cands = np.sort([p[5] for p in nodes], axis=1)
+    feature, threshold, gain = _best_cuts(view, rows, row_labels, row_node,
+                                          node_n, node_pos, cands)
+    if (feature < 0).all():
+        return
+    go_left = view.X[rows, feature[row_node]] <= threshold[row_node]
+    n_left = np.bincount(row_node[go_left], minlength=m)
+    pos_left = np.bincount(row_node[go_left & row_labels], minlength=m)
+    min_leaf = np.array([g.min_leaf for g in batch])
+    split = ((feature >= 0) & (n_left >= min_leaf)
+             & (node_n - n_left >= min_leaf))
+    # Left rows first within each node, both sides in their old order.
+    parted = rows[np.argsort(2 * row_node + ~go_left, kind="stable")]
+    n_total = np.array([g.n_total for g in batch])
+    weighted = ((node_n / n_total) * gain).tolist()
+    row_start = (np.cumsum(node_n) - node_n).tolist()
+    feature, threshold = feature.tolist(), threshold.tolist()
+    n_left, pos_left = n_left.tolist(), pos_left.tolist()
+    for j in split.nonzero()[0].tolist():
+        g = batch[j]
+        node, start, n, n_pos, depth, _ = nodes[j]
+        nl, pl, f = n_left[j], pos_left[j], feature[j]
+        g.sample[start:start + n] = parted[row_start[j]:row_start[j] + n]
+        g.importance[f] += weighted[j]
+        g.feature[node] = f
+        g.threshold[node] = threshold[j]
+        g.stack.append((start + nl, n - nl, n_pos - pl, depth + 1, node))
+        g.stack.append((start, nl, pl, depth + 1, -1))
 
 
 def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
              sample_indices: np.ndarray, config: ForestConfig,
-             tree_seed: int) -> tuple[TreeNode, np.ndarray]:
-    """Grow one CART tree on the given sample; returns (root, importances).
+             tree_seed: int) -> tuple[Tree, np.ndarray]:
+    """Grow one CART tree on the given sample; returns (tree, importances).
 
     X is a float matrix or its BinnedMatrix. Importances are unnormalized
     per-feature sums of sample-weighted impurity decreases.
     """
     view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
-    idx = np.asarray(sample_indices, dtype=int)
+    idx = np.array(sample_indices, dtype=int)  # a copy: growth permutes it
     if len(idx) == 0:
         raise ForestError("cannot fit a tree on an empty sample")
-    rng = np.random.default_rng(tree_seed)
-    k = config.resolve_features_per_split(view.n_features)
-    importance = np.zeros(view.n_features)
-    root = _grow(view, y, idx, 0, config, k, rng, importance, len(idx))
-    return root, importance
-
-
-def _route(node: TreeNode, X: np.ndarray, out: np.ndarray,
-           idx: np.ndarray) -> None:
-    if node.is_leaf:
-        out[idx] = node.positive_fraction
-        return
-    mask = X[idx, node.feature_index] <= node.threshold
-    _route(node.left, X, out, idx[mask])
-    _route(node.right, X, out, idx[~mask])
-
-
-def tree_predict(root: TreeNode, X: np.ndarray) -> np.ndarray:
-    out = np.empty(X.shape[0])
-    _route(root, X, out, np.arange(X.shape[0]))
-    return out
+    [(_, tree, importance)] = _grow_trees(view, y,
+                                          [(None, idx, config, tree_seed)])
+    return tree, importance
 
 
 @dataclass
 class ForestModel:
-    trees: list[TreeNode]
+    trees: list[Tree]
     config: ForestConfig
     column_names: list[str]
     gini_importance: np.ndarray  # normalized to sum 1 when any split exists
 
 
-def _build_tree(view: BinnedMatrix, y: np.ndarray, config: ForestConfig,
-                i: int) -> tuple[TreeNode, np.ndarray]:
-    """Tree i of a forest: its bootstrap sample and growth both draw from
-    seeds derived from (config.seed, i) alone."""
-    n = len(y)
-    tree_seed = mix_seed(config.seed, i)
-    if config.bootstrap:
-        boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
-        idx = boot_rng.integers(0, n, size=n)
-    else:
-        idx = np.arange(n)
-    return fit_tree(view, y, idx, config, mix_seed(tree_seed, 1))
+def _tree_tasks(y: np.ndarray, forest: int, rows, config: ForestConfig,
+                trees):
+    """Growth tasks for the given trees of one forest on rows of y. Tree i
+    draws its bootstrap and its growth from seeds derived from
+    (config.seed, i) alone."""
+    rows = np.asarray(rows, dtype=int)
+    n = len(rows)
+    if n < 2:
+        raise ForestError(f"need at least 2 samples, got {n}")
+    n_pos = y[rows].sum()
+    if n_pos == 0 or n_pos == n:
+        raise ForestError("training labels contain a single class")
+    for i in trees:
+        tree_seed = mix_seed(config.seed, i)
+        if config.bootstrap:
+            boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
+            sample = rows[boot_rng.integers(0, n, size=n)]
+        else:
+            sample = rows.copy()
+        yield (forest, i), sample, config, mix_seed(tree_seed, 1)
+
+
+def _assemble(config: ForestConfig, column_names,
+              grown: list[tuple[Tree, np.ndarray]]) -> ForestModel:
+    raw = np.mean([imp for _, imp in grown], axis=0)
+    total = raw.sum()
+    importance = raw / total if total > 0 else raw
+    return ForestModel([t for t, _ in grown], config, list(column_names),
+                       importance)
+
+
+def _grow_listed(view: BinnedMatrix, y: np.ndarray, forests: list,
+                 _jobs: int, trees: list) -> list:
+    """(tree, raw importance) for each (forest, tree index) in trees, in
+    that order, grown together."""
+    tasks = (task for f, i in trees
+             for task in _tree_tasks(y, f, *forests[f], [i]))
+    done = {key: (tree, imp) for key, tree, imp in
+            _grow_trees(view, y, tasks)}
+    return [done[key] for key in trees]
+
+
+def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
+    """Fit one forest per (rows, config) in forests, each the model that
+    fit_forest(matrix.subset(rows), config) fits; yields (index, model).
+
+    One BinnedMatrix serves all forests, and the trees of all of them
+    grow together. Serially, forests is read as trees start and each
+    model is yielded as soon as its last tree completes, so a long series
+    holds only the forests in flight. With n_jobs > 1 the trees are
+    grown in worker processes (map_chunks) and the models come back in
+    order.
+    """
+    view = BinnedMatrix.of(matrix.X)
+    y = matrix.y
+    if n_jobs > 1:
+        forests = list(forests)
+        trees = [(f, i) for f, (_, config) in enumerate(forests)
+                 for i in range(config.n_trees)]
+        grown = iter(map_chunks(partial(_grow_listed, view, y, forests),
+                                trees, n_jobs))
+        for f, (_, config) in enumerate(forests):
+            yield f, _assemble(config, matrix.column_names,
+                               [next(grown) for _ in range(config.n_trees)])
+        return
+    configs, grown, missing = {}, {}, {}
+
+    def tasks():
+        for f, (rows, config) in enumerate(forests):
+            configs[f] = config
+            grown[f] = [None] * config.n_trees
+            missing[f] = config.n_trees
+            yield from _tree_tasks(y, f, rows, config, range(config.n_trees))
+
+    for (f, i), tree, importance in _grow_trees(view, y, tasks()):
+        grown[f][i] = tree, importance
+        missing[f] -= 1
+        if not missing[f]:
+            del missing[f]
+            yield f, _assemble(configs.pop(f), matrix.column_names,
+                               grown.pop(f))
 
 
 def fit_forest(matrix: EncodedMatrix, config: ForestConfig,
                n_jobs: int = 1) -> ForestModel:
     """Fit the ensemble; deterministic given config.seed, parallel or not.
 
-    With n_jobs > 1 the trees are grown in worker processes (map_ordered).
+    With n_jobs > 1 the trees are grown in worker processes.
     """
-    X, y = matrix.X, matrix.y
-    n = X.shape[0]
-    if n < 2:
-        raise ForestError(f"need at least 2 samples, got {n}")
-    if y.sum() == 0 or y.sum() == n:
-        raise ForestError("training labels contain a single class")
-    results = map_ordered(partial(_build_tree, BinnedMatrix.of(X), y, config),
-                          range(config.n_trees), n_jobs)
-    trees = [r[0] for r in results]
-    raw = np.mean([r[1] for r in results], axis=0)
-    total = raw.sum()
-    importance = raw / total if total > 0 else raw
-    return ForestModel(trees, config, list(matrix.column_names), importance)
+    [(_, model)] = fit_forests(
+        matrix, [(np.arange(matrix.n_samples), config)], n_jobs)
+    return model
+
+
+def _leaf_values(trees: list[Tree], rows: np.ndarray) -> np.ndarray:
+    """(len(trees), len(rows)) positive fraction of the leaf each row
+    reaches in each tree; all (tree, row) pairs descend together."""
+    sizes = [len(t.feature) for t in trees]
+    offset = np.cumsum(sizes) - sizes
+    feature = np.concatenate([t.feature for t in trees])
+    threshold = np.concatenate([t.threshold for t in trees])
+    right = np.concatenate([t.right + o for t, o in zip(trees, offset)])
+    n = rows.shape[0]
+    node = np.repeat(offset, n)
+    row = np.tile(np.arange(n), len(trees))
+    live = np.arange(len(node))
+    while live.size:
+        at = node[live]
+        f = feature[at]
+        inner = f >= 0
+        live, at, f = live[inner], at[inner], f[inner]
+        left = rows[row[live], f] <= threshold[at]
+        node[live] = np.where(left, at + 1, right[at])
+    value = np.concatenate([t.value for t in trees])
+    return value[node].reshape(len(trees), n)
+
+
+# (tree, row) pairs routed at once by predict_proba; bounds its memory
+# on large forests.
+PREDICT_PAIRS = 1 << 16
 
 
 def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
@@ -371,10 +608,15 @@ def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
         raise ForestError(f"row arity {rows.shape[1]} does not match model "
                           f"feature count {len(model.column_names)}")
     check_finite(rows, ForestError)
+    trees = model.trees
+    per_block = max(1, PREDICT_PAIRS // max(1, rows.shape[0]))
     acc = np.zeros(rows.shape[0])
-    for t in model.trees:
-        acc += tree_predict(t, rows)
-    probs = acc / len(model.trees)
+    # Summed tree by tree, in tree order: the same floats as adding one
+    # tree's predictions at a time.
+    for b in range(0, len(trees), per_block):
+        for values in _leaf_values(trees[b:b + per_block], rows):
+            acc += values
+    probs = acc / len(trees)
     return float(probs[0]) if single else probs
 
 
@@ -412,26 +654,6 @@ def permutation_importance(model: ForestModel, matrix: EncodedMatrix,
 # JSON serialization
 
 
-def _node_to_dict(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"leaf": True, "positive_fraction": node.positive_fraction,
-                "n_samples": node.n_samples}
-    return {"leaf": False, "feature_index": node.feature_index,
-            "threshold": node.threshold,
-            "left": _node_to_dict(node.left),
-            "right": _node_to_dict(node.right)}
-
-
-def _node_from_dict(d: dict) -> TreeNode:
-    if d["leaf"]:
-        return TreeNode(positive_fraction=d["positive_fraction"],
-                        n_samples=d["n_samples"])
-    return TreeNode(feature_index=d["feature_index"],
-                    threshold=d["threshold"],
-                    left=_node_from_dict(d["left"]),
-                    right=_node_from_dict(d["right"]))
-
-
 def forest_to_json(model: ForestModel) -> str:
     doc = {
         "schema_version": SCHEMA_VERSION,
@@ -446,7 +668,8 @@ def forest_to_json(model: ForestModel) -> str:
         },
         "column_names": model.column_names,
         "gini_importance": list(model.gini_importance),
-        "trees": [_node_to_dict(t) for t in model.trees],
+        "trees": [{name: getattr(t, name).tolist() for name in _TREE_DTYPES}
+                  for t in model.trees],
     }
     return json.dumps(doc, sort_keys=True)
 
@@ -457,6 +680,8 @@ def forest_from_json(text: str) -> ForestModel:
         raise ForestError(f"unsupported schema version "
                           f"{doc.get('schema_version')!r}")
     cfg = ForestConfig(**doc["config"])
-    trees = [_node_from_dict(t) for t in doc["trees"]]
+    trees = [Tree(**{name: np.array(t[name], dtype=dtype)
+                     for name, dtype in _TREE_DTYPES.items()})
+             for t in doc["trees"]]
     return ForestModel(trees, cfg, doc["column_names"],
                        np.asarray(doc["gini_importance"]))

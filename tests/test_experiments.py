@@ -114,13 +114,19 @@ class TestRunFeatureSetEval:
         cases = make_cases(200, seed=7, missing_p90_every=4)
         kept = [i for i, c in enumerate(cases) if c.p90 is not None]
         seen = []
-        fit_and_score = experiments._fit_and_score
+        run_scores = experiments._run_scores
 
-        def spy(model_kind, train, test, *args, **kwargs):
-            seen.append((train.case_indices, test.case_indices))
-            return fit_and_score(model_kind, train, test, *args, **kwargs)
+        def spy(model_kind, matrix, runs, *args):
+            def recorded():
+                for plan, model_seed in runs:
+                    seen.append((matrix.subset(plan.train_indices)
+                                 .case_indices,
+                                 matrix.subset(plan.test_indices)
+                                 .case_indices))
+                    yield plan, model_seed
+            return run_scores(model_kind, matrix, recorded(), *args)
 
-        monkeypatch.setattr(experiments, "_fit_and_score", spy)
+        monkeypatch.setattr(experiments, "_run_scores", spy)
         rep = run_feature_set_eval(cases, FeatureSetSpec.set_a(), regime,
                                    n_runs=2, forest_config=FAST_FOREST)
         assert rep.n_dropped_missing_p90 == 50
@@ -366,8 +372,8 @@ class TestNonlinearityCaseStudy:
 
 
 class TestWorkerFanOut:
-    """The outermost loop with more than one item gets the workers, and
-    nothing inside a worker asks for a pool of its own."""
+    """The outermost loop with more than one item gets the workers, one
+    chunk each, and nothing inside a worker asks for a pool of its own."""
 
     @pytest.fixture(autouse=True)
     def eight_cores(self, monkeypatch):
@@ -381,10 +387,12 @@ class TestWorkerFanOut:
                     n_jobs=2)
         rank_igs_by_domain(cases_200, "Economic", n_splits=3,
                            forest_config=FAST_FOREST, n_jobs=2)
-        assert recording_pool == [(2, 2)] * 3
+        # Three runs on two workers: chunks of two runs and one run.
+        assert recording_pool == [(2, 1)] * 3
 
     def test_single_run_fans_out_trees(self, cases_200, recording_pool):
         run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
                              "retrodiction", forest_config=FAST_FOREST,
                              n_jobs=2)
-        assert recording_pool == [(2, 8)]
+        # The single forest's 15 trees go out as two chunks.
+        assert recording_pool == [(2, 1)]

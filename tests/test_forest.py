@@ -1,16 +1,18 @@
 import json
 import os
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from policyforest import forest
 from policyforest.dataset import EncodedMatrix
 from policyforest.forest import (ForestConfig, ForestError, ForestModel,
-                                 GAIN_EPS, TreeNode, best_split, fit_forest,
-                                 fit_tree, forest_from_json, forest_to_json,
+                                 GAIN_EPS, BinnedMatrix, Tree, best_split,
+                                 fit_forest, fit_forests, fit_tree,
+                                 forest_from_json, forest_to_json,
                                  gini_impurity, map_ordered, mix_seed,
-                                 permutation_importance, predict_proba,
-                                 tree_predict)
+                                 permutation_importance, predict_proba)
 
 
 def matrix_from(X, y):
@@ -57,6 +59,56 @@ def first_midpoint(X, features):
     return None
 
 
+@dataclass
+class RefNode:
+    """Node of the reference grower: internal (feature_index set) or leaf
+    (feature_index None)."""
+
+    feature_index: int | None = None
+    threshold: float = 0.0
+    left: "RefNode | None" = None
+    right: "RefNode | None" = None
+    positive_fraction: float = 0.0
+    n_samples: int = 0
+
+
+def to_tree(root):
+    """The reference grower's nodes as the flat arrays of a Tree, in
+    preorder."""
+    cols = {name: [] for name in
+            ("feature", "threshold", "right", "value", "n_samples")}
+
+    def visit(node):
+        i = len(cols["feature"])
+        leaf = node.feature_index is None
+        cols["feature"].append(-1 if leaf else node.feature_index)
+        cols["threshold"].append(node.threshold)
+        cols["right"].append(-1)
+        cols["value"].append(node.positive_fraction)
+        cols["n_samples"].append(node.n_samples)
+        if not leaf:
+            visit(node.left)
+            cols["right"][i] = len(cols["feature"])
+            visit(node.right)
+
+    visit(root)
+    return Tree(**{name: np.array(v) for name, v in cols.items()})
+
+
+def tree_predict(tree, X):
+    """Predictions of a single tree: a one-tree forest."""
+    n_features = X.shape[1]
+    model = ForestModel([tree], ForestConfig(n_trees=1),
+                        [f"f{i}" for i in range(n_features)],
+                        np.zeros(n_features))
+    return predict_proba(model, X)
+
+
+def tree_arrays(tree):
+    return {name: getattr(tree, name).tolist() for name in
+            ("feature", "threshold", "right", "value", "n_samples")}
+
+
 def reference_grow(X, y, idx, depth, config, k, rng, importance, n_total,
                    fallbacks):
     """Recursive depth-first growth with one rng.choice per splitting node
@@ -64,7 +116,7 @@ def reference_grow(X, y, idx, depth, config, k, rng, importance, n_total,
     sub_y = y[idx]
     n = len(idx)
     n_pos = int(sub_y.sum())
-    node = TreeNode(positive_fraction=n_pos / n, n_samples=n)
+    node = RefNode(positive_fraction=n_pos / n, n_samples=n)
     if (n_pos in (0, n) or n < 2 * config.min_samples_leaf
             or (config.max_depth is not None and depth >= config.max_depth)):
         return node
@@ -103,8 +155,8 @@ def reference_fit_forest(matrix, config, fallbacks):
             idx = np.arange(n)
         rng = np.random.default_rng(mix_seed(tree_seed, 1))
         importance = np.zeros(X.shape[1])
-        trees.append(reference_grow(X, y, idx, 0, config, k, rng, importance,
-                                    n, fallbacks))
+        trees.append(to_tree(reference_grow(X, y, idx, 0, config, k, rng,
+                                            importance, n, fallbacks)))
         raws.append(importance)
     raw = np.mean(raws, axis=0)
     total = raw.sum()
@@ -168,17 +220,17 @@ class TestFitTree:
     def test_pure_sample_single_leaf(self):
         X = np.array([[0.0], [1.0], [2.0]])
         y = np.array([1, 1, 1])
-        root, imp = fit_tree(X, y, np.arange(3), ForestConfig(n_trees=1), 0)
-        assert root.is_leaf
-        assert root.positive_fraction == 1.0
+        tree, imp = fit_tree(X, y, np.arange(3), ForestConfig(n_trees=1), 0)
+        assert tree.feature.tolist() == [-1]
+        assert tree.value[0] == 1.0
         assert imp.sum() == 0.0
 
     def test_xor_memorized(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         cfg = ForestConfig(n_trees=1, features_per_split=2, bootstrap=False)
-        root, _ = fit_tree(X, y, np.arange(4), cfg, 3)
-        preds = tree_predict(root, X)
+        tree, _ = fit_tree(X, y, np.arange(4), cfg, 3)
+        preds = tree_predict(tree, X)
         assert np.array_equal(preds, y.astype(float))
 
     def test_same_seed_same_tree(self):
@@ -188,7 +240,7 @@ class TestFitTree:
         cfg = ForestConfig(n_trees=1)
         r1, i1 = fit_tree(X, y, np.arange(40), cfg, 99)
         r2, i2 = fit_tree(X, y, np.arange(40), cfg, 99)
-        assert json.dumps(_as_dict(r1)) == json.dumps(_as_dict(r2))
+        assert json.dumps(tree_arrays(r1)) == json.dumps(tree_arrays(r2))
         assert np.array_equal(i1, i2)
 
     def test_min_samples_leaf_respected(self):
@@ -196,21 +248,10 @@ class TestFitTree:
         X = rng.normal(size=(60, 3))
         y = rng.integers(0, 2, size=60)
         cfg = ForestConfig(n_trees=1, min_samples_leaf=5, features_per_split=3)
-        root, _ = fit_tree(X, y, np.arange(60), cfg, 0)
-        def leaves(node):
-            if node.is_leaf:
-                yield node
-            else:
-                yield from leaves(node.left)
-                yield from leaves(node.right)
-        assert all(l.n_samples >= 5 for l in leaves(root))
-
-
-def _as_dict(node):
-    if node.is_leaf:
-        return {"pf": node.positive_fraction, "n": node.n_samples}
-    return {"f": node.feature_index, "t": node.threshold,
-            "l": _as_dict(node.left), "r": _as_dict(node.right)}
+        tree, _ = fit_tree(X, y, np.arange(60), cfg, 0)
+        leaves = tree.feature == -1
+        assert leaves.sum() > 1
+        assert np.all(tree.n_samples[leaves] >= 5)
 
 
 def _separable_matrix(n=80, seed=0):
@@ -237,8 +278,8 @@ class TestFitForest:
         cfg = ForestConfig(n_trees=1, bootstrap=False, seed=7)
         model = fit_forest(m, cfg)
         tree_seed = mix_seed(mix_seed(7, 0), 1)
-        root, _ = fit_tree(X, y, np.arange(50), cfg, tree_seed)
-        assert np.array_equal(predict_proba(model, X), tree_predict(root, X))
+        tree, _ = fit_tree(X, y, np.arange(50), cfg, tree_seed)
+        assert np.array_equal(predict_proba(model, X), tree_predict(tree, X))
 
     def test_single_class_error(self):
         m = matrix_from(np.zeros((5, 1)), np.ones(5, dtype=int))
@@ -334,7 +375,8 @@ class TestMapOrdered:
         m = _separable_matrix(seed=4)
         cfg = ForestConfig(n_trees=7, seed=1)
         model = fit_forest(m, cfg, n_jobs=3)
-        assert recording_pool == [(3, 3)]
+        # One pool, one chunk of trees per worker.
+        assert recording_pool == [(3, 1)]
         assert forest_to_json(model) == forest_to_json(fit_forest(m, cfg))
 
 
@@ -379,6 +421,85 @@ class TestModelIdentity:
                     assert forest_to_json(fit_forest(m, cfg)) == \
                         forest_to_json(expected), (overrides, seed)
         assert fallbacks  # the zero-gain fallback was exercised
+
+
+class TestFitForests:
+    """Growing many forests together gives each forest byte for byte."""
+
+    @staticmethod
+    def _forests(n):
+        rng = np.random.default_rng(41)
+        specs = [{"n_trees": 1}, {"n_trees": 3, "max_depth": 2},
+                 {"n_trees": 7, "min_samples_leaf": 4},
+                 {"n_trees": 3, "bootstrap": False},
+                 {"n_trees": 7, "max_depth": 5, "min_samples_leaf": 2},
+                 {"n_trees": 1, "bootstrap": False, "max_depth": 1},
+                 {"n_trees": 3, "features_per_split": 5}]
+        forests = []
+        for i, spec in enumerate(specs):
+            rows = np.sort(rng.choice(n, size=int(rng.integers(20, n)),
+                                      replace=False))
+            forests.append((rows, ForestConfig(seed=i, **spec)))
+        return forests
+
+    @pytest.mark.parametrize("in_flight", [1, 4, forest.TREES_IN_FLIGHT])
+    def test_equals_fitting_each_forest_alone(self, in_flight, monkeypatch):
+        monkeypatch.setattr(forest, "TREES_IN_FLIGHT", in_flight)
+        m = TestModelIdentity._noisy_matrix()
+        forests = self._forests(m.n_samples)
+        together = list(fit_forests(m, iter(forests)))
+        assert sorted(i for i, _ in together) == list(range(len(forests)))
+        for i, model in together:
+            rows, cfg = forests[i]
+            assert forest_to_json(model) == \
+                forest_to_json(fit_forest(m.subset(rows), cfg)), i
+
+    def test_parallel_equals_serial(self, recording_pool, monkeypatch):
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        m = TestModelIdentity._noisy_matrix()
+        forests = self._forests(m.n_samples)
+        serial = dict(fit_forests(m, forests))
+        parallel = list(fit_forests(m, forests, n_jobs=2))
+        assert recording_pool == [(2, 1)]
+        assert [i for i, _ in parallel] == list(range(len(forests)))
+        for i, model in parallel:
+            assert forest_to_json(model) == forest_to_json(serial[i])
+
+    def test_single_class_forest_rejected(self):
+        m = matrix_from(np.arange(8.0)[:, None], [0, 0, 0, 0, 1, 1, 1, 1])
+        with pytest.raises(ForestError, match="single class"):
+            list(fit_forests(m, [(range(8), ForestConfig(n_trees=2)),
+                                 (range(4), ForestConfig(n_trees=2))]))
+
+    def test_binning_all_rows_equals_binning_the_rows(self):
+        """Trees grown on rows R of a matrix binned over all rows equal
+        trees grown on the matrix of R alone."""
+        rng = np.random.default_rng(43)
+        n = 120
+        inside = np.arange(n) % 3 != 0           # R: two rows in three
+        step = np.where(inside, rng.integers(0, 2, n) * 2.0, 1.0)
+        near_one = np.where(rng.uniform(size=n) < 0.5, 1.0,
+                            np.nextafter(1.0, 2.0))
+        wide = np.round(rng.normal(size=n), 1)
+        wide[~inside] = rng.uniform(5, 6, size=(~inside).sum())
+        X = np.column_stack([step, near_one, wide,
+                             rng.integers(-2, 3, size=n)]).astype(float)
+        y = ((step > 1) ^ (near_one > 1) ^ (rng.uniform(size=n) < 0.2)
+             ).astype(int)
+        # The midpoint of 1.0 and the next float rounds back to 1.0.
+        assert 0.5 * (1.0 + np.nextafter(1.0, 2.0)) == 1.0
+        rows = np.flatnonzero(inside)
+        whole = BinnedMatrix.of(X)
+        part = BinnedMatrix.of(X[rows])
+        for seed in range(4):
+            for fps in (1, 2, 4):
+                cfg = ForestConfig(n_trees=1, features_per_split=fps)
+                boot = np.random.default_rng(seed).integers(0, len(rows),
+                                                            len(rows))
+                t_whole, i_whole = fit_tree(whole, y, rows[boot], cfg, seed)
+                t_part, i_part = fit_tree(part, y[rows], boot, cfg, seed)
+                assert tree_arrays(t_whole) == tree_arrays(t_part)
+                assert np.array_equal(i_whole, i_part)
 
 
 class TestNonFiniteInput:
@@ -474,6 +595,17 @@ class TestSerialization:
     def test_bad_schema_version(self):
         with pytest.raises(ForestError, match="schema version"):
             forest_from_json(json.dumps({"schema_version": 99}))
+
+    def test_schema_one_rejected(self):
+        # Schema 1 stored each tree as nested node objects.
+        doc = json.loads(forest_to_json(fit_forest(
+            _separable_matrix(seed=22), ForestConfig(n_trees=2, seed=1))))
+        doc["schema_version"] = 1
+        doc["trees"] = [{"leaf": True, "positive_fraction": 0.5,
+                         "n_samples": 80}] * 2
+        with pytest.raises(ForestError,
+                           match="unsupported schema version 1"):
+            forest_from_json(json.dumps(doc))
 
 
 class TestMixSeed:
