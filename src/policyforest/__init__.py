@@ -11,7 +11,7 @@ from .dataset import (IG_NAMES, PA_LABELS, PA_TO_PD, PD_LABELS,
                       retrodiction_split, tally_alignments, zero_noncommittal)
 from .forest import (ForestConfig, ForestError, ForestModel, Tree,
                      best_split, fit_forest, fit_forests, fit_tree,
-                     gini_impurity, mix_seed, permutation_importance)
+                     gini_impurity, mix_seed)
 from .logistic import LogisticConfig, LogisticError, LogisticModel, sigmoid
 from .metrics import (ConfusionCounts, MetricsError, OperatingPoint, RocCurve,
                       balanced_accuracy, confusion_at_threshold, roc_and_auc,

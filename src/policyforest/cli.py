@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 from . import __version__
@@ -130,15 +131,37 @@ def _resolve_spec(args, cases, fc) -> FeatureSetSpec:
                           n_jobs=args.jobs)
 
 
-def cmd_eval(args, argv) -> int:
+def _config_value(key: str, val, action: argparse.Action):
+    """val as the flag behind action would take it, or an error naming
+    the key: store-true flags take booleans, others a JSON value of the
+    flag's type (null where the flag defaults to unset) in its choices."""
+    if action.nargs == 0:
+        ok = isinstance(val, bool)
+    elif val is None:
+        ok = action.default is None
+    else:
+        # A float flag also takes a JSON integer; bool is an int to
+        # Python but no flag's number.
+        kinds = (int, float) if action.type is float else action.type or str
+        ok = (isinstance(val, kinds) and not isinstance(val, bool)
+              and (action.choices is None or val in action.choices))
+    if not ok:
+        raise ex.ExperimentError(f"config key {key!r}: {val!r} is not a "
+                                 f"valid {action.option_strings[0]} value")
+    return float(val) if action.type is float else val
+
+
+def cmd_eval(parser, args, argv) -> int:
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
+        flags = {a.dest: a for a in parser._actions
+                 if a.dest not in ("help", "config")}
         for key, val in cfg.items():
-            key = key.replace("-", "_")
-            if not hasattr(args, key):
+            action = flags.get(key.replace("-", "_"))
+            if action is None:
                 raise ex.ExperimentError(f"unknown config key {key!r}")
-            setattr(args, key, val)
+            setattr(args, action.dest, _config_value(key, val, action))
     if not args.data:
         raise DatasetError("--data (or a config file with a data entry) is "
                            "required")
@@ -177,7 +200,7 @@ def cmd_rank(args, argv) -> int:
     fc = _forest_config(args)
     domains = [args.domain] if args.domain else list(PD_LABELS)
     for domain in domains:
-        rows = ex.rank_igs_by_domain(cases, domain, n_splits=args.runs or 21,
+        rows = ex.rank_igs_by_domain(cases, domain, n_splits=args.runs,
                                      base_seed=args.seed, forest_config=fc,
                                      n_jobs=args.jobs)
         shown = [r for r in rows if r.rf_score_mean > 0][:args.top]
@@ -213,7 +236,7 @@ def cmd_set_c(args, argv) -> int:
     cases = _load(args)
     fc = _forest_config(args)
     spec = ex.build_set_c(cases, k=args.k, base_seed=args.seed,
-                          n_splits=args.runs or 21, forest_config=fc,
+                          n_splits=args.runs, forest_config=fc,
                           n_jobs=args.jobs)
     print(f"Top {args.k} IGs by averaged Gini importance:")
     for name in spec.ig_subset:
@@ -229,7 +252,7 @@ def cmd_set_c(args, argv) -> int:
 def cmd_gains(args, argv) -> int:
     cases = _load(args)
     fc = _forest_config(args)
-    report = ex.gain_per_ig(cases, n_runs=args.runs or 25,
+    report = ex.gain_per_ig(cases, n_runs=args.runs,
                             base_seed=args.seed,
                             min_test_cases=args.min_test_cases,
                             forest_config=fc, n_jobs=args.jobs)
@@ -255,7 +278,7 @@ def cmd_gains(args, argv) -> int:
 def cmd_compare_selectors(args, argv) -> int:
     cases = _load(args)
     fc = _forest_config(args)
-    comp = ex.compare_selectors(cases, k=args.k, n_splits=args.runs or 21,
+    comp = ex.compare_selectors(cases, k=args.k, n_splits=args.runs,
                                 base_seed=args.seed, forest_config=fc,
                                 n_jobs=args.jobs)
     print("RF-chosen IGs:      " + ", ".join(comp.rf_chosen))
@@ -314,11 +337,18 @@ def cmd_case_study(args, argv) -> int:
 # Parser
 
 
-def _add_common(p: argparse.ArgumentParser, data_required=True) -> None:
+def _add_common(p: argparse.ArgumentParser, data_required=True,
+                output=True, forest=True) -> None:
+    """The flags a command reads: its input, then with output its seed
+    and report directory, then with forest the forest and worker flags."""
     p.add_argument("--data", required=data_required, help="canonical CSV file")
     p.add_argument("--map", help="source=canonical column name-mapping file")
+    if not output:
+        return
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="output directory")
+    if not forest:
+        return
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the seeded runs (or, for "
                         "a single forest, its trees); capped at the core "
@@ -341,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
         .set_defaults(func=cmd_schema)
 
     p = sub.add_parser("validate", help="validate a dataset file")
-    _add_common(p)
+    _add_common(p, output=False, forest=False)
     p.set_defaults(func=cmd_validate)
 
     p = sub.add_parser("summarize", help="per-domain outcome counts")
-    _add_common(p)
+    _add_common(p, forest=False)
     p.set_defaults(func=cmd_summarize)
 
     p = sub.add_parser("eval", help="evaluate a feature set")
@@ -359,24 +389,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train-fraction", type=float, default=0.67)
     p.add_argument("--selection-splits", type=int, default=21,
                    help="splits used to derive Set C membership")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=partial(cmd_eval, p))
 
     p = sub.add_parser("rank", help="rank IGs by Gini importance per domain")
     _add_common(p)
     p.add_argument("--domain", choices=list(PD_LABELS))
-    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--runs", type=int, default=21)
     p.add_argument("--top", type=int, default=10)
     p.set_defaults(func=cmd_rank)
 
     p = sub.add_parser("set-c", help="derive the reduced IG subset")
     _add_common(p)
     p.add_argument("--k", type=int, default=14)
-    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--runs", type=int, default=21)
     p.set_defaults(func=cmd_set_c)
 
     p = sub.add_parser("gains", help="per-IG accuracy gain, Set B vs Set A")
     _add_common(p)
-    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--runs", type=int, default=25)
     p.add_argument("--min-test-cases", type=int, default=20)
     p.set_defaults(func=cmd_gains)
 
@@ -384,7 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forest-chosen vs logistic-chosen IG subsets")
     _add_common(p)
     p.add_argument("--k", type=int, default=14)
-    p.add_argument("--runs", type=int, default=None)
+    p.add_argument("--runs", type=int, default=21)
     p.set_defaults(func=cmd_compare_selectors)
 
     p = sub.add_parser("case-study",

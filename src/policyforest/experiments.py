@@ -42,23 +42,37 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
+def _check_runs(name: str, value: int) -> None:
+    if value < 1:
+        raise ExperimentError(f"{name} must be >= 1, got {value}")
+
+
+def _runs(n_samples: int, base_seed: int, train_fraction: float, js,
+          fixed_plan: SplitPlan | None = None):
+    """(plan, model seed) of each run j in js: run j splits with seed
+    mix_seed(base_seed, j), unless the plan is fixed, and fits with seed
+    mix_seed(run_seed, 1)."""
+    for j in js:
+        run_seed = mix_seed(base_seed, j)
+        plan = fixed_plan
+        if plan is None:
+            plan = random_split(n_samples, train_fraction, run_seed)
+        yield plan, mix_seed(run_seed, 1)
+
+
 def _split_chunk(matrix: EncodedMatrix, base_seed: int,
                  forest_config: ForestConfig, train_fraction: float,
                  logistic_config: LogisticConfig | None, n_jobs: int,
                  js: list[int]) -> list:
-    """Runs js of a seeded split series: run j splits with seed
-    mix_seed(base_seed, j), fits a forest with seed mix_seed(run_seed, 1)
-    and, given a logistic_config, a logistic model on the same train rows.
+    """Runs js of a seeded split series (_runs): each fits a forest and,
+    given a logistic_config, a logistic model on the run's train rows.
 
     Returns (plan, forest Gini importance, {name: |beta|} or None) per
     run, in run order.
     """
-    run_seeds = [mix_seed(base_seed, j) for j in js]
-    plans = [random_split(matrix.n_samples, train_fraction, s)
-             for s in run_seeds]
-    forests = [(plan.train_indices,
-                replace(forest_config, seed=mix_seed(s, 1)))
-               for plan, s in zip(plans, run_seeds)]
+    runs = list(_runs(matrix.n_samples, base_seed, train_fraction, js))
+    forests = [(plan.train_indices, replace(forest_config, seed=seed))
+               for plan, seed in runs]
     gini = [None] * len(js)
     for i, model in rf.fit_forests(matrix, forests, n_jobs):
         gini[i] = model.gini_importance
@@ -67,8 +81,8 @@ def _split_chunk(matrix: EncodedMatrix, base_seed: int,
         betas = [dict(lr.coefficient_ranking(
                      lr.fit(matrix.subset(plan.train_indices),
                             logistic_config)))
-                 for plan in plans]
-    return list(zip(plans, gini, betas))
+                 for plan, _ in runs]
+    return [(plan, g, b) for (plan, _), g, b in zip(runs, gini, betas)]
 
 
 def _split_forests(matrix: EncodedMatrix, n_splits: int, base_seed: int,
@@ -172,21 +186,13 @@ def _eval_chunk(matrix: EncodedMatrix, fixed_plan: SplitPlan | None,
                 model_kind: str, base_seed: int, forest_config: ForestConfig,
                 logistic_config: LogisticConfig, train_fraction: float,
                 n_jobs: int, js: list[int]) -> list[RunResult]:
-    """Runs js of run_feature_set_eval, in run order. Run j splits with
-    seed mix_seed(base_seed, j) (unless the plan is fixed), fits with seed
-    mix_seed(run_seed, 1), picks the threshold on train and scores test."""
-    def runs():
-        for j in js:
-            run_seed = mix_seed(base_seed, j)
-            plan = fixed_plan
-            if plan is None:
-                plan = random_split(matrix.n_samples, train_fraction,
-                                    run_seed)
-            yield plan, mix_seed(run_seed, 1)
-
+    """Runs js of run_feature_set_eval (_runs), in run order: each fits,
+    picks the threshold on train and scores test."""
+    runs = _runs(matrix.n_samples, base_seed, train_fraction, js,
+                 fixed_plan)
     results = {}
     for i, train_y, test_y, train_scores, test_scores in _run_scores(
-            model_kind, matrix, runs(), forest_config, logistic_config,
+            model_kind, matrix, runs, forest_config, logistic_config,
             n_jobs):
         op = mx.select_operating_point(train_scores, train_y)
         conf = mx.confusion_at_threshold(test_scores, test_y, op.threshold)
@@ -218,6 +224,7 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
         raise ExperimentError(f"unknown regime {regime!r}")
     if n_runs is None:
         n_runs = 25 if regime == "random_draw" else 1
+    _check_runs("n_runs", n_runs)
     matrix = encode(cases, spec)
 
     fixed_plan = None
@@ -297,6 +304,7 @@ def rank_igs_by_domain(cases: list[PolicyCase], domain: str,
     Correlations and at-bats are computed on each split's test cases and
     reported as mean +/- std over splits.
     """
+    _check_runs("n_splits", n_splits)
     if domain not in PD_LABELS:
         raise ExperimentError(f"unknown policy domain {domain!r}")
     sub = [c for c in cases if c.policy_domain == domain and c.p90 is not None]
@@ -339,6 +347,13 @@ def rank_igs_by_domain(cases: list[PolicyCase], domain: str,
 # Set C construction (top-k IGs by averaged Gini importance)
 
 
+def _top_k(scores, k: int) -> tuple[str, ...]:
+    """The k IGs with the highest scores, ties to the earlier IG, in IG
+    order."""
+    order = sorted(range(len(IG_NAMES)), key=lambda i: (-scores[i], i))
+    return tuple(IG_NAMES[i] for i in sorted(order[:k]))
+
+
 def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
                 n_splits: int = 21,
                 forest_config: ForestConfig = ForestConfig(),
@@ -347,6 +362,7 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     """Derive the reduced IG subset from Set-B forests over random draws."""
     if not (1 <= k <= len(IG_NAMES)):
         raise ExperimentError(f"k must be in [1, {len(IG_NAMES)}], got {k}")
+    _check_runs("n_splits", n_splits)
     matrix = encode(cases, FeatureSetSpec.set_b())
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
 
@@ -355,9 +371,7 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
                                            forest_config, train_fraction,
                                            n_jobs):
         acc += importance
-    ig_scores = acc[ig_cols]
-    order = sorted(range(len(IG_NAMES)), key=lambda i: (-ig_scores[i], i))
-    chosen = tuple(IG_NAMES[i] for i in sorted(order[:k]))
+    chosen = _top_k(acc[ig_cols], k)
     if k == len(IG_NAMES):
         return FeatureSetSpec.set_b()
     spec_id = "C" if k == 14 else "custom"
@@ -391,15 +405,12 @@ def _gain_chunk(mat_b: EncodedMatrix, mat_a: EncodedMatrix,
                 align: np.ndarray, base_seed: int, forest_config: ForestConfig,
                 train_fraction: float, n_jobs: int,
                 js: list[int]) -> list[list[tuple[int, float | None]]]:
-    """Runs js of gain_per_ig, in run order: per run, per IG, (strong-
-    stance test cases, spec_b accuracy minus spec_a accuracy on them, or
-    None when there are none)."""
-    run_seeds = [mix_seed(base_seed, j) for j in js]
-    plans = [random_split(mat_b.n_samples, train_fraction, s)
-             for s in run_seeds]
+    """Runs js of gain_per_ig (_runs), in run order: per run, per IG,
+    (strong-stance test cases, spec_b accuracy minus spec_a accuracy on
+    them, or None when there are none)."""
     # Same model seed for both fits: the comparison is paired, so the
     # models differ only by feature set (identical specs give gain 0).
-    runs = [(plan, mix_seed(s, 1)) for plan, s in zip(plans, run_seeds)]
+    runs = list(_runs(mat_b.n_samples, base_seed, train_fraction, js))
     preds = {}
     for tag, mat in (("b", mat_b), ("a", mat_a)):
         for i, train_y, _, train_scores, test_scores in _run_scores(
@@ -407,7 +418,7 @@ def _gain_chunk(mat_b: EncodedMatrix, mat_a: EncodedMatrix,
             op = mx.select_operating_point(train_scores, train_y)
             preds[tag, i] = (test_scores >= op.threshold).astype(int)
     out = []
-    for i, plan in enumerate(plans):
+    for i, (plan, _) in enumerate(runs):
         test_idx = np.asarray(plan.test_indices, dtype=int)
         y_test = mat_b.y[test_idx]
         per_ig: list[tuple[int, float | None]] = []
@@ -437,6 +448,7 @@ def gain_per_ig(cases: list[PolicyCase],
     strongly in favor or strongly opposed; IGs with fewer than
     min_test_cases such cases in any run are reported separately.
     """
+    _check_runs("n_runs", n_runs)
     spec_b = spec_b or FeatureSetSpec.set_b()
     spec_a = spec_a or FeatureSetSpec.set_a()
     # Filtered here, not only in encode: when one spec uses P90 and the
@@ -522,12 +534,7 @@ def _select_subsets(matrix: EncodedMatrix, k: int, n_splits: int,
         for i, name in enumerate(IG_NAMES):
             gini_acc[i] += gini[ig_cols[name]]
             beta_acc[i] += mags.get(name, 0.0)
-
-    def top_k(scores: np.ndarray) -> tuple[str, ...]:
-        order = sorted(range(len(IG_NAMES)), key=lambda i: (-scores[i], i))
-        return tuple(IG_NAMES[i] for i in sorted(order[:k]))
-
-    return top_k(gini_acc), top_k(beta_acc)
+    return _top_k(gini_acc, k), _top_k(beta_acc, k)
 
 
 def compare_selectors(cases: list[PolicyCase], k: int = 14,
@@ -543,6 +550,7 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     the chosen IGs) under paired split seeds; gain rows are the mean of
     per-split differences, not the difference of means.
     """
+    _check_runs("n_splits", n_splits)
     rf_chosen, lg_chosen = _select_subsets(
         encode(cases, _ranking_spec()), k, n_splits, base_seed, forest_config, logistic_config,
         train_fraction, n_jobs)
@@ -653,11 +661,6 @@ def nonlinearity_case_study(cases: list[PolicyCase],
     l_op = mx.select_operating_point(l_scores, y)
     f_pred = (f_scores >= f_op.threshold).astype(int)
     l_pred = (l_scores >= l_op.threshold).astype(int)
-    f_ba = mx.balanced_accuracy(mx.confusion_at_threshold(f_scores, y,
-                                                          f_op.threshold))
-    l_ba = mx.balanced_accuracy(mx.confusion_at_threshold(l_scores, y,
-                                                          l_op.threshold))
-
     points = [CaseStudyPoint(c.case_id, c.p90, c.alignment(pivot_ig),
                              c.outcome, float(f_scores[i]), int(f_pred[i]),
                              float(l_scores[i]), int(l_pred[i]))
@@ -676,7 +679,8 @@ def nonlinearity_case_study(cases: list[PolicyCase],
     region_counts = {key: {"pos": sum(v), "neg": len(v) - sum(v)}
                      for key, v in regions.items()}
 
-    return CaseStudyReport(domain=domain, pivot_ig=pivot_ig, points=points,
-                           forest_balanced_accuracy=f_ba,
-                           logistic_balanced_accuracy=l_ba,
-                           region_counts=region_counts)
+    return CaseStudyReport(
+        domain=domain, pivot_ig=pivot_ig, points=points,
+        forest_balanced_accuracy=f_op.train_balanced_accuracy,
+        logistic_balanced_accuracy=l_op.train_balanced_accuracy,
+        region_counts=region_counts)

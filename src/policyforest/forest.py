@@ -14,6 +14,7 @@ import os
 from array import array
 from dataclasses import dataclass
 from functools import partial
+from itertools import starmap
 
 import numpy as np
 
@@ -40,51 +41,44 @@ class ForestError(ValueError):
     """Raised for invalid forest configuration or inputs."""
 
 
-def map_ordered(fn, items, n_jobs: int = 1) -> list:
-    """[fn(x) for x in items], on up to n_jobs worker processes.
-
-    fn must pickle (a module-level function, or a functools.partial of one
-    binding the shared inputs). The items are cut into one chunk per
-    worker, so the shared inputs are sent once per worker, not once per
-    item. Results come back in item order, so a caller that reduces them
-    in order gets the same floats serially and in parallel. Workers are
-    capped at the core count and the item count; fn must not call
-    map_ordered with n_jobs > 1 itself.
-    """
-    if n_jobs < 1:
-        raise ForestError(f"n_jobs must be >= 1, got {n_jobs}")
-    items = list(items)
-    workers = min(n_jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return [fn(x) for x in items]
-    # Imported here: the pool costs import time and memory that serial
-    # runs never need.
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items,
-                             chunksize=math.ceil(len(items) / workers)))
-
-
-def map_chunks(fn, items, n_jobs: int = 1) -> list:
+def map_chunks(fn, items, n_jobs: int = 1):
     """fn(jobs, chunk) over contiguous chunks of items, one chunk per
-    worker, concatenated in item order.
+    worker process, concatenated in item order.
 
-    fn maps a list of items to a list of results, so one call can share
-    work across its items (fit_forests grows all their trees together).
-    jobs is the worker count fn may use itself: n_jobs when all items make
-    one chunk in this process, so that a single forest can fan out its
-    trees, and 1 inside workers, so that pools never nest.
+    fn maps a chunk of items to an iterable of results, so one call can
+    share work across its items (fit_forests grows all their trees
+    together). There are min(n_jobs, cores, items) workers. fn must
+    pickle (a module-level function, or a functools.partial of one
+    binding the shared inputs), so the shared inputs are sent once per
+    worker, and inside a worker jobs is 1, so that pools never nest. With
+    one worker, fn runs here once on all items with jobs = min(n_jobs,
+    cores), so that a single forest can still fan out its trees, and its
+    result is returned as it is. When jobs is 1 the items are not even
+    listed: a lazy fn streams over lazy items.
     """
     if n_jobs < 1:
         raise ForestError(f"n_jobs must be >= 1, got {n_jobs}")
-    items = list(items)
-    workers = min(n_jobs, os.cpu_count() or 1, len(items))
-    if workers <= 1:
-        return fn(n_jobs, items)
-    size = math.ceil(len(items) / workers)
-    chunks = [items[i:i + size] for i in range(0, len(items), size)]
-    return [r for part in map_ordered(partial(fn, 1), chunks, n_jobs)
-            for r in part]
+    jobs = min(n_jobs, os.cpu_count() or 1)
+    if jobs > 1:
+        items = list(items)
+        workers = min(jobs, len(items))
+        if workers > 1:
+            size = math.ceil(len(items) / workers)
+            chunks = [items[i:i + size]
+                      for i in range(0, len(items), size)]
+            # Imported here: the pool costs import time and memory that
+            # serial runs never need.
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                return [r for part in pool.map(partial(_in_worker, fn),
+                                               chunks)
+                        for r in part]
+    return fn(jobs, items)
+
+
+def _in_worker(fn, chunk) -> list:
+    """fn's results on one chunk in a worker, listed so that they pickle."""
+    return list(fn(1, chunk))
 
 
 # Impurity decreases at or below this are treated as zero gain (guards
@@ -472,26 +466,24 @@ class ForestModel:
     gini_importance: np.ndarray  # normalized to sum 1 when any split exists
 
 
-def _tree_tasks(y: np.ndarray, forest: int, rows, config: ForestConfig,
-                trees):
-    """Growth tasks for the given trees of one forest on rows of y. Tree i
-    draws its bootstrap and its growth from seeds derived from
-    (config.seed, i) alone."""
-    rows = np.asarray(rows, dtype=int)
-    n = len(rows)
-    if n < 2:
-        raise ForestError(f"need at least 2 samples, got {n}")
-    n_pos = y[rows].sum()
-    if n_pos == 0 or n_pos == n:
-        raise ForestError("training labels contain a single class")
-    for i in trees:
-        tree_seed = mix_seed(config.seed, i)
-        if config.bootstrap:
-            boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
-            sample = rows[boot_rng.integers(0, n, size=n)]
-        else:
-            sample = rows.copy()
-        yield (forest, i), sample, config, mix_seed(tree_seed, 1)
+def _tree_task(forest: int, i: int, rows: np.ndarray, config: ForestConfig):
+    """Growth task of tree i of a forest on rows: the tree draws its
+    bootstrap and its growth from seeds derived from (config.seed, i)
+    alone."""
+    tree_seed = mix_seed(config.seed, i)
+    if config.bootstrap:
+        boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
+        sample = rows[boot_rng.integers(0, len(rows), size=len(rows))]
+    else:
+        sample = rows.copy()
+    return (forest, i), sample, config, mix_seed(tree_seed, 1)
+
+
+def _grow_chunk(view: BinnedMatrix, y: np.ndarray, _jobs: int, trees):
+    """Grow each (forest, tree index, rows, config) in trees together;
+    yields ((forest, tree index), tree, raw importance) as each tree
+    completes."""
+    return _grow_trees(view, y, starmap(_tree_task, trees))
 
 
 def _assemble(config: ForestConfig, column_names,
@@ -503,50 +495,36 @@ def _assemble(config: ForestConfig, column_names,
                        importance)
 
 
-def _grow_listed(view: BinnedMatrix, y: np.ndarray, forests: list,
-                 _jobs: int, trees: list) -> list:
-    """(tree, raw importance) for each (forest, tree index) in trees, in
-    that order, grown together."""
-    tasks = (task for f, i in trees
-             for task in _tree_tasks(y, f, *forests[f], [i]))
-    done = {key: (tree, imp) for key, tree, imp in
-            _grow_trees(view, y, tasks)}
-    return [done[key] for key in trees]
-
-
 def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
     """Fit one forest per (rows, config) in forests, each the model that
-    fit_forest(matrix.subset(rows), config) fits; yields (index, model).
+    fit_forest(matrix.subset(rows), config) fits; yields (index, model)
+    as each model's last tree completes.
 
     One BinnedMatrix serves all forests, and the trees of all of them
-    grow together. Serially, forests is read as trees start and each
-    model is yielded as soon as its last tree completes, so a long series
-    holds only the forests in flight. With n_jobs > 1 the trees are
-    grown in worker processes (map_chunks) and the models come back in
-    order.
+    grow together, on up to n_jobs worker processes (map_chunks). When
+    map_chunks uses no pool, forests is read as trees start, so a long
+    series holds only the forests in flight.
     """
     view = BinnedMatrix.of(matrix.X)
     y = matrix.y
-    if n_jobs > 1:
-        forests = list(forests)
-        trees = [(f, i) for f, (_, config) in enumerate(forests)
-                 for i in range(config.n_trees)]
-        grown = iter(map_chunks(partial(_grow_listed, view, y, forests),
-                                trees, n_jobs))
-        for f, (_, config) in enumerate(forests):
-            yield f, _assemble(config, matrix.column_names,
-                               [next(grown) for _ in range(config.n_trees)])
-        return
     configs, grown, missing = {}, {}, {}
 
-    def tasks():
+    def trees():
         for f, (rows, config) in enumerate(forests):
+            rows = np.asarray(rows, dtype=int)
+            n_pos = y[rows].sum()
+            if len(rows) < 2:
+                raise ForestError(f"need at least 2 samples, got {len(rows)}")
+            if n_pos == 0 or n_pos == len(rows):
+                raise ForestError("training labels contain a single class")
             configs[f] = config
             grown[f] = [None] * config.n_trees
             missing[f] = config.n_trees
-            yield from _tree_tasks(y, f, rows, config, range(config.n_trees))
+            for i in range(config.n_trees):
+                yield f, i, rows, config
 
-    for (f, i), tree, importance in _grow_trees(view, y, tasks()):
+    for (f, i), tree, importance in map_chunks(
+            partial(_grow_chunk, view, y), trees(), n_jobs):
         grown[f][i] = tree, importance
         missing[f] -= 1
         if not missing[f]:
@@ -618,36 +596,6 @@ def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
             acc += values
     probs = acc / len(trees)
     return float(probs[0]) if single else probs
-
-
-def permutation_importance(model: ForestModel, matrix: EncodedMatrix,
-                           metric: str = "balanced_accuracy",
-                           seed: int = 0, n_repeats: int = 5) -> np.ndarray:
-    """Mean metric drop over seeded within-column shuffles of each feature."""
-    from .metrics import balanced_accuracy, confusion_at_threshold, roc_and_auc
-
-    if n_repeats < 1:
-        raise ForestError(f"n_repeats must be >= 1, got {n_repeats}")
-    if metric not in ("balanced_accuracy", "auc"):
-        raise ForestError(f"unknown metric {metric!r}")
-
-    def score(scores: np.ndarray) -> float:
-        if metric == "auc":
-            return roc_and_auc(scores, matrix.y)[1]
-        c = confusion_at_threshold(scores, matrix.y, 0.5)
-        return balanced_accuracy(c)
-
-    base = score(predict_proba(model, matrix.X))
-    out = np.zeros(matrix.n_features)
-    for f in range(matrix.n_features):
-        rng = np.random.default_rng(mix_seed(seed, f))
-        drops = []
-        for _ in range(n_repeats):
-            Xp = matrix.X.copy()
-            Xp[:, f] = Xp[rng.permutation(matrix.n_samples), f]
-            drops.append(base - score(predict_proba(model, Xp)))
-        out[f] = float(np.mean(drops))
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -61,6 +61,15 @@ class TestValidate:
             main(["validate", "--data", data_file, "--frobnicate"])
         assert e.value.code == 2
 
+    @pytest.mark.parametrize("cmd", [
+        ["validate", "--trees", "3"], ["validate", "--seed", "1"],
+        ["validate", "--jobs", "2"], ["summarize", "--trees", "3"],
+        ["summarize", "--no-bootstrap"]])
+    def test_flags_the_command_ignores_exit_2(self, cmd, data_file):
+        with pytest.raises(SystemExit) as e:
+            main(cmd + ["--data", data_file])
+        assert e.value.code == 2
+
     def test_missing_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as e:
             main([])
@@ -118,6 +127,32 @@ class TestEval:
                      "--config", str(cfg)]) == 1
         assert "wibble" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cfg", [
+        {"set": "Z"}, {"no_bootstrap": "no"}, {"no_bootstrap": 1},
+        {"trees": "5"}, {"trees": 5.0}, {"trees": True}, {"trees": None},
+        {"regime": "later"}, {"train_fraction": "0.5"}])
+    def test_config_values_checked_like_flags(self, cfg, data_file,
+                                              tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["eval", "--data", data_file, "--set", "A",
+                     "--runs", "1", "--trees", "4", "--out",
+                     str(tmp_path / "o"), "--config", str(path)]) == 1
+        [key] = cfg
+        assert f"config key {key!r}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_config_takes_flag_typed_values(self, data_file, tmp_path,
+                                            capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"no-bootstrap": True, "runs": None,
+                                    "regime": "retrodiction",
+                                    "max_depth": None, "trees": 4,
+                                    "train_fraction": 1}))
+        assert main(["eval", "--data", data_file, "--set", "A",
+                     "--config", str(path)]) == 0
+        assert "retrodiction]" in capsys.readouterr().out
+
     def test_eval_without_data(self, capsys):
         assert main(["eval", "--set", "A"]) == 1
         assert "--data" in capsys.readouterr().err
@@ -153,6 +188,28 @@ class TestDerivedCommands:
         assert main(["case-study", "--data", data_file,
                      "--pivot", "Universities"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestRunCounts:
+    @pytest.mark.parametrize("cmd, name", [
+        (["eval", "--runs", "0"], "n_runs"),
+        (["eval", "--runs", "-3"], "n_runs"),
+        (["eval", "--set", "C", "--selection-splits", "0"], "n_splits"),
+        (["rank", "--runs", "0"], "n_splits"),
+        (["rank", "--runs", "-2"], "n_splits"),
+        (["set-c", "--runs", "0"], "n_splits"),
+        (["gains", "--runs", "0"], "n_runs"),
+        (["gains", "--runs", "-2"], "n_runs"),
+        (["compare-selectors", "--runs", "0"], "n_splits")])
+    def test_below_one_rejected(self, cmd, name, data_file, tmp_path,
+                                capsys):
+        out = tmp_path / "o"
+        assert main(cmd + ["--data", data_file, "--trees", "4",
+                           "--out", str(out)]) == 1
+        value = cmd[-1]
+        assert f"{name} must be >= 1, got {value}" in \
+            capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNameMap:

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from policyforest import experiments
-from policyforest.dataset import (IG_NAMES, FeatureSetSpec, PolicyCase)
+from policyforest import experiments, forest
+from policyforest.dataset import (IG_NAMES, FeatureSetSpec, PolicyCase,
+                                  encode)
 from policyforest.experiments import (ExperimentError, build_set_c,
                                       compare_selectors, gain_per_ig,
                                       ig_outcome_correlation,
@@ -396,3 +397,60 @@ class TestWorkerFanOut:
                              n_jobs=2)
         # The single forest's 15 trees go out as two chunks.
         assert recording_pool == [(2, 1)]
+
+
+class TestRunCounts:
+    CALLS = {
+        "eval": (lambda cases, n: run_feature_set_eval(
+            cases, FeatureSetSpec.set_a(), "random_draw", n_runs=n,
+            forest_config=FAST_FOREST), "n_runs"),
+        "rank": (lambda cases, n: rank_igs_by_domain(
+            cases, "Economic", n_splits=n, forest_config=FAST_FOREST),
+            "n_splits"),
+        "set_c": (lambda cases, n: build_set_c(
+            cases, k=3, n_splits=n, forest_config=FAST_FOREST), "n_splits"),
+        "gains": (lambda cases, n: gain_per_ig(
+            cases, n_runs=n, forest_config=FAST_FOREST), "n_runs"),
+        "selectors": (lambda cases, n: compare_selectors(
+            cases, k=3, n_splits=n, forest_config=FAST_FOREST), "n_splits"),
+    }
+
+    @pytest.mark.parametrize("n", [0, -2])
+    @pytest.mark.parametrize("call", sorted(CALLS))
+    def test_below_one_rejected(self, call, n, cases_200):
+        fn, name = self.CALLS[call]
+        with pytest.raises(ExperimentError, match=f"{name} must be >= 1, "
+                                                  f"got {n}"):
+            fn(cases_200, n)
+
+
+class TestOneCoreHost:
+    """On one core, n_jobs > 1 runs exactly as n_jobs = 1: no pool, and
+    forests read as lazily."""
+
+    @pytest.fixture(autouse=True)
+    def one_core(self, monkeypatch):
+        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 1)
+
+    @staticmethod
+    def _forests_read_before_first_model(matrix, n_jobs):
+        read = []
+
+        def forests():
+            for f in range(6):
+                read.append(f)
+                rows = np.arange(f, matrix.n_samples)
+                yield rows, ForestConfig(n_trees=20, seed=f)
+
+        next(forest.fit_forests(matrix, forests(), n_jobs))
+        return len(read)
+
+    def test_no_pool_and_lazy_forests(self, cases_200, recording_pool):
+        matrix = encode(cases_200, FeatureSetSpec.set_a())
+        serial = self._forests_read_before_first_model(matrix, 1)
+        assert serial < 6
+        assert self._forests_read_before_first_model(matrix, 2) == serial
+        run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
+                             "random_draw", n_runs=3,
+                             forest_config=FAST_FOREST, n_jobs=2)
+        assert recording_pool == []

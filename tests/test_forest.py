@@ -11,8 +11,8 @@ from policyforest.forest import (ForestConfig, ForestError, ForestModel,
                                  GAIN_EPS, BinnedMatrix, Tree, best_split,
                                  fit_forest, fit_forests, fit_tree,
                                  forest_from_json, forest_to_json,
-                                 gini_impurity, map_ordered, mix_seed,
-                                 permutation_importance, predict_proba)
+                                 gini_impurity, map_chunks, mix_seed,
+                                 predict_proba)
 
 
 def matrix_from(X, y):
@@ -346,29 +346,42 @@ class TestFitForest:
             predict_proba(model, np.zeros((2, 5)))
 
 
+def _absolute(jobs, chunk):
+    """A map_chunks fn that records the jobs it was handed."""
+    return [(jobs, abs(x)) for x in chunk]
+
+
 class TestMapOrdered:
+    """map_chunks's one worker rule: min(n_jobs, cores, items) workers,
+    one chunk each, results in item order."""
+
     def test_workers_capped_by_cores_and_items(self, recording_pool,
                                                monkeypatch):
-        assert map_ordered(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+        assert map_chunks(_absolute, [-1, -2, -3], 10_000) == \
+            [(1, 1), (1, 2), (1, 3)]
         bound = min(os.cpu_count() or 1, 3)
         assert all(w <= bound for w, _ in recording_pool)
         recording_pool.clear()
-        for cores, expected in ((8, (3, 1)), (2, (2, 2))):
+        for cores, expected in ((8, (3, 1)), (2, (2, 1))):
             monkeypatch.setattr(os, "cpu_count", lambda: cores)
-            assert map_ordered(abs, [-1, -2, -3], 10_000) == [1, 2, 3]
+            assert map_chunks(_absolute, [-1, -2, -3], 10_000) == \
+                [(1, 1), (1, 2), (1, 3)]
             assert recording_pool.pop() == expected
 
     def test_one_worker_needs_no_pool(self, recording_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
-        assert map_ordered(abs, [-4, 5], 1) == [4, 5]
-        assert map_ordered(abs, [-4], 4) == [4]
-        assert map_ordered(abs, [], 4) == []
+        assert map_chunks(_absolute, [-4, 5], 1) == [(1, 4), (1, 5)]
+        # A single item keeps the jobs, so a single forest can fan out.
+        assert map_chunks(_absolute, [-4], 4) == [(4, 4)]
+        assert map_chunks(_absolute, [], 4) == []
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        assert map_chunks(_absolute, [-4, 5], 4) == [(1, 4), (1, 5)]
         assert recording_pool == []
 
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_rejects_n_jobs_below_one(self, n_jobs):
         with pytest.raises(ForestError, match="n_jobs"):
-            map_ordered(abs, [1, 2], n_jobs)
+            map_chunks(_absolute, [1, 2], n_jobs)
 
     def test_forest_fans_out_trees_once(self, recording_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
@@ -461,7 +474,8 @@ class TestFitForests:
         serial = dict(fit_forests(m, forests))
         parallel = list(fit_forests(m, forests, n_jobs=2))
         assert recording_pool == [(2, 1)]
-        assert [i for i, _ in parallel] == list(range(len(forests)))
+        # Models come back as they complete, in either mode.
+        assert sorted(i for i, _ in parallel) == list(range(len(forests)))
         for i, model in parallel:
             assert forest_to_json(model) == forest_to_json(serial[i])
 
@@ -549,37 +563,6 @@ class TestImportances:
         model = fit_forest(matrix_from(X, y), ForestConfig(n_trees=10, seed=4))
         assert model.gini_importance.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(model.gini_importance >= 0)
-
-    def test_permutation_unused_feature_zero(self):
-        rng = np.random.default_rng(14)
-        X = rng.normal(size=(120, 3))
-        y = (X[:, 0] > 0).astype(int)
-        X[:, 2] = 7.0  # constant: never split on
-        m = matrix_from(X, y)
-        model = fit_forest(m, ForestConfig(n_trees=10, features_per_split=3,
-                                           seed=2))
-        imp = permutation_importance(model, m, "balanced_accuracy", seed=0,
-                                     n_repeats=3)
-        assert imp[2] == 0.0
-
-    def test_permutation_informative_collapses_to_chance(self):
-        rng = np.random.default_rng(15)
-        n = 300
-        X = rng.normal(size=(n, 4))
-        y = rng.integers(0, 2, size=n)
-        X[:, 1] = y * 2.0 - 1.0
-        m = matrix_from(X, y)
-        model = fit_forest(m, ForestConfig(n_trees=20, features_per_split=2,
-                                           seed=3))
-        imp = permutation_importance(model, m, "auc", seed=1, n_repeats=5)
-        base_auc = 1.0  # model memorizes the planted feature
-        assert imp[1] == pytest.approx(base_auc - 0.5, abs=0.08)
-
-    def test_permutation_zero_repeats_error(self):
-        m = _separable_matrix()
-        model = fit_forest(m, ForestConfig(n_trees=3, seed=0))
-        with pytest.raises(ForestError):
-            permutation_importance(model, m, n_repeats=0)
 
 
 class TestSerialization:
