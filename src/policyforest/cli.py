@@ -14,11 +14,11 @@ from functools import partial
 from pathlib import Path
 
 from . import __version__
-from .dataset import (IG_NAMES, PA_LABELS, PA_TO_PD, PD_LABELS, DatasetError,
-                      FeatureSetSpec, canonical_header, domain_counts,
-                      load_cases, parse_name_map)
+from .dataset import (CUTOFF_YEAR, IG_NAMES, PA_LABELS, PA_TO_PD, PD_LABELS,
+                      DatasetError, FeatureSetSpec, canonical_header,
+                      domain_counts, load_cases, parse_name_map)
 from .forest import ForestConfig, ForestError
-from .logistic import LogisticConfig, LogisticError
+from .logistic import LogisticError
 from .metrics import MetricsError
 from . import experiments as ex
 
@@ -50,15 +50,14 @@ def _load(args: argparse.Namespace):
 
 def _forest_config(args: argparse.Namespace) -> ForestConfig:
     # Every command that uses --jobs builds its forest config here, after
-    # any config-file override.
-    if args.jobs < 1:
-        raise ex.ExperimentError(f"--jobs must be >= 1, got {args.jobs}")
+    # any config-file override. No seed: each experiment seeds every
+    # forest from --seed and the forest's run.
+    ex.check_positive("--jobs", args.jobs)
     return ForestConfig(
         n_trees=args.trees,
         max_depth=args.max_depth,
         min_samples_leaf=args.min_leaf,
         bootstrap=not args.no_bootstrap,
-        seed=args.seed,
     )
 
 
@@ -100,10 +99,11 @@ def cmd_validate(args, argv) -> int:
 def cmd_summarize(args, argv) -> int:
     cases = _load(args)
     rows = domain_counts(cases)
+    post = f">={CUTOFF_YEAR % 100}"
     print(f"{'Domain':<16}{'Pos':>8}{'Neg':>8}{'%Pos':>8}"
-          f"{'Pos>=97':>10}{'Neg>=97':>10}{'%Pos>=97':>10}")
-    lines = ["domain,pos,neg,pos_fraction,pos_post_1997,neg_post_1997,"
-             "pos_fraction_post_1997"]
+          f"{'Pos' + post:>10}{'Neg' + post:>10}{'%Pos' + post:>10}")
+    lines = [f"domain,pos,neg,pos_fraction,pos_post_{CUTOFF_YEAR},"
+             f"neg_post_{CUTOFF_YEAR},pos_fraction_post_{CUTOFF_YEAR}"]
     for r in rows:
         print(f"{r.domain:<16}{r.pos:>8}{r.neg:>8}"
               f"{100 * r.pos_fraction:>7.0f}%{r.pos_post_cutoff:>10}"
@@ -196,6 +196,7 @@ def cmd_eval(parser, args, argv) -> int:
 
 
 def cmd_rank(args, argv) -> int:
+    ex.check_positive("--top", args.top)
     cases = _load(args)
     fc = _forest_config(args)
     domains = [args.domain] if args.domain else list(PD_LABELS)
@@ -386,7 +387,9 @@ def build_parser() -> argparse.ArgumentParser:
                    default="random_draw")
     p.add_argument("--model", choices=list(ex.MODEL_KINDS), default="forest")
     p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--train-fraction", type=float, default=0.67)
+    p.add_argument("--train-fraction", type=float, default=ex.TRAIN_FRACTION,
+                   help="train share of eval's own random draws; Set C "
+                        "selection keeps the default")
     p.add_argument("--selection-splits", type=int, default=21,
                    help="splits used to derive Set C membership")
     p.set_defaults(func=partial(cmd_eval, p))

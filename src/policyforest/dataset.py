@@ -306,57 +306,50 @@ class EncodedMatrix:
                              self.n_dropped_missing_p90)
 
 
+def _column(cases: list[PolicyCase], name: str) -> list:
+    """The values over cases of the column named name by column_names()."""
+    if name == "P90":
+        return [c.p90 for c in cases]
+    if name == "netIGA":
+        return [net_iga(tally_alignments(c)) for c in cases]
+    kind, _, label = name.partition(":")
+    if kind == "PD":
+        return [c.policy_domain == label for c in cases]
+    if kind == "PA":
+        return [c.policy_area == label for c in cases]
+    k = _IG_INDEX[name]
+    return [c.ig_alignments[k] for c in cases]
+
+
 def encode(cases: list[PolicyCase], spec: FeatureSetSpec) -> EncodedMatrix:
-    """Build the feature matrix for a spec.
-
-    Column order: P90 (raw [0,1]), netIGA if requested, IG columns in
-    canonical order, then one-hot policy columns in sorted label order.
-    """
+    """Build the feature matrix for a spec: one float64 column per name in
+    spec.column_names(), P90 raw in [0,1], policy one-hots as 0/1."""
     cols = spec.column_names()
-    ig_selected = [name for name in IG_NAMES if name in set(spec.ig_subset)]
-    kept: list[int] = []
-    dropped = 0
-    for i, c in enumerate(cases):
-        if spec.use_p90 and c.p90 is None:
-            dropped += 1
-        else:
-            kept.append(i)
-
+    kept = [i for i, c in enumerate(cases)
+            if not (spec.use_p90 and c.p90 is None)]
+    kept_cases = [cases[i] for i in kept]
     X = np.zeros((len(kept), len(cols)))
-    y = np.zeros(len(kept), dtype=int)
-    for r, i in enumerate(kept):
-        c = cases[i]
-        j = 0
-        if spec.use_p90:
-            X[r, j] = c.p90
-            j += 1
-        if spec.use_net_iga:
-            X[r, j] = net_iga(tally_alignments(c))
-            j += 1
-        for name in ig_selected:
-            X[r, j] = c.ig_alignments[_IG_INDEX[name]]
-            j += 1
-        if spec.policy_encoding == "pd":
-            X[r, j + sorted(PD_LABELS).index(c.policy_domain)] = 1.0
-        elif spec.policy_encoding == "pa":
-            X[r, j + PA_LABELS.index(c.policy_area)] = 1.0
-        y[r] = c.outcome
-    return EncodedMatrix(X, y, cols, np.asarray(kept, dtype=int), dropped)
+    for j, name in enumerate(cols):
+        X[:, j] = _column(kept_cases, name)
+    y = np.array([c.outcome for c in kept_cases], dtype=int)
+    return EncodedMatrix(X, y, cols, np.asarray(kept, dtype=int),
+                         len(cases) - len(kept))
 
 
 # ---------------------------------------------------------------------------
 # Train/test splits
 
 
+# Retrodiction trains on the cases before this year and tests on the rest.
+CUTOFF_YEAR = 1997
+
+
 @dataclass(frozen=True)
 class SplitPlan:
     """Disjoint train/test index sets covering all cases."""
 
-    kind: str  # "random_draw" or "retrodiction"
     train_indices: tuple[int, ...]
     test_indices: tuple[int, ...]
-    seed: int | None = None
-    cutoff_year: int | None = None
 
     def __post_init__(self):
         if set(self.train_indices) & set(self.test_indices):
@@ -373,22 +366,21 @@ def random_split(n_cases: int, train_fraction: float, seed: int) -> SplitPlan:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_cases)
     n_train = int(math.floor(train_fraction * n_cases))
-    return SplitPlan("random_draw",
-                     tuple(int(i) for i in perm[:n_train]),
-                     tuple(int(i) for i in perm[n_train:]),
-                     seed=seed)
+    return SplitPlan(tuple(int(i) for i in perm[:n_train]),
+                     tuple(int(i) for i in perm[n_train:]))
 
 
-def retrodiction_split(cases: list[PolicyCase],
-                       cutoff_year: int = 1997) -> SplitPlan:
-    """Train on cases before the cutoff year, test on the rest (inclusive)."""
-    train = tuple(i for i, c in enumerate(cases) if c.year < cutoff_year)
-    test = tuple(i for i, c in enumerate(cases) if c.year >= cutoff_year)
+def retrodiction_split(cases: list[PolicyCase]) -> SplitPlan:
+    """Train on cases before CUTOFF_YEAR, test on the rest (inclusive)."""
+    train = tuple(i for i, c in enumerate(cases) if c.year < CUTOFF_YEAR)
+    test = tuple(i for i, c in enumerate(cases) if c.year >= CUTOFF_YEAR)
     if not train:
-        raise DatasetError(f"no cases before {cutoff_year}: empty training set")
+        raise DatasetError(f"no cases before {CUTOFF_YEAR}: empty training "
+                           f"set")
     if not test:
-        raise DatasetError(f"no cases in or after {cutoff_year}: empty test set")
-    return SplitPlan("retrodiction", train, test, cutoff_year=cutoff_year)
+        raise DatasetError(f"no cases in or after {CUTOFF_YEAR}: empty test "
+                           f"set")
+    return SplitPlan(train, test)
 
 
 # ---------------------------------------------------------------------------
@@ -414,17 +406,16 @@ class DomainCountRow:
         return self.pos_post_cutoff / total if total else 0.0
 
 
-def domain_counts(cases: list[PolicyCase],
-                  cutoff_year: int = 1997) -> list[DomainCountRow]:
+def domain_counts(cases: list[PolicyCase]) -> list[DomainCountRow]:
     """Positive/negative counts per policy domain, plus a Total row.
 
-    Post-cutoff columns cover cases with year >= cutoff_year.
+    Post-cutoff columns cover cases with year >= CUTOFF_YEAR.
     """
     rows = []
     for d in list(PD_LABELS) + ["Total"]:
         sub = cases if d == "Total" else [c for c in cases
                                           if c.policy_domain == d]
-        post = [c for c in sub if c.year >= cutoff_year]
+        post = [c for c in sub if c.year >= CUTOFF_YEAR]
         rows.append(DomainCountRow(
             domain=d,
             pos=sum(c.outcome for c in sub),

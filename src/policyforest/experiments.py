@@ -25,10 +25,12 @@ from .dataset import (IG_NAMES, PD_LABELS, EncodedMatrix, FeatureSetSpec,
                       PolicyCase, SplitPlan, encode, random_split,
                       rescale_p90, retrodiction_split, zero_noncommittal)
 from .forest import ForestConfig, map_chunks, mix_seed
-from .logistic import LogisticConfig
 
 REGIMES = ("random_draw", "retrodiction")
 MODEL_KINDS = ("forest", "logistic")
+# Share of cases each random draw trains on; only run_feature_set_eval
+# takes another.
+TRAIN_FRACTION = 0.67
 
 
 class ExperimentError(ValueError):
@@ -42,12 +44,19 @@ def _mean_std(values) -> tuple[float, float]:
     return mean, std
 
 
-def _check_runs(name: str, value: int) -> None:
+def check_positive(name: str, value: int) -> None:
+    """Raise an ExperimentError naming the setting if value < 1."""
     if value < 1:
         raise ExperimentError(f"{name} must be >= 1, got {value}")
 
 
-def _runs(n_samples: int, base_seed: int, train_fraction: float, js,
+def _check_k(k: int) -> None:
+    if not (1 <= k <= len(IG_NAMES)):
+        raise ExperimentError(f"k must be in [1, {len(IG_NAMES)}], got {k}")
+
+
+def _runs(n_samples: int, base_seed: int, js,
+          train_fraction: float = TRAIN_FRACTION,
           fixed_plan: SplitPlan | None = None):
     """(plan, model seed) of each run j in js: run j splits with seed
     mix_seed(base_seed, j), unless the plan is fixed, and fits with seed
@@ -61,66 +70,59 @@ def _runs(n_samples: int, base_seed: int, train_fraction: float, js,
 
 
 def _split_chunk(matrix: EncodedMatrix, base_seed: int,
-                 forest_config: ForestConfig, train_fraction: float,
-                 logistic_config: LogisticConfig | None, n_jobs: int,
-                 js: list[int]) -> list:
+                 forest_config: ForestConfig, with_logistic: bool,
+                 n_jobs: int, js: list[int]) -> list:
     """Runs js of a seeded split series (_runs): each fits a forest and,
-    given a logistic_config, a logistic model on the run's train rows.
+    with_logistic, a logistic model on the run's train rows.
 
     Returns (plan, forest Gini importance, {name: |beta|} or None) per
     run, in run order.
     """
-    runs = list(_runs(matrix.n_samples, base_seed, train_fraction, js))
+    runs = list(_runs(matrix.n_samples, base_seed, js))
     forests = [(plan.train_indices, replace(forest_config, seed=seed))
                for plan, seed in runs]
     gini = [None] * len(js)
     for i, model in rf.fit_forests(matrix, forests, n_jobs):
         gini[i] = model.gini_importance
     betas = [None] * len(js)
-    if logistic_config is not None:
+    if with_logistic:
         betas = [dict(lr.coefficient_ranking(
-                     lr.fit(matrix.subset(plan.train_indices),
-                            logistic_config)))
+                     lr.fit(matrix.subset(plan.train_indices))))
                  for plan, _ in runs]
     return [(plan, g, b) for (plan, _), g, b in zip(runs, gini, betas)]
 
 
 def _split_forests(matrix: EncodedMatrix, n_splits: int, base_seed: int,
-                   forest_config: ForestConfig, train_fraction: float,
-                   n_jobs: int, first: int = 0,
-                   logistic_config: LogisticConfig | None = None) -> list:
+                   forest_config: ForestConfig, n_jobs: int, first: int = 0,
+                   with_logistic: bool = False) -> list:
     """_split_chunk for runs first .. first + n_splits - 1, in run order,
     on up to n_jobs worker processes."""
     chunk = partial(_split_chunk, matrix, base_seed, forest_config,
-                    train_fraction, logistic_config)
+                    with_logistic)
     return map_chunks(chunk, range(first, first + n_splits), n_jobs)
 
 
-def _logistic_scores(matrix: EncodedMatrix, plan: SplitPlan,
-                     logistic_config: LogisticConfig) -> tuple:
+def _logistic_scores(matrix: EncodedMatrix, plan: SplitPlan) -> tuple:
     """(train labels, test labels, train scores, test scores) of a
     logistic model fit on the plan's train rows."""
     train = matrix.subset(plan.train_indices)
     test = matrix.subset(plan.test_indices)
-    model = lr.fit(train, logistic_config)
+    model = lr.fit(train)
     return (train.y, test.y,
             lr.predict_proba(model, train.X, train.column_names),
             lr.predict_proba(model, test.X, test.column_names))
 
 
 def _run_scores(model_kind: str, matrix: EncodedMatrix, runs,
-                forest_config: ForestConfig,
-                logistic_config: LogisticConfig | None, n_jobs: int):
+                forest_config: ForestConfig, n_jobs: int):
     """Fit one model per (plan, model seed) in runs on the plan's train
     rows. Yields (i, train labels, test labels, train scores, test scores)
     for runs[i] as each fit completes; the forests of all runs grow
     together. No frame holds a model or its rows while the next one fits."""
     if model_kind == "logistic":
         for i, (plan, _) in enumerate(runs):
-            yield (i, *_logistic_scores(matrix, plan, logistic_config))
+            yield (i, *_logistic_scores(matrix, plan))
         return
-    if model_kind != "forest":
-        raise ExperimentError(f"unknown model kind {model_kind!r}")
     split = {}
 
     def forests():
@@ -184,16 +186,14 @@ class EvalReport:
 
 def _eval_chunk(matrix: EncodedMatrix, fixed_plan: SplitPlan | None,
                 model_kind: str, base_seed: int, forest_config: ForestConfig,
-                logistic_config: LogisticConfig, train_fraction: float,
-                n_jobs: int, js: list[int]) -> list[RunResult]:
+                train_fraction: float, n_jobs: int,
+                js: list[int]) -> list[RunResult]:
     """Runs js of run_feature_set_eval (_runs), in run order: each fits,
     picks the threshold on train and scores test."""
-    runs = _runs(matrix.n_samples, base_seed, train_fraction, js,
-                 fixed_plan)
+    runs = _runs(matrix.n_samples, base_seed, js, train_fraction, fixed_plan)
     results = {}
     for i, train_y, test_y, train_scores, test_scores in _run_scores(
-            model_kind, matrix, runs, forest_config, logistic_config,
-            n_jobs):
+            model_kind, matrix, runs, forest_config, n_jobs):
         op = mx.select_operating_point(train_scores, train_y)
         conf = mx.confusion_at_threshold(test_scores, test_y, op.threshold)
         _, auc = mx.roc_and_auc(test_scores, test_y)
@@ -210,9 +210,7 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
                          regime: str, model_kind: str = "forest",
                          n_runs: int | None = None, base_seed: int = 0,
                          forest_config: ForestConfig = ForestConfig(),
-                         logistic_config: LogisticConfig = LogisticConfig(),
-                         train_fraction: float = 0.67,
-                         cutoff_year: int = 1997,
+                         train_fraction: float = TRAIN_FRACTION,
                          n_jobs: int = 1) -> EvalReport:
     """Repeated split / fit / evaluate for one feature set.
 
@@ -222,18 +220,20 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
     """
     if regime not in REGIMES:
         raise ExperimentError(f"unknown regime {regime!r}")
+    if model_kind not in MODEL_KINDS:
+        raise ExperimentError(f"unknown model kind {model_kind!r}")
     if n_runs is None:
         n_runs = 25 if regime == "random_draw" else 1
-    _check_runs("n_runs", n_runs)
+    check_positive("n_runs", n_runs)
     matrix = encode(cases, spec)
 
     fixed_plan = None
     if regime == "retrodiction":
         fixed_plan = retrodiction_split(
-            [cases[i] for i in matrix.case_indices], cutoff_year)
+            [cases[i] for i in matrix.case_indices])
 
     chunk = partial(_eval_chunk, matrix, fixed_plan, model_kind, base_seed,
-                    forest_config, logistic_config, train_fraction)
+                    forest_config, train_fraction)
     runs = map_chunks(chunk, range(n_runs), n_jobs)
     return EvalReport(feature_set_id=spec.id, regime=regime,
                       model_kind=model_kind, base_seed=base_seed,
@@ -297,14 +297,13 @@ def _ranking_spec() -> FeatureSetSpec:
 def rank_igs_by_domain(cases: list[PolicyCase], domain: str,
                        n_splits: int = 21, base_seed: int = 0,
                        forest_config: ForestConfig = ForestConfig(),
-                       train_fraction: float = 0.67,
                        n_jobs: int = 1) -> list[DomainRankingRow]:
     """Rank P90 and the IGs by averaged Gini importance within one domain.
 
     Correlations and at-bats are computed on each split's test cases and
     reported as mean +/- std over splits.
     """
-    _check_runs("n_splits", n_splits)
+    check_positive("n_splits", n_splits)
     if domain not in PD_LABELS:
         raise ExperimentError(f"unknown policy domain {domain!r}")
     sub = [c for c in cases if c.policy_domain == domain and c.p90 is not None]
@@ -319,8 +318,7 @@ def rank_igs_by_domain(cases: list[PolicyCase], domain: str,
     corrs: dict[str, list[float]] = {name: [] for name in names}
     at_bats: dict[str, list[int]] = {name: [] for name in names}
     for j, (plan, importance, _) in enumerate(_split_forests(
-            matrix, n_splits, base_seed, forest_config, train_fraction,
-            n_jobs)):
+            matrix, n_splits, base_seed, forest_config, n_jobs)):
         importances[j] = importance
         test_cases = [sub[i] for i in plan.test_indices]
         for name in names:
@@ -357,19 +355,16 @@ def _top_k(scores, k: int) -> tuple[str, ...]:
 def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
                 n_splits: int = 21,
                 forest_config: ForestConfig = ForestConfig(),
-                train_fraction: float = 0.67,
                 n_jobs: int = 1) -> FeatureSetSpec:
     """Derive the reduced IG subset from Set-B forests over random draws."""
-    if not (1 <= k <= len(IG_NAMES)):
-        raise ExperimentError(f"k must be in [1, {len(IG_NAMES)}], got {k}")
-    _check_runs("n_splits", n_splits)
+    _check_k(k)
+    check_positive("n_splits", n_splits)
     matrix = encode(cases, FeatureSetSpec.set_b())
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
 
     acc = np.zeros(matrix.n_features)
     for _, importance, _ in _split_forests(matrix, n_splits, base_seed,
-                                           forest_config, train_fraction,
-                                           n_jobs):
+                                           forest_config, n_jobs):
         acc += importance
     chosen = _top_k(acc[ig_cols], k)
     if k == len(IG_NAMES):
@@ -403,18 +398,18 @@ class GainReport:
 
 def _gain_chunk(mat_b: EncodedMatrix, mat_a: EncodedMatrix,
                 align: np.ndarray, base_seed: int, forest_config: ForestConfig,
-                train_fraction: float, n_jobs: int,
+                n_jobs: int,
                 js: list[int]) -> list[list[tuple[int, float | None]]]:
     """Runs js of gain_per_ig (_runs), in run order: per run, per IG,
     (strong-stance test cases, spec_b accuracy minus spec_a accuracy on
     them, or None when there are none)."""
     # Same model seed for both fits: the comparison is paired, so the
     # models differ only by feature set (identical specs give gain 0).
-    runs = list(_runs(mat_b.n_samples, base_seed, train_fraction, js))
+    runs = list(_runs(mat_b.n_samples, base_seed, js))
     preds = {}
     for tag, mat in (("b", mat_b), ("a", mat_a)):
         for i, train_y, _, train_scores, test_scores in _run_scores(
-                "forest", mat, runs, forest_config, None, n_jobs):
+                "forest", mat, runs, forest_config, n_jobs):
             op = mx.select_operating_point(train_scores, train_y)
             preds[tag, i] = (test_scores >= op.threshold).astype(int)
     out = []
@@ -440,7 +435,6 @@ def gain_per_ig(cases: list[PolicyCase],
                 n_runs: int = 25, base_seed: int = 0,
                 min_test_cases: int = 20,
                 forest_config: ForestConfig = ForestConfig(),
-                train_fraction: float = 0.67,
                 n_jobs: int = 1) -> GainReport:
     """Per-IG mean accuracy gain of the spec_b model over the spec_a model.
 
@@ -448,7 +442,8 @@ def gain_per_ig(cases: list[PolicyCase],
     strongly in favor or strongly opposed; IGs with fewer than
     min_test_cases such cases in any run are reported separately.
     """
-    _check_runs("n_runs", n_runs)
+    check_positive("n_runs", n_runs)
+    check_positive("min_test_cases", min_test_cases)
     spec_b = spec_b or FeatureSetSpec.set_b()
     spec_a = spec_a or FeatureSetSpec.set_a()
     # Filtered here, not only in encode: when one spec uses P90 and the
@@ -463,7 +458,7 @@ def gain_per_ig(cases: list[PolicyCase],
     gains: dict[str, list[float]] = {name: [] for name in IG_NAMES}
     counts: dict[str, list[int]] = {name: [] for name in IG_NAMES}
     chunk = partial(_gain_chunk, mat_b, mat_a, align, base_seed,
-                    forest_config, train_fraction)
+                    forest_config)
     for per_ig in map_chunks(chunk, range(n_runs), n_jobs):
         for name, (count, gain) in zip(IG_NAMES, per_ig):
             counts[name].append(count)
@@ -522,15 +517,13 @@ class SelectorComparison:
 
 def _select_subsets(matrix: EncodedMatrix, k: int, n_splits: int,
                     base_seed: int, forest_config: ForestConfig,
-                    logistic_config: LogisticConfig, train_fraction: float,
                     n_jobs: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
     ig_cols = {name: matrix.column_names.index(name) for name in IG_NAMES}
     gini_acc = np.zeros(len(IG_NAMES))
     beta_acc = np.zeros(len(IG_NAMES))
     for _, gini, mags in _split_forests(matrix, n_splits, base_seed,
-                                        forest_config, train_fraction,
-                                        n_jobs, first=10_000,
-                                        logistic_config=logistic_config):
+                                        forest_config, n_jobs, first=10_000,
+                                        with_logistic=True):
         for i, name in enumerate(IG_NAMES):
             gini_acc[i] += gini[ig_cols[name]]
             beta_acc[i] += mags.get(name, 0.0)
@@ -541,8 +534,6 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
                       regimes: tuple[str, ...] = REGIMES,
                       n_splits: int = 21, base_seed: int = 0,
                       forest_config: ForestConfig = ForestConfig(),
-                      logistic_config: LogisticConfig = LogisticConfig(),
-                      train_fraction: float = 0.67, cutoff_year: int = 1997,
                       n_jobs: int = 1) -> SelectorComparison:
     """Evaluate forest-chosen vs logistic-chosen k-IG subsets.
 
@@ -550,10 +541,11 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     the chosen IGs) under paired split seeds; gain rows are the mean of
     per-split differences, not the difference of means.
     """
-    _check_runs("n_splits", n_splits)
+    _check_k(k)
+    check_positive("n_splits", n_splits)
     rf_chosen, lg_chosen = _select_subsets(
-        encode(cases, _ranking_spec()), k, n_splits, base_seed, forest_config, logistic_config,
-        train_fraction, n_jobs)
+        encode(cases, _ranking_spec()), k, n_splits, base_seed, forest_config,
+        n_jobs)
 
     specs = {
         "rf_gini": FeatureSetSpec("custom", True, False, rf_chosen, "none"),
@@ -572,8 +564,6 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
                 per_sel[sel] = run_feature_set_eval(
                     cases, spec, regime, model_kind, n_runs=n_runs,
                     base_seed=base_seed, forest_config=forest_config,
-                    logistic_config=logistic_config,
-                    train_fraction=train_fraction, cutoff_year=cutoff_year,
                     n_jobs=n_jobs)
                 rep = per_sel[sel]
                 cells.append(SelectorCell(
@@ -625,7 +615,6 @@ def nonlinearity_case_study(cases: list[PolicyCase],
                             pivot_ig: str = "Defense Contractors",
                             domain: str = "Foreign", base_seed: int = 0,
                             forest_config: ForestConfig = ForestConfig(),
-                            logistic_config: LogisticConfig = LogisticConfig(),
                             n_jobs: int = 1) -> CaseStudyReport:
     """Fit forest and logistic on (P90, pivot alignment) over domain cases
     where the pivot took a stance; report both balanced accuracies and the
@@ -654,7 +643,7 @@ def nonlinearity_case_study(cases: list[PolicyCase],
 
     cfg = replace(forest_config, seed=mix_seed(base_seed, 1))
     fmodel = rf.fit_forest(matrix, cfg, n_jobs=n_jobs)
-    lmodel = lr.fit(matrix, logistic_config)
+    lmodel = lr.fit(matrix)
     f_scores = rf.predict_proba(fmodel, X)
     l_scores = lr.predict_proba(lmodel, X, matrix.column_names)
     f_op = mx.select_operating_point(f_scores, y)

@@ -212,6 +212,24 @@ class TestRunCounts:
         assert not out.exists()
 
 
+class TestInputChecks:
+    @pytest.mark.parametrize("cmd, message", [
+        (["compare-selectors", "--k", "0"], "k must be in [1, 43], got 0"),
+        (["compare-selectors", "--k", "44"], "k must be in [1, 43], got 44"),
+        (["rank", "--top", "0"], "--top must be >= 1, got 0"),
+        (["rank", "--top", "-1"], "--top must be >= 1, got -1"),
+        (["gains", "--min-test-cases", "0"],
+         "min_test_cases must be >= 1, got 0")],
+        ids=["k0", "k44", "top0", "top-1", "min-test-cases0"])
+    def test_rejected_with_exit_1(self, cmd, message, data_file, tmp_path,
+                                  capsys):
+        out = tmp_path / "o"
+        assert main(cmd + ["--data", data_file, "--runs", "2", "--trees",
+                           "4", "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestNameMap:
     def test_validate_with_map(self, tmp_path):
         cases = make_cases(10, seed=1)

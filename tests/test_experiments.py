@@ -454,3 +454,31 @@ class TestOneCoreHost:
                              "random_draw", n_runs=3,
                              forest_config=FAST_FOREST, n_jobs=2)
         assert recording_pool == []
+
+
+class TestEntryChecks:
+    """Bad settings are rejected when the experiment is called, before
+    any model is fit or any worker pool starts."""
+
+    @pytest.mark.parametrize("k", [0, -1, 44])
+    @pytest.mark.parametrize("fn", [build_set_c, compare_selectors])
+    def test_k_outside_ig_range(self, fn, k, cases_200):
+        with pytest.raises(ExperimentError,
+                           match=rf"k must be in \[1, 43\], got {k}"):
+            fn(cases_200, k=k, n_splits=2, forest_config=FAST_FOREST)
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_min_test_cases_below_one(self, n, cases_200):
+        with pytest.raises(ExperimentError,
+                           match=f"min_test_cases must be >= 1, got {n}"):
+            gain_per_ig(cases_200, n_runs=2, min_test_cases=n,
+                        forest_config=FAST_FOREST)
+
+    def test_unknown_model_kind_starts_no_pool(self, cases_200,
+                                               recording_pool, monkeypatch):
+        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        with pytest.raises(ExperimentError, match="unknown model kind"):
+            run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
+                                 "random_draw", model_kind="tree", n_runs=3,
+                                 forest_config=FAST_FOREST, n_jobs=2)
+        assert recording_pool == []
