@@ -165,6 +165,9 @@ def cmd_eval(parser, args, argv) -> int:
     if not args.data:
         raise DatasetError("--data (or a config file with a data entry) is "
                            "required")
+    ex.check_regime_settings(args.regime, args.model, args.runs,
+                             args.train_fraction,
+                             ("--runs", "--train-fraction"))
     cases = _load(args)
     fc = _forest_config(args)
     spec = _resolve_spec(args, cases, fc)
@@ -387,9 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
                    default="random_draw")
     p.add_argument("--model", choices=list(ex.MODEL_KINDS), default="forest")
     p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--train-fraction", type=float, default=ex.TRAIN_FRACTION,
-                   help="train share of eval's own random draws; Set C "
-                        "selection keeps the default")
+    p.add_argument("--train-fraction", type=float, default=None,
+                   help=f"train share of eval's own random draws (default "
+                        f"{ex.TRAIN_FRACTION}); Set C selection keeps the "
+                        f"default, and retrodiction takes none")
     p.add_argument("--selection-splits", type=int, default=21,
                    help="splits used to derive Set C membership")
     p.set_defaults(func=partial(cmd_eval, p))

@@ -21,9 +21,10 @@ import numpy as np
 from . import forest as rf
 from . import logistic as lr
 from . import metrics as mx
-from .dataset import (IG_NAMES, PD_LABELS, EncodedMatrix, FeatureSetSpec,
-                      PolicyCase, SplitPlan, encode, random_split,
-                      rescale_p90, retrodiction_split, zero_noncommittal)
+from .dataset import (CUTOFF_YEAR, IG_NAMES, PD_LABELS, EncodedMatrix,
+                      FeatureSetSpec, PolicyCase, SplitPlan, encode,
+                      random_split, rescale_p90, retrodiction_split,
+                      zero_noncommittal)
 from .forest import ForestConfig, map_chunks, mix_seed
 
 REGIMES = ("random_draw", "retrodiction")
@@ -48,6 +49,24 @@ def check_positive(name: str, value: int) -> None:
     """Raise an ExperimentError naming the setting if value < 1."""
     if value < 1:
         raise ExperimentError(f"{name} must be >= 1, got {value}")
+
+
+def check_regime_settings(regime: str, model_kind: str, n_runs: int | None,
+                          train_fraction: float | None,
+                          names=("n_runs", "train_fraction")) -> None:
+    """Raise an ExperimentError naming the setting, as in names, that the
+    regime cannot use: a train fraction under retrodiction, whose split
+    is fixed by year, or more than one logistic run there, since every
+    logistic refit on the fixed split is the same model."""
+    if regime != "retrodiction":
+        return
+    if train_fraction is not None:
+        raise ExperimentError(f"{names[1]} applies to random_draw splits "
+                              f"only; retrodiction splits at {CUTOFF_YEAR}")
+    if model_kind == "logistic" and n_runs is not None and n_runs > 1:
+        raise ExperimentError(f"{names[0]} must be 1 for a logistic model "
+                              f"under retrodiction, whose fit on the fixed "
+                              f"split is deterministic; got {n_runs}")
 
 
 def _check_k(k: int) -> None:
@@ -210,13 +229,15 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
                          regime: str, model_kind: str = "forest",
                          n_runs: int | None = None, base_seed: int = 0,
                          forest_config: ForestConfig = ForestConfig(),
-                         train_fraction: float = TRAIN_FRACTION,
+                         train_fraction: float | None = None,
                          n_jobs: int = 1) -> EvalReport:
     """Repeated split / fit / evaluate for one feature set.
 
-    random_draw: n_runs (default 25) independent seeded splits.
-    retrodiction: a single fixed year split; n_runs (default 1) refits
-    with different model seeds quantify fit randomness only.
+    random_draw: n_runs (default 25) independent seeded splits, each
+    training on train_fraction (default TRAIN_FRACTION) of the cases.
+    retrodiction: a single fixed year split, which takes no
+    train_fraction; n_runs (default 1) forest refits with different model
+    seeds quantify fit randomness only, and a logistic model runs once.
     """
     if regime not in REGIMES:
         raise ExperimentError(f"unknown regime {regime!r}")
@@ -225,6 +246,9 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
     if n_runs is None:
         n_runs = 25 if regime == "random_draw" else 1
     check_positive("n_runs", n_runs)
+    check_regime_settings(regime, model_kind, n_runs, train_fraction)
+    if train_fraction is None:
+        train_fraction = TRAIN_FRACTION
     matrix = encode(cases, spec)
 
     fixed_plan = None

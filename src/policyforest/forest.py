@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 import os
-from array import array
 from dataclasses import dataclass
 from functools import partial
 from itertools import starmap
@@ -85,11 +84,11 @@ def _in_worker(fn, chunk) -> list:
 # against float noise on splits that are exactly neutral).
 GAIN_EPS = 1e-12
 
-# Trees grown at once by one lockstep pass, and the rows one step may
-# search, in samples of the largest tree in flight. More of either spreads
-# the per-step NumPy call cost over more nodes but holds more memory.
+# Trees grown at once, one depth level per pass, and the rows one sub-step
+# of a pass may search. More of either spreads the per-call NumPy cost
+# over more nodes but holds more memory.
 TREES_IN_FLIGHT = 32
-STEP_SAMPLES = 2
+STEP_ROWS = 3072
 
 
 @dataclass(frozen=True)
@@ -297,15 +296,17 @@ def best_split(X: np.ndarray | BinnedMatrix, y: np.ndarray,
     return int(f[0]), float(thr[0]), float(gain[0])
 
 
-class _Growth:
-    """One tree being grown: its sample, permuted in place so that every
-    node's rows are contiguous; the stack of nodes still to visit in
-    preorder, as (first row, rows, positives, depth, parent whose right
-    child it is or -1); and the nodes visited so far."""
+class _Tree:
+    """One tree being grown level by level: its sample, permuted in place
+    so that every node's rows are one contiguous range of it; front, the
+    nodes of its current level left to right as a (3, nodes) array of
+    first row, rows and positives; and its finished levels, each a (6,
+    nodes) float array holding per node its first row, rows, positive
+    fraction, feature (-1 for a leaf), threshold and sample-weighted
+    impurity decrease. Counts and features are exact as floats."""
 
     __slots__ = ("key", "sample", "rng", "k", "min_leaf", "max_depth",
-                 "n_total", "stack", "pending", "importance", "feature",
-                 "threshold", "right", "n", "n_pos")
+                 "n_total", "depth", "front", "levels")
 
     def __init__(self, key, sample: np.ndarray, config: ForestConfig,
                  seed: int, labels: np.ndarray, n_features: int):
@@ -317,128 +318,168 @@ class _Growth:
         self.max_depth = (math.inf if config.max_depth is None
                           else config.max_depth)
         self.n_total = len(sample)
-        self.stack = [(0, len(sample), int(labels[sample].sum()), 0, -1)]
-        self.pending = None
-        self.importance = np.zeros(n_features)
-        self.feature, self.right = array("i"), array("i")
-        self.n, self.n_pos = array("i"), array("i")
-        self.threshold = array("d")
+        self.depth = 0
+        self.front = np.array([[0], [len(sample)], [labels[sample].sum()]])
+        self.levels = []
 
-    def next_split(self):
-        """Visit nodes in preorder until one may split and return it with
-        its candidate columns, drawn as one-tree-at-a-time growth draws
-        them; None once the tree is complete."""
-        while self.stack:
-            start, n, n_pos, depth, parent = self.stack.pop()
-            node = len(self.n)
-            self.n.append(n)
-            self.n_pos.append(n_pos)
-            self.feature.append(-1)
-            self.threshold.append(0.0)
-            self.right.append(-1)
-            if parent >= 0:
-                self.right[parent] = node
-            if (0 < n_pos < n and n >= 2 * self.min_leaf and n >= 2
-                    and depth < self.max_depth):
-                cands = self.rng.choice(len(self.importance), size=self.k,
-                                        replace=False)
-                return node, start, n, n_pos, depth, cands
-        return None
-
-    def tree(self) -> Tree:
-        n = np.array(self.n)
-        return Tree(np.array(self.feature), np.array(self.threshold),
-                    np.array(self.right), np.array(self.n_pos) / n, n)
+    def tree(self, n_features: int) -> tuple[Tree, np.ndarray]:
+        """The finished tree in preorder, and its raw importances."""
+        start, n, value, feature, threshold, weighted = np.concatenate(
+            self.levels, axis=1)
+        depth = np.repeat(np.arange(len(self.levels)),
+                          [level.shape[1] for level in self.levels])
+        feature = feature.astype(np.int32)
+        inner = feature >= 0
+        importance = np.bincount(feature[inner], weights=weighted[inner],
+                                 minlength=n_features)
+        # Level order lists the children of each level's splits left to
+        # right, so split s (in level order) has children 2s + 1, 2s + 2.
+        right = np.full(len(n), -1, dtype=np.int32)
+        right[inner] = 2 * np.arange(inner.sum()) + 2
+        # A left child's rows start where its parent's do, and a right
+        # child's after its left sibling's: (first row, depth) order is
+        # preorder.
+        order = np.lexsort((depth, start))
+        preorder = np.empty_like(right)
+        preorder[order] = np.arange(len(order))
+        right = np.where(right >= 0, preorder[right], -1)
+        return Tree(feature[order], threshold[order], right[order],
+                    value[order], n[order].astype(np.int32)), importance
 
 
 def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
     """Grow one tree per task (key, sample, config, seed) and yield (key,
     tree, raw importance) as each tree completes.
 
-    sample holds the tree's rows of view (bootstrap repeats included) and
-    is permuted in place; seed seeds the candidate draws. Up to
-    TREES_IN_FLIGHT trees grow in lockstep: each step takes the next
-    splittable node of each tree while the step holds at most
-    STEP_SAMPLES samples' worth of rows, and searches them together.
-    Every tree visits its nodes in depth-first preorder and draws from its
-    own generator, so it is the same tree as when grown alone.
-    Importances are the per-feature sums of sample-weighted impurity
-    decreases.
+    sample holds the tree's rows of view (bootstrap repeats included);
+    seed seeds the candidate draws. Up to TREES_IN_FLIGHT trees grow
+    together, each by one depth level per pass. A tree draws the
+    candidates of all its splittable nodes of a level at once from its
+    own generator, and each node's cut depends on its own rows and
+    candidates alone, so a tree is the same however many trees grow
+    beside it and however the passes are cut into sub-steps. Importances
+    are the per-feature sums of sample-weighted impurity decreases, in
+    level order.
     """
     labels = np.asarray(y) != 0
     n_features = view.n_features
     tasks = iter(tasks)
-    growing: list[_Growth] = []
+    growing: list[_Tree] = []
+    changed = True
     while True:
         while len(growing) < TREES_IN_FLIGHT:
             task = next(tasks, None)
             if task is None:
                 break
-            growing.append(_Growth(*task, labels, n_features))
+            growing.append(_Tree(*task, labels, n_features))
+            changed = True
         if not growing:
             return
-        budget = STEP_SAMPLES * max(g.n_total for g in growing)
-        batch, rows_in_step, waiting = [], 0, []
-        for g in growing:
-            if g.pending is None:
-                g.pending = g.next_split()
-                if g.pending is None:
-                    yield g.key, g.tree(), g.importance
-                    continue
-            # A step searches nodes with equal candidate counts.
-            if not batch or (rows_in_step + g.pending[2] <= budget
-                             and g.k == batch[0].k):
-                batch.append(g)
-                rows_in_step += g.pending[2]
-            else:
-                waiting.append(g)
-        # Trees left out of this step go first in the next.
-        growing = waiting + batch
-        if batch:
-            _step(view, labels, batch)
-            for g in batch:
-                g.pending = None
+        if changed:
+            # One buffer holds every sample in flight, so that a sub-step
+            # gathers and writes back the rows of many trees at once.
+            sizes = [g.n_total for g in growing]
+            offsets = np.cumsum(sizes) - sizes
+            buffer = np.concatenate([g.sample for g in growing])
+            for g, o, size in zip(growing, offsets.tolist(), sizes):
+                g.sample = buffer[o:o + size]
+        _grow_level(view, labels, growing, buffer, offsets)
+        done = [g for g in growing if not g.front.size]
+        growing = [g for g in growing if g.front.size]
+        changed = bool(done)
+        for g in done:
+            yield (g.key, *g.tree(n_features))
 
 
-def _step(view: BinnedMatrix, labels: np.ndarray, batch: list) -> None:
-    """Search the pending node of every tree in batch and split each node
-    that has a cut leaving min_samples_leaf rows on both sides."""
-    nodes = [g.pending for g in batch]
-    m = len(nodes)
-    node_n = np.array([p[2] for p in nodes])
-    node_pos = np.array([p[3] for p in nodes])
-    rows = np.concatenate([g.sample[p[1]:p[1] + p[2]]
-                           for g, p in zip(batch, nodes)])
-    row_labels = labels[rows]
-    row_node = np.repeat(np.arange(m), node_n)
-    cands = np.sort([p[5] for p in nodes], axis=1)
-    feature, threshold, gain = _best_cuts(view, rows, row_labels, row_node,
-                                          node_n, node_pos, cands)
-    if (feature < 0).all():
-        return
-    go_left = view.X[rows, feature[row_node]] <= threshold[row_node]
-    n_left = np.bincount(row_node[go_left], minlength=m)
-    pos_left = np.bincount(row_node[go_left & row_labels], minlength=m)
-    min_leaf = np.array([g.min_leaf for g in batch])
+def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
+                buffer: np.ndarray, offsets: np.ndarray) -> None:
+    """Split the current level of every tree in growing, whose samples lie
+    in buffer at offsets, and make each tree's next level its children."""
+    n_features = view.n_features
+    sizes = [g.front.shape[1] for g in growing]
+    start, n, n_pos = np.concatenate([g.front for g in growing], axis=1)
+    node_offset = np.repeat(offsets, sizes)
+    start += node_offset
+    min_leaf = np.repeat([g.min_leaf for g in growing], sizes)
+    k = np.repeat([g.k for g in growing], sizes)
+    splittable = ((0 < n_pos) & (n_pos < n) & (n >= 2 * min_leaf)
+                  & np.repeat([g.depth < g.max_depth for g in growing], sizes))
+    bounds = np.cumsum(sizes) - sizes
+    # One draw per tree for its m splittable nodes, left to right: a row
+    # of uniform keys per node, whose k smallest name the node's k
+    # candidate columns.
+    keys = {}
+    for g, m in zip(growing, np.add.reduceat(splittable, bounds,
+                                             dtype=int).tolist()):
+        if m:
+            keys.setdefault(g.k, []).append(g.rng.random((m, n_features)))
+
+    feature = np.full(len(n), -1)
+    threshold = np.zeros(len(n))
+    gain = np.zeros(len(n))
+    n_left = np.zeros(len(n), dtype=int)
+    pos_left = np.zeros(len(n), dtype=int)
+    # A sub-step searches nodes with equal candidate counts, at most
+    # STEP_ROWS rows of them unless one node holds more.
+    for k_nodes, parts in keys.items():
+        nodes = np.flatnonzero(splittable & (k == k_nodes))
+        cands = np.argpartition(np.concatenate(parts), k_nodes - 1,
+                                axis=1)[:, :k_nodes]
+        cands.sort(axis=1)
+        ends = np.cumsum(n[nodes])
+        first = 0
+        while first < len(nodes):
+            rows_before = ends[first - 1] if first else 0
+            last = max(first + 1, int(np.searchsorted(
+                ends, rows_before + STEP_ROWS, side="right")))
+            at = nodes[first:last]
+            (feature[at], threshold[at], gain[at], n_left[at],
+             pos_left[at]) = _search(view, labels, buffer, start[at], n[at],
+                                     n_pos[at], cands[first:last])
+            first = last
+
     split = ((feature >= 0) & (n_left >= min_leaf)
-             & (node_n - n_left >= min_leaf))
-    # Left rows first within each node, both sides in their old order.
-    parted = rows[np.argsort(2 * row_node + ~go_left, kind="stable")]
-    n_total = np.array([g.n_total for g in batch])
-    weighted = ((node_n / n_total) * gain).tolist()
-    row_start = (np.cumsum(node_n) - node_n).tolist()
-    feature, threshold = feature.tolist(), threshold.tolist()
-    n_left, pos_left = n_left.tolist(), pos_left.tolist()
-    for j in split.nonzero()[0].tolist():
-        g = batch[j]
-        node, start, n, n_pos, depth, _ = nodes[j]
-        nl, pl, f = n_left[j], pos_left[j], feature[j]
-        g.sample[start:start + n] = parted[row_start[j]:row_start[j] + n]
-        g.importance[f] += weighted[j]
-        g.feature[node] = f
-        g.threshold[node] = threshold[j]
-        g.stack.append((start + nl, n - nl, n_pos - pl, depth + 1, node))
-        g.stack.append((start, nl, pl, depth + 1, -1))
+             & (n - n_left >= min_leaf))
+    start -= node_offset
+    record = np.stack([
+        start, n, n_pos / n, np.where(split, feature, -1),
+        np.where(split, threshold, 0.0),
+        np.where(split, (n / np.repeat([g.n_total for g in growing], sizes))
+                 * gain, 0.0)])
+    s = split.nonzero()[0]
+    # Children left to right, each split's left child first.
+    children = np.stack([start[s], n_left[s], pos_left[s],
+                         start[s] + n_left[s], n[s] - n_left[s],
+                         n_pos[s] - pos_left[s]], axis=1).reshape(-1, 3).T
+    child_bounds = 2 * np.concatenate(
+        [[0], np.add.reduceat(split, bounds, dtype=int).cumsum()])
+    bounds = bounds.tolist()
+    child_bounds = child_bounds.tolist()
+    for i, g in enumerate(growing):
+        g.levels.append(record[:, bounds[i]:bounds[i] + sizes[i]].copy())
+        g.front = children[:, child_bounds[i]:child_bounds[i + 1]]
+        g.depth += 1
+
+
+def _search(view: BinnedMatrix, labels: np.ndarray, buffer: np.ndarray,
+            start: np.ndarray, n: np.ndarray, n_pos: np.ndarray,
+            cands: np.ndarray):
+    """Best cut of each node whose n rows lie in buffer from start, and
+    the rows and positives it sends left; puts each node's left rows
+    first within its range, both sides in their old order."""
+    m = len(n)
+    first = np.cumsum(n) - n
+    slot = np.repeat(start - first, n) + np.arange(first[-1] + n[-1])
+    rows = buffer[slot]
+    row_labels = labels[rows]
+    row_node = np.repeat(np.arange(m), n)
+    feature, threshold, gain = _best_cuts(view, rows, row_labels, row_node,
+                                          n, n_pos, cands)
+    go_left = view.X[rows, feature[row_node]] <= threshold[row_node]
+    n_left = np.add.reduceat(go_left, first, dtype=int)
+    pos_left = np.add.reduceat(go_left & row_labels, first, dtype=int)
+    buffer[slot] = rows[np.argsort(2 * row_node + ~go_left, kind="stable")]
+    return feature, threshold, gain, n_left, pos_left
 
 
 def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
@@ -450,7 +491,7 @@ def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
     per-feature sums of sample-weighted impurity decreases.
     """
     view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
-    idx = np.array(sample_indices, dtype=int)  # a copy: growth permutes it
+    idx = np.asarray(sample_indices, dtype=int)
     if len(idx) == 0:
         raise ForestError("cannot fit a tree on an empty sample")
     [(_, tree, importance)] = _grow_trees(view, y,
@@ -471,11 +512,10 @@ def _tree_task(forest: int, i: int, rows: np.ndarray, config: ForestConfig):
     bootstrap and its growth from seeds derived from (config.seed, i)
     alone."""
     tree_seed = mix_seed(config.seed, i)
+    sample = rows
     if config.bootstrap:
         boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
         sample = rows[boot_rng.integers(0, len(rows), size=len(rows))]
-    else:
-        sample = rows.copy()
     return (forest, i), sample, config, mix_seed(tree_seed, 1)
 
 

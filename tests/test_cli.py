@@ -145,13 +145,20 @@ class TestEval:
     def test_config_takes_flag_typed_values(self, data_file, tmp_path,
                                             capsys):
         path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"no-bootstrap": True, "runs": None,
-                                    "regime": "retrodiction",
-                                    "max_depth": None, "trees": 4,
-                                    "train_fraction": 1}))
+        cfg = {"no-bootstrap": True, "runs": None, "regime": "retrodiction",
+               "max_depth": None, "trees": 4}
+        path.write_text(json.dumps(cfg))
         assert main(["eval", "--data", data_file, "--set", "A",
                      "--config", str(path)]) == 0
         assert "retrodiction]" in capsys.readouterr().out
+        # No integer is a valid train share, and retrodiction takes none:
+        # the float flag takes the JSON integer, and the regime refuses it.
+        path.write_text(json.dumps({**cfg, "train_fraction": 1}))
+        assert main(["eval", "--data", data_file, "--set", "A",
+                     "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "--train-fraction applies to random_draw" in err
+        assert "config key" not in err
 
     def test_eval_without_data(self, capsys):
         assert main(["eval", "--set", "A"]) == 1
@@ -219,8 +226,13 @@ class TestInputChecks:
         (["rank", "--top", "0"], "--top must be >= 1, got 0"),
         (["rank", "--top", "-1"], "--top must be >= 1, got -1"),
         (["gains", "--min-test-cases", "0"],
-         "min_test_cases must be >= 1, got 0")],
-        ids=["k0", "k44", "top0", "top-1", "min-test-cases0"])
+         "min_test_cases must be >= 1, got 0"),
+        (["eval", "--regime", "retrodiction", "--train-fraction", "0.3"],
+         "--train-fraction applies to random_draw splits only"),
+        (["eval", "--regime", "retrodiction", "--model", "logistic"],
+         "--runs must be 1 for a logistic model under retrodiction")],
+        ids=["k0", "k44", "top0", "top-1", "min-test-cases0",
+             "retrodiction-train-fraction", "retrodiction-logistic-runs"])
     def test_rejected_with_exit_1(self, cmd, message, data_file, tmp_path,
                                   capsys):
         out = tmp_path / "o"

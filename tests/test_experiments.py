@@ -474,6 +474,18 @@ class TestEntryChecks:
             gain_per_ig(cases_200, n_runs=2, min_test_cases=n,
                         forest_config=FAST_FOREST)
 
+    @pytest.mark.parametrize("settings, message", [
+        ({"train_fraction": 0.5}, "train_fraction applies to random_draw"),
+        ({"train_fraction": 0.67}, "train_fraction applies to random_draw"),
+        ({"model_kind": "logistic", "n_runs": 2},
+         "n_runs must be 1 for a logistic model under retrodiction")],
+        ids=["fraction", "default-fraction", "logistic-runs"])
+    def test_retrodiction_settings(self, settings, message, cases_200):
+        with pytest.raises(ExperimentError, match=message):
+            run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
+                                 "retrodiction", forest_config=FAST_FOREST,
+                                 **settings)
+
     def test_unknown_model_kind_starts_no_pool(self, cases_200,
                                                recording_pool, monkeypatch):
         monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)

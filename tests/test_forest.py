@@ -109,36 +109,46 @@ def tree_arrays(tree):
             ("feature", "threshold", "right", "value", "n_samples")}
 
 
-def reference_grow(X, y, idx, depth, config, k, rng, importance, n_total,
+def reference_grow(X, y, idx, config, k, rng, importance, n_total,
                    fallbacks):
-    """Recursive depth-first growth with one rng.choice per splitting node
-    and brute-force split search."""
-    sub_y = y[idx]
-    n = len(idx)
-    n_pos = int(sub_y.sum())
-    node = RefNode(positive_fraction=n_pos / n, n_samples=n)
-    if (n_pos in (0, n) or n < 2 * config.min_samples_leaf
-            or (config.max_depth is not None and depth >= config.max_depth)):
-        return node
-    candidates = [int(c) for c in
-                  rng.choice(X.shape[1], size=k, replace=False)]
-    found = brute_force_best_split(X[idx], sub_y, candidates)
-    if found is None:
-        found = first_midpoint(X[idx], candidates)
-        if found is None:
-            return node
-        fallbacks.append(found)
-    f, thr, gain = found
-    left = X[idx, f] <= thr
-    if min(left.sum(), (~left).sum()) < config.min_samples_leaf:
-        return node
-    importance[f] += (n / n_total) * gain
-    node.feature_index, node.threshold = f, thr
-    node.left = reference_grow(X, y, idx[left], depth + 1, config, k, rng,
-                               importance, n_total, fallbacks)
-    node.right = reference_grow(X, y, idx[~left], depth + 1, config, k, rng,
-                                importance, n_total, fallbacks)
-    return node
+    """Level-order growth with brute-force split search. Each level makes
+    one draw for its splittable nodes, left to right: a row of uniform
+    keys per node, whose k smallest name the node's candidate columns."""
+    root = RefNode()
+    level = [(root, idx)]
+    depth = 0
+    while level:
+        splittable = []
+        for node, rows in level:
+            n = len(rows)
+            n_pos = int(y[rows].sum())
+            node.positive_fraction, node.n_samples = n_pos / n, n
+            if (0 < n_pos < n and n >= 2 * config.min_samples_leaf
+                    and (config.max_depth is None
+                         or depth < config.max_depth)):
+                splittable.append((node, rows))
+        keys = rng.random((len(splittable), X.shape[1]))
+        children = []
+        for (node, rows), node_keys in zip(splittable, keys):
+            candidates = sorted(int(c) for c in
+                                np.argsort(node_keys, kind="stable")[:k])
+            found = brute_force_best_split(X[rows], y[rows], candidates)
+            if found is None:
+                found = first_midpoint(X[rows], candidates)
+                if found is None:
+                    continue
+                fallbacks.append(found)
+            f, thr, gain = found
+            left = X[rows, f] <= thr
+            if min(left.sum(), (~left).sum()) < config.min_samples_leaf:
+                continue
+            importance[f] += (len(rows) / n_total) * gain
+            node.feature_index, node.threshold = f, thr
+            node.left, node.right = RefNode(), RefNode()
+            children += [(node.left, rows[left]), (node.right, rows[~left])]
+        level = children
+        depth += 1
+    return root
 
 
 def reference_fit_forest(matrix, config, fallbacks):
@@ -155,7 +165,7 @@ def reference_fit_forest(matrix, config, fallbacks):
             idx = np.arange(n)
         rng = np.random.default_rng(mix_seed(tree_seed, 1))
         importance = np.zeros(X.shape[1])
-        trees.append(to_tree(reference_grow(X, y, idx, 0, config, k, rng,
+        trees.append(to_tree(reference_grow(X, y, idx, config, k, rng,
                                             importance, n, fallbacks)))
         raws.append(importance)
     raw = np.mean(raws, axis=0)
@@ -394,8 +404,9 @@ class TestMapOrdered:
 
 
 class TestModelIdentity:
-    """The binned split search grows the same forests as recursive growth
-    over brute-force split search, byte for byte."""
+    """The batched level-order grower grows the same forests as level-order
+    growth one node at a time over brute-force split search, byte for
+    byte."""
 
     @staticmethod
     def _noisy_matrix():
@@ -457,15 +468,31 @@ class TestFitForests:
 
     @pytest.mark.parametrize("in_flight", [1, 4, forest.TREES_IN_FLIGHT])
     def test_equals_fitting_each_forest_alone(self, in_flight, monkeypatch):
-        monkeypatch.setattr(forest, "TREES_IN_FLIGHT", in_flight)
         m = TestModelIdentity._noisy_matrix()
         forests = self._forests(m.n_samples)
-        together = list(fit_forests(m, iter(forests)))
-        assert sorted(i for i, _ in together) == list(range(len(forests)))
-        for i, model in together:
-            rows, cfg = forests[i]
-            assert forest_to_json(model) == \
-                forest_to_json(fit_forest(m.subset(rows), cfg)), i
+        alone = [forest_to_json(fit_forest(m.subset(rows), cfg))
+                 for rows, cfg in forests]
+        # The last forest draws more candidates than the others, so a
+        # level of many trees in flight mixes candidate counts.
+        monkeypatch.setattr(forest, "TREES_IN_FLIGHT", in_flight)
+        searched = []
+        best_cuts = forest._best_cuts
+
+        def spy(view, rows, labels, row_node, node_n, *rest):
+            searched.append(len(node_n))
+            return best_cuts(view, rows, labels, row_node, node_n, *rest)
+
+        monkeypatch.setattr(forest, "_best_cuts", spy)
+        # A budget of one row searches one node per sub-step.
+        for step_rows in (1, 50, forest.STEP_ROWS):
+            monkeypatch.setattr(forest, "STEP_ROWS", step_rows)
+            searched.clear()
+            together = list(fit_forests(m, iter(forests)))
+            assert sorted(i for i, _ in together) == \
+                list(range(len(forests)))
+            for i, model in together:
+                assert forest_to_json(model) == alone[i], (step_rows, i)
+            assert (max(searched) == 1) == (step_rows == 1)
 
     def test_parallel_equals_serial(self, recording_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
