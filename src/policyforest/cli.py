@@ -202,28 +202,27 @@ def cmd_rank(args, argv) -> int:
     ex.check_positive("--top", args.top)
     cases = _load(args)
     fc = _forest_config(args)
-    domains = [args.domain] if args.domain else list(PD_LABELS)
-    for domain in domains:
-        rows = ex.rank_igs_by_domain(cases, domain, n_splits=args.runs,
-                                     base_seed=args.seed, forest_config=fc,
-                                     n_jobs=args.jobs)
+    ranked = ex.rank_igs_by_domain(
+        cases, (args.domain,) if args.domain else PD_LABELS,
+        n_splits=args.runs, base_seed=args.seed, forest_config=fc,
+        n_jobs=args.jobs)
+    for domain, rows in ranked.items():
         shown = [r for r in rows if r.rf_score_mean > 0][:args.top]
         print(f"\n{domain} (top {len(shown)}, scores x100):")
         print(f"{'feature':<42}{'RF score':>12}{'corr':>12}{'at-bats':>12}")
         lines = ["feature,rf_score_mean,rf_score_std,correlation_mean,"
                  "correlation_std,at_bats_mean,at_bats_std"]
         for r in rows:
-            corr = ("" if r.correlation_mean is None
-                    else f"{100 * r.correlation_mean:.0f}")
-            corr_std = ("" if r.correlation_std is None
-                        else f"{100 * r.correlation_std:.0f}")
+            corr = ("," if r.correlation_mean is None
+                    else f"{100 * r.correlation_mean:.0f},"
+                         f"{100 * r.correlation_std:.0f}")
             lines.append(f"{r.feature},{100 * r.rf_score_mean!r},"
-                         f"{100 * r.rf_score_std!r},{corr},{corr_std},"
+                         f"{100 * r.rf_score_std!r},{corr},"
                          f"{r.at_bats_mean!r},{r.at_bats_std!r}")
         for r in shown:
             corr = ("n/a" if r.correlation_mean is None
                     else f"{100 * r.correlation_mean:.0f} +/- "
-                         f"{100 * (r.correlation_std or 0):.0f}")
+                         f"{100 * r.correlation_std:.0f}")
             print(f"{r.feature:<42}"
                   f"{100 * r.rf_score_mean:>7.0f} +/- "
                   f"{100 * r.rf_score_std:.0f}"

@@ -6,15 +6,16 @@ Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
 execution parallelism: seeded runs are handed out in contiguous chunks
-by forest.map_chunks, each chunk grows the forests of all its runs
-together (forest.fit_forests), and callers reduce the results in run
-order.
+by one forest.map_chunks call per series (a rank's series holds every
+domain's runs), each chunk grows the forests of its runs together
+(forest.fit_forests), and callers reduce the results in run order.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import partial
+from itertools import groupby, product
 
 import numpy as np
 
@@ -69,6 +70,11 @@ def check_regime_settings(regime: str, model_kind: str, n_runs: int | None,
                               f"split is deterministic; got {n_runs}")
 
 
+def _check_choice(kind: str, value: str, choices) -> None:
+    if value not in choices:
+        raise ExperimentError(f"unknown {kind} {value!r}")
+
+
 def _check_k(k: int) -> None:
     if not (1 <= k <= len(IG_NAMES)):
         raise ExperimentError(f"k must be in [1, {len(IG_NAMES)}], got {k}")
@@ -88,37 +94,39 @@ def _runs(n_samples: int, base_seed: int, js,
         yield plan, mix_seed(run_seed, 1)
 
 
-def _split_chunk(matrix: EncodedMatrix, base_seed: int,
+def _split_chunk(matrices: list[EncodedMatrix], base_seed: int,
                  forest_config: ForestConfig, with_logistic: bool,
-                 n_jobs: int, js: list[int]) -> list:
-    """Runs js of a seeded split series (_runs): each fits a forest and,
-    with_logistic, a logistic model on the run's train rows.
+                 n_jobs: int, items) -> list:
+    """Items (g, j): run j of the seeded split series (_runs) of
+    matrices[g] fits a forest and, with_logistic, a logistic model on its
+    train rows; the forests of one matrix's runs grow together. Returns
+    (plan, forest Gini importance, {name: |beta|} or None) per item."""
+    out = []
+    for g, group in groupby(items, key=lambda item: item[0]):
+        matrix = matrices[g]
+        runs = list(_runs(matrix.n_samples, base_seed, [j for _, j in group]))
+        forests = [(plan.train_indices, replace(forest_config, seed=seed))
+                   for plan, seed in runs]
+        gini = {i: model.gini_importance
+                for i, model in rf.fit_forests(matrix, forests, n_jobs)}
+        for i, (plan, _) in enumerate(runs):
+            betas = None
+            if with_logistic:
+                betas = dict(lr.coefficient_ranking(
+                    lr.fit(matrix.subset(plan.train_indices))))
+            out.append((plan, gini[i], betas))
+    return out
 
-    Returns (plan, forest Gini importance, {name: |beta|} or None) per
-    run, in run order.
-    """
-    runs = list(_runs(matrix.n_samples, base_seed, js))
-    forests = [(plan.train_indices, replace(forest_config, seed=seed))
-               for plan, seed in runs]
-    gini = [None] * len(js)
-    for i, model in rf.fit_forests(matrix, forests, n_jobs):
-        gini[i] = model.gini_importance
-    betas = [None] * len(js)
-    if with_logistic:
-        betas = [dict(lr.coefficient_ranking(
-                     lr.fit(matrix.subset(plan.train_indices))))
-                 for plan, _ in runs]
-    return [(plan, g, b) for (plan, _), g, b in zip(runs, gini, betas)]
 
-
-def _split_forests(matrix: EncodedMatrix, n_splits: int, base_seed: int,
-                   forest_config: ForestConfig, n_jobs: int, first: int = 0,
-                   with_logistic: bool = False) -> list:
-    """_split_chunk for runs first .. first + n_splits - 1, in run order,
-    on up to n_jobs worker processes."""
-    chunk = partial(_split_chunk, matrix, base_seed, forest_config,
+def _split_forests(matrices: list[EncodedMatrix], n_splits: int,
+                   base_seed: int, forest_config: ForestConfig, n_jobs: int,
+                   first: int = 0, with_logistic: bool = False) -> list:
+    """_split_chunk for runs first .. first + n_splits - 1 of every matrix,
+    in (matrix, run) order, in one map on up to n_jobs worker processes."""
+    chunk = partial(_split_chunk, matrices, base_seed, forest_config,
                     with_logistic)
-    return map_chunks(chunk, range(first, first + n_splits), n_jobs)
+    items = product(range(len(matrices)), range(first, first + n_splits))
+    return map_chunks(chunk, items, n_jobs)
 
 
 def _logistic_scores(matrix: EncodedMatrix, plan: SplitPlan) -> tuple:
@@ -239,10 +247,8 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
     train_fraction; n_runs (default 1) forest refits with different model
     seeds quantify fit randomness only, and a logistic model runs once.
     """
-    if regime not in REGIMES:
-        raise ExperimentError(f"unknown regime {regime!r}")
-    if model_kind not in MODEL_KINDS:
-        raise ExperimentError(f"unknown model kind {model_kind!r}")
+    _check_choice("regime", regime, REGIMES)
+    _check_choice("model kind", model_kind, MODEL_KINDS)
     if n_runs is None:
         n_runs = 25 if regime == "random_draw" else 1
     check_positive("n_runs", n_runs)
@@ -269,33 +275,33 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
 # Preference-outcome correlation (at-bats weighted)
 
 
+def _stance_correlations(X: np.ndarray, y: np.ndarray,
+                         names: list[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(corr, at-bats) per column of X, named by names: at-bats counts the
+    rows whose stance x is non-zero, and corr = (0.5/at_bats) * (sum of x
+    over adopted - sum over rejected), each sum in row order (0 with no
+    at-bats). P90 is rescaled to [-2,2] and its noncommittal band zeroed."""
+    stances = np.array(X, dtype=float)
+    if "P90" in names:
+        p = names.index("P90")
+        stances[:, p] = [zero_noncommittal(rescale_p90(v)) for v in X[:, p]]
+    at_bats = np.count_nonzero(stances, axis=0)
+    sums = np.zeros((2, len(names)))
+    np.add.at(sums, y, stances)  # sums[y[i]] += stances[i], i in order
+    return 0.5 / np.maximum(at_bats, 1) * (sums[1] - sums[0]), at_bats
+
+
 def ig_outcome_correlation(cases: list[PolicyCase],
                            feature: str) -> tuple[float | None, int]:
-    """Correlation of a feature's non-neutral stances with outcomes.
-
-    corr = (0.5/at_bats) * (sum of x over adopted - sum over rejected),
-    over cases where the stance is non-zero. For "P90" the preference is
-    first rescaled to [-2,2] and the noncommittal band zeroed. Returns
-    (None, 0) when the feature was never at bat.
-    """
-    if feature != "P90" and feature not in IG_NAMES:
-        raise ExperimentError(f"unknown feature {feature!r}")
-    pairs: list[tuple[float, int]] = []
-    for c in cases:
-        if feature == "P90":
-            if c.p90 is None:
-                continue
-            v = zero_noncommittal(rescale_p90(c.p90))
-        else:
-            v = float(c.alignment(feature))
-        if v != 0.0:
-            pairs.append((v, c.outcome))
-    at_bats = len(pairs)
-    if at_bats == 0:
-        return None, 0
-    pos_sum = sum(v for v, y in pairs if y == 1)
-    neg_sum = sum(v for v, y in pairs if y == 0)
-    return 0.5 / at_bats * (pos_sum - neg_sum), at_bats
+    """(correlation, at-bats) of one feature's stances with the outcomes
+    of cases, those with a P90 for "P90" (_stance_correlations); (None, 0)
+    when the feature was never at bat."""
+    _check_choice("feature", feature, ("P90", *IG_NAMES))
+    p90 = feature == "P90"
+    m = encode(cases, FeatureSetSpec("custom", p90, False,
+                                     () if p90 else (feature,), "none"))
+    corr, at_bats = _stance_correlations(m.X, m.y, m.column_names)
+    return (float(corr[0]) if at_bats[0] else None), int(at_bats[0])
 
 
 # ---------------------------------------------------------------------------
@@ -313,56 +319,54 @@ class DomainRankingRow:
     at_bats_std: float
 
 
-def _ranking_spec() -> FeatureSetSpec:
-    return FeatureSetSpec("custom", use_p90=True, use_net_iga=False,
-                          ig_subset=IG_NAMES, policy_encoding="none")
+# P90 and every IG, no policy columns: the ranking and selection features.
+_RANKING_SPEC = FeatureSetSpec("custom", True, False, IG_NAMES, "none")
 
 
-def rank_igs_by_domain(cases: list[PolicyCase], domain: str,
+def rank_igs_by_domain(cases: list[PolicyCase],
+                       domains: tuple[str, ...] = PD_LABELS,
                        n_splits: int = 21, base_seed: int = 0,
                        forest_config: ForestConfig = ForestConfig(),
-                       n_jobs: int = 1) -> list[DomainRankingRow]:
-    """Rank P90 and the IGs by averaged Gini importance within one domain.
+                       n_jobs: int = 1) -> dict[str, list[DomainRankingRow]]:
+    """Rank P90 and the IGs by averaged Gini importance within each domain,
+    over its cases that have a P90; returns {domain: rows}, each domain's
+    rows by falling importance.
 
-    Correlations and at-bats are computed on each split's test cases and
-    reported as mean +/- std over splits.
+    Every domain is checked before any forest is fit. Then the runs of
+    all domains go to one worker map; run j of every domain splits with
+    seed mix_seed(base_seed, j). Correlations and at-bats are computed on
+    each split's test rows; every figure is a mean +/- std over splits.
     """
     check_positive("n_splits", n_splits)
-    if domain not in PD_LABELS:
-        raise ExperimentError(f"unknown policy domain {domain!r}")
-    sub = [c for c in cases if c.policy_domain == domain and c.p90 is not None]
-    n_pos = sum(c.outcome for c in sub)
-    if len(sub) < 2 or n_pos == 0 or n_pos == len(sub):
-        raise ExperimentError(f"domain {domain!r} is degenerate: cannot rank "
-                              f"({len(sub)} usable cases, {n_pos} positive)")
-    matrix = encode(sub, _ranking_spec())
-    names = matrix.column_names
-
-    importances = np.zeros((n_splits, matrix.n_features))
-    corrs: dict[str, list[float]] = {name: [] for name in names}
-    at_bats: dict[str, list[int]] = {name: [] for name in names}
-    for j, (plan, importance, _) in enumerate(_split_forests(
-            matrix, n_splits, base_seed, forest_config, n_jobs)):
-        importances[j] = importance
-        test_cases = [sub[i] for i in plan.test_indices]
-        for name in names:
-            corr, n_ab = ig_outcome_correlation(test_cases, name)
-            at_bats[name].append(n_ab)
-            if corr is not None:
-                corrs[name].append(corr)
-
-    rows = []
-    for f, name in enumerate(names):
-        score_mean, score_std = _mean_std(importances[:, f])
-        if corrs[name]:
-            corr_mean, corr_std = _mean_std(corrs[name])
-        else:
-            corr_mean = corr_std = None
-        ab_mean, ab_std = _mean_std(at_bats[name])
-        rows.append(DomainRankingRow(name, score_mean, score_std,
-                                     corr_mean, corr_std, ab_mean, ab_std))
-    rows.sort(key=lambda r: (-r.rf_score_mean, names.index(r.feature)))
-    return rows
+    matrices = []
+    for domain in domains:
+        _check_choice("policy domain", domain, PD_LABELS)
+        matrix = encode([c for c in cases if c.policy_domain == domain],
+                        _RANKING_SPEC)
+        n, n_pos = matrix.n_samples, int(matrix.y.sum())
+        if n < 2 or n_pos == 0 or n_pos == n:
+            raise ExperimentError(f"domain {domain!r} is degenerate: cannot "
+                                  f"rank ({n} usable cases, {n_pos} positive)")
+        matrices.append(matrix)
+    splits = _split_forests(matrices, n_splits, base_seed, forest_config,
+                            n_jobs)
+    ranked = {}
+    for g, (domain, matrix) in enumerate(zip(domains, matrices)):
+        runs = splits[g * n_splits:(g + 1) * n_splits]
+        importances = np.array([importance for _, importance, _ in runs])
+        corrs, at_bats = map(np.array, zip(*(
+            _stance_correlations(test.X, test.y, matrix.column_names)
+            for test in (matrix.subset(plan.test_indices)
+                         for plan, _, _ in runs))))
+        rows = []
+        for f, name in enumerate(matrix.column_names):
+            seen = at_bats[:, f] > 0
+            corr = _mean_std(corrs[seen, f]) if seen.any() else (None, None)
+            rows.append(DomainRankingRow(name, *_mean_std(importances[:, f]),
+                                         *corr, *_mean_std(at_bats[:, f])))
+        # A stable sort: equal scores keep column order.
+        ranked[domain] = sorted(rows, key=lambda r: -r.rf_score_mean)
+    return ranked
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +391,7 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
 
     acc = np.zeros(matrix.n_features)
-    for _, importance, _ in _split_forests(matrix, n_splits, base_seed,
+    for _, importance, _ in _split_forests([matrix], n_splits, base_seed,
                                            forest_config, n_jobs):
         acc += importance
     chosen = _top_k(acc[ig_cols], k)
@@ -545,7 +549,7 @@ def _select_subsets(matrix: EncodedMatrix, k: int, n_splits: int,
     ig_cols = {name: matrix.column_names.index(name) for name in IG_NAMES}
     gini_acc = np.zeros(len(IG_NAMES))
     beta_acc = np.zeros(len(IG_NAMES))
-    for _, gini, mags in _split_forests(matrix, n_splits, base_seed,
+    for _, gini, mags in _split_forests([matrix], n_splits, base_seed,
                                         forest_config, n_jobs, first=10_000,
                                         with_logistic=True):
         for i, name in enumerate(IG_NAMES):
@@ -567,41 +571,37 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     """
     _check_k(k)
     check_positive("n_splits", n_splits)
+    for regime in regimes:
+        _check_choice("regime", regime, REGIMES)
     rf_chosen, lg_chosen = _select_subsets(
-        encode(cases, _ranking_spec()), k, n_splits, base_seed, forest_config,
+        encode(cases, _RANKING_SPEC), k, n_splits, base_seed, forest_config,
         n_jobs)
 
-    specs = {
-        "rf_gini": FeatureSetSpec("custom", True, False, rf_chosen, "none"),
-        "logistic_beta": FeatureSetSpec("custom", True, False, lg_chosen,
-                                        "none"),
-    }
+    specs = {"rf_gini": replace(_RANKING_SPEC, ig_subset=rf_chosen),
+             "logistic_beta": replace(_RANKING_SPEC, ig_subset=lg_chosen)}
     cells: list[SelectorCell] = []
     gains: list[SelectorGain] = []
     for model_kind in MODEL_KINDS:
         for regime in regimes:
+            n_runs = n_splits
+            if regime == "retrodiction" and model_kind == "logistic":
+                n_runs = 1  # deterministic on a fixed split
             per_sel: dict[str, EvalReport] = {}
             for sel, spec in specs.items():
-                n_runs = n_splits
-                if regime == "retrodiction" and model_kind == "logistic":
-                    n_runs = 1  # deterministic on a fixed split
-                per_sel[sel] = run_feature_set_eval(
+                rep = per_sel[sel] = run_feature_set_eval(
                     cases, spec, regime, model_kind, n_runs=n_runs,
                     base_seed=base_seed, forest_config=forest_config,
                     n_jobs=n_jobs)
-                rep = per_sel[sel]
                 cells.append(SelectorCell(
                     model_kind, sel, regime,
                     rep.balanced_accuracy_mean, rep.balanced_accuracy_std,
                     rep.auc_mean, rep.auc_std))
             a, b = per_sel["rf_gini"].runs, per_sel["logistic_beta"].runs
-            ba_diffs = [x.balanced_accuracy - y.balanced_accuracy
-                        for x, y in zip(a, b)]
-            auc_diffs = [x.auc - y.auc for x, y in zip(a, b)]
-            ba_m, ba_s = _mean_std(ba_diffs)
-            auc_m, auc_s = _mean_std(auc_diffs)
-            gains.append(SelectorGain(model_kind, regime, ba_m, ba_s,
-                                      auc_m, auc_s))
+            gains.append(SelectorGain(
+                model_kind, regime,
+                *_mean_std(x.balanced_accuracy - y.balanced_accuracy
+                           for x, y in zip(a, b)),
+                *_mean_std(x.auc - y.auc for x, y in zip(a, b))))
     return SelectorComparison(rf_chosen=rf_chosen, logistic_chosen=lg_chosen,
                               cells=cells, gains=gains, base_seed=base_seed)
 
@@ -647,8 +647,7 @@ def nonlinearity_case_study(cases: list[PolicyCase],
     Protocol: a single fit on all qualifying cases, evaluated in-sample
     at each model's own best operating point.
     """
-    if pivot_ig not in IG_NAMES:
-        raise ExperimentError(f"unknown IG {pivot_ig!r}")
+    _check_choice("IG", pivot_ig, IG_NAMES)
     sub = [c for c in cases
            if c.policy_domain == domain and c.p90 is not None
            and c.alignment(pivot_ig) != 0]

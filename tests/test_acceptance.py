@@ -331,13 +331,16 @@ def test_feature_set_accuracy(real_cases):
 @needs_data
 @criterion(11, "per-domain feature rankings match published ordering")
 def test_domain_rankings(real_cases):
-    foreign = rank_igs_by_domain(real_cases, "Foreign", n_jobs=4)
+    ranked = rank_igs_by_domain(real_cases,
+                                ("Foreign", "Guns", "Social Welfare"),
+                                n_jobs=4)
+    foreign = ranked["Foreign"]
     assert foreign[0].feature == "P90"
     assert foreign[1].feature == "Defense Contractors"
-    guns = rank_igs_by_domain(real_cases, "Guns", n_jobs=4)
+    guns = ranked["Guns"]
     active = {r.feature for r in guns if r.rf_score_mean > 0}
     assert active == {"P90", "National Rifle Association"}
-    welfare = rank_igs_by_domain(real_cases, "Social Welfare", n_jobs=4)
+    welfare = ranked["Social Welfare"]
     top_ig = next(r.feature for r in welfare if r.feature != "P90")
     assert top_ig == "AARP"
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -182,6 +183,20 @@ class TestDerivedCommands:
         assert code == 0
         assert "Economic" in capsys.readouterr().out
 
+    def test_rank_checks_every_domain_before_writing(self, tmp_path,
+                                                     capsys):
+        # Guns comes after three domains that rank, and has one class.
+        cases = [dataclasses.replace(c, outcome=1)
+                 if c.policy_domain == "Guns" else c
+                 for c in make_cases(200, seed=7)]
+        data = tmp_path / "cases.csv"
+        data.write_text(dump_cases(cases))
+        out = tmp_path / "o"
+        assert main(["rank", "--data", str(data), "--runs", "2",
+                     "--trees", "4", "--out", str(out)]) == 1
+        assert "'Guns' is degenerate" in capsys.readouterr().err
+        assert not list(out.glob("ranking_*.csv"))
+
     def test_gains(self, data_file, tmp_path, capsys):
         out = tmp_path / "g"
         assert main(["gains", "--data", data_file, "--runs", "2",
@@ -281,17 +296,31 @@ class TestJobs:
         "case_study": ["case-study", "--pivot", "AARP"],
     }
 
-    @pytest.mark.parametrize("name", sorted(COMMANDS))
-    def test_reports_identical_serial_and_parallel(self, name, data_file,
-                                                   tmp_path):
+    @staticmethod
+    def _serial_and_parallel(cmd, data, tmp_path):
         bodies = []
         for jobs in ("1", "2"):
             out = tmp_path / f"jobs{jobs}"
-            assert main(self.COMMANDS[name] + [
-                "--data", data_file, "--trees", "6", "--seed", "4",
-                "--jobs", jobs, "--out", str(out)]) == 0
+            assert main(cmd + ["--data", data, "--trees", "6", "--seed", "4",
+                               "--jobs", jobs, "--out", str(out)]) == 0
             bodies.append(_bodies(out))
+        return bodies
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_reports_identical_serial_and_parallel(self, name, data_file,
+                                                   tmp_path):
+        bodies = self._serial_and_parallel(self.COMMANDS[name], data_file,
+                                           tmp_path)
         assert bodies[0] and bodies[0] == bodies[1]
+
+    def test_rank_all_domains_identical_serial_and_parallel(self, tmp_path):
+        # Every domain of these cases ranks; at --jobs 2 the first chunk
+        # holds the runs of three domains.
+        data = tmp_path / "cases.csv"
+        data.write_text(dump_cases(make_cases(200, seed=7)))
+        bodies = self._serial_and_parallel(["rank", "--runs", "3"],
+                                           str(data), tmp_path)
+        assert len(bodies[0]) == 6 and bodies[0] == bodies[1]
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_below_one_rejected(self, jobs, data_file, tmp_path, capsys):

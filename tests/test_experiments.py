@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from policyforest import experiments, forest
-from policyforest.dataset import (IG_NAMES, FeatureSetSpec, PolicyCase,
-                                  encode)
-from policyforest.experiments import (ExperimentError, build_set_c,
+from policyforest.dataset import (IG_NAMES, PD_LABELS, FeatureSetSpec,
+                                  PolicyCase, encode, random_split)
+from policyforest.experiments import (TRAIN_FRACTION, ExperimentError,
+                                      build_set_c,
                                       compare_selectors, gain_per_ig,
                                       ig_outcome_correlation,
                                       nonlinearity_case_study,
                                       rank_igs_by_domain,
                                       run_feature_set_eval)
-from policyforest.forest import ForestConfig
+from policyforest.forest import ForestConfig, mix_seed
 from conftest import make_cases
 
 FAST_FOREST = ForestConfig(n_trees=15, min_samples_leaf=2)
@@ -213,14 +214,16 @@ class TestRankIgsByDomain:
         return cases
 
     def test_planted_ig_outranks_noise(self):
-        rows = rank_igs_by_domain(self._planted_domain_cases(), "Guns",
-                                  n_splits=5, forest_config=FAST_FOREST)
+        rows = rank_igs_by_domain(self._planted_domain_cases(), ("Guns",),
+                                  n_splits=5,
+                                  forest_config=FAST_FOREST)["Guns"]
         assert rows[0].feature == NRA
         assert rows[0].at_bats_mean > 0
 
     def test_rows_sorted_by_score(self):
-        rows = rank_igs_by_domain(self._planted_domain_cases(), "Guns",
-                                  n_splits=3, forest_config=FAST_FOREST)
+        rows = rank_igs_by_domain(self._planted_domain_cases(), ("Guns",),
+                                  n_splits=3,
+                                  forest_config=FAST_FOREST)["Guns"]
         scores = [r.rf_score_mean for r in rows]
         assert scores == sorted(scores, reverse=True)
 
@@ -228,11 +231,37 @@ class TestRankIgsByDomain:
         align = np.zeros(len(IG_NAMES), dtype=int)
         cases = [_case(i, 1, 0.5, align) for i in range(10)]
         with pytest.raises(ExperimentError, match="Guns"):
-            rank_igs_by_domain(cases, "Guns", n_splits=2)
+            rank_igs_by_domain(cases, ("Guns",), n_splits=2)
 
     def test_unknown_domain(self):
-        with pytest.raises(ExperimentError):
-            rank_igs_by_domain([], "Outer Space")
+        with pytest.raises(ExperimentError, match="Outer Space"):
+            rank_igs_by_domain([], ("Outer Space",))
+
+    def test_domain_rows_do_not_depend_on_other_domains(self, cases_200):
+        alone = rank_igs_by_domain(cases_200, ("Guns",), n_splits=2,
+                                   base_seed=3, forest_config=FAST_FOREST)
+        every = rank_igs_by_domain(cases_200, n_splits=2, base_seed=3,
+                                   forest_config=FAST_FOREST)
+        assert list(every) == list(PD_LABELS)
+        assert every["Guns"] == alone["Guns"]
+
+    def test_correlations_are_means_over_test_splits(self, cases_200):
+        seed, n_splits = 5, 3
+        rows = rank_igs_by_domain(cases_200, ("Misc",), n_splits=n_splits,
+                                  base_seed=seed,
+                                  forest_config=FAST_FOREST)["Misc"]
+        sub = [c for c in cases_200
+               if c.policy_domain == "Misc" and c.p90 is not None]
+        tests = [[sub[i] for i in random_split(
+                     len(sub), TRAIN_FRACTION, mix_seed(seed, j)).test_indices]
+                 for j in range(n_splits)]
+        for row in rows:
+            per_split = [ig_outcome_correlation(t, row.feature)
+                         for t in tests]
+            corrs = [corr for corr, _ in per_split if corr is not None]
+            assert row.at_bats_mean == np.mean([n for _, n in per_split])
+            assert row.correlation_mean == (np.mean(corrs) if corrs
+                                            else None)
 
 
 class TestBuildSetC:
@@ -386,10 +415,16 @@ class TestWorkerFanOut:
                              forest_config=FAST_FOREST, n_jobs=2)
         gain_per_ig(cases_200, n_runs=3, forest_config=FAST_FOREST,
                     n_jobs=2)
-        rank_igs_by_domain(cases_200, "Economic", n_splits=3,
+        rank_igs_by_domain(cases_200, ("Economic",), n_splits=3,
                            forest_config=FAST_FOREST, n_jobs=2)
         # Three runs on two workers: chunks of two runs and one run.
         assert recording_pool == [(2, 1)] * 3
+
+    def test_all_domains_share_one_pool(self, cases_200, recording_pool):
+        rank_igs_by_domain(cases_200, n_splits=2, forest_config=FAST_FOREST,
+                           n_jobs=2)
+        # Six domains' twelve runs on two workers, one chunk each.
+        assert recording_pool == [(2, 1)]
 
     def test_single_run_fans_out_trees(self, cases_200, recording_pool):
         run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
@@ -405,7 +440,7 @@ class TestRunCounts:
             cases, FeatureSetSpec.set_a(), "random_draw", n_runs=n,
             forest_config=FAST_FOREST), "n_runs"),
         "rank": (lambda cases, n: rank_igs_by_domain(
-            cases, "Economic", n_splits=n, forest_config=FAST_FOREST),
+            cases, ("Economic",), n_splits=n, forest_config=FAST_FOREST),
             "n_splits"),
         "set_c": (lambda cases, n: build_set_c(
             cases, k=3, n_splits=n, forest_config=FAST_FOREST), "n_splits"),
@@ -493,4 +528,13 @@ class TestEntryChecks:
             run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
                                  "random_draw", model_kind="tree", n_runs=3,
                                  forest_config=FAST_FOREST, n_jobs=2)
+        assert recording_pool == []
+
+    def test_unknown_regime_starts_no_pool(self, cases_200, recording_pool,
+                                           monkeypatch):
+        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        with pytest.raises(ExperimentError, match="unknown regime 'retro'"):
+            compare_selectors(cases_200, k=3,
+                              regimes=("random_draw", "retro"), n_splits=3,
+                              forest_config=FAST_FOREST, n_jobs=2)
         assert recording_pool == []
