@@ -332,7 +332,8 @@ def rank_igs_by_domain(cases: list[PolicyCase],
     over its cases that have a P90; returns {domain: rows}, each domain's
     rows by falling importance.
 
-    Every domain is checked before any forest is fit. Then the runs of
+    Every domain, and the training labels of each of its runs, is checked
+    before any forest is fit. Then the runs of
     all domains go to one worker map; run j of every domain splits with
     seed mix_seed(base_seed, j). Correlations and at-bats are computed on
     each split's test rows; every figure is a mean +/- std over splits.
@@ -347,6 +348,13 @@ def rank_igs_by_domain(cases: list[PolicyCase],
         if n < 2 or n_pos == 0 or n_pos == n:
             raise ExperimentError(f"domain {domain!r} is degenerate: cannot "
                                   f"rank ({n} usable cases, {n_pos} positive)")
+        for j, (plan, _) in enumerate(_runs(n, base_seed, range(n_splits))):
+            train = matrix.y[list(plan.train_indices)]
+            if train.min() == train.max():
+                raise ExperimentError(
+                    f"domain {domain!r}, run {j + 1} of {n_splits}: the "
+                    f"{len(train)} training cases have a single class; "
+                    f"cannot rank")
         matrices.append(matrix)
     splits = _split_forests(matrices, n_splits, base_seed, forest_config,
                             n_jobs)

@@ -12,7 +12,7 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from itertools import starmap
 
 import numpy as np
@@ -84,9 +84,9 @@ def _in_worker(fn, chunk) -> list:
 # against float noise on splits that are exactly neutral).
 GAIN_EPS = 1e-12
 
-# Trees grown at once, one depth level per pass, and the rows one sub-step
-# of a pass may search. More of either spreads the per-call NumPy cost
-# over more nodes but holds more memory.
+# Trees grown at once, one depth level per pass, and the distinct rows one
+# sub-step of a pass may search. More of either spreads the per-call NumPy
+# cost over more nodes but holds more memory.
 TREES_IN_FLIGHT = 32
 STEP_ROWS = 3072
 
@@ -114,6 +114,8 @@ class ForestConfig:
             raise ForestError("features_per_split must be >= 1")
 
     def resolve_features_per_split(self, n_features: int) -> int:
+        if n_features < 1:
+            raise ForestError("cannot fit a tree on a matrix without columns")
         if self.features_per_split == "sqrt":
             return min(n_features, math.ceil(math.sqrt(n_features)))
         if self.features_per_split > n_features:
@@ -190,18 +192,36 @@ class BinnedMatrix:
     def n_features(self) -> int:
         return self.X.shape[1]
 
+    @cached_property
+    def widest(self) -> int:
+        """The column with the most bins, the lowest of equals."""
+        return int(np.argmax(np.diff(self.bin_start)))
+
+
+def _sample(view: BinnedMatrix, rows: np.ndarray, counts: np.ndarray):
+    """A sample as its distinct rows and their repeat counts, two arrays
+    over its slots, in the order of view's widest column, stable by slot."""
+    keep = counts.nonzero()[0]
+    keep = keep[np.argsort(view.codes[rows[keep], view.widest],
+                           kind="stable")]
+    return rows[keep], counts[keep]
+
 
 def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
                row_node: np.ndarray, node_n: np.ndarray,
-               node_pos: np.ndarray, cands: np.ndarray):
+               node_pos: np.ndarray, cands: np.ndarray, counts: np.ndarray):
     """Best cut of each node of one growth step, all nodes at once.
 
-    rows holds the nodes' rows back to back (node_n[i] rows for node i,
-    node_pos[i] of them positive), labels their labels as booleans and
-    row_node the node of each. cands[i] holds node i's candidate columns
-    in ascending order. Each (node, candidate) lane counts rows and
-    positives per bin of its column, in one table for all lanes; each cut
-    lies between two adjacent bins present in its node.
+    rows holds the nodes' distinct rows back to back, each node's in the
+    order of view's widest column; counts their repeats, labels their
+    labels as booleans and row_node the node of each. Node i has node_n[i]
+    rows, node_pos[i] of them positive, repeats included. cands[i] holds
+    node i's candidate columns in ascending order. Each (node, candidate)
+    lane sums the counts of its rows, and of its positive rows, per value
+    of its column, in one table for all lanes: a lane of the widest
+    column has one slot per run of equal values in its node, any other
+    lane one slot per bin of its column. Each cut lies between two
+    adjacent values present in its node.
 
     Returns per node (feature, threshold, gain): the cut with the largest
     weighted Gini decrease, ties to the lowest column, then the lowest
@@ -214,22 +234,49 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     feature = np.full(m, -1)
     threshold = np.zeros(m)
     gain_out = np.zeros(m)
+    wide = view.widest
+    # Rows of the nodes that search the widest column. A node's rows are
+    # in that column's order, so its values there come in runs.
+    at_wide = cands == wide
+    wide_rows = np.flatnonzero(at_wide.any(axis=1)[row_node])
+    wide_node = row_node[wide_rows]
+    wide_code = view.codes[rows[wide_rows], wide]
+    new_run = np.ones(len(wide_rows), dtype=bool)
+    new_run[1:] = ((wide_code[1:] != wide_code[:-1])
+                   | (wide_node[1:] != wide_node[:-1]))
+    node_runs = np.bincount(wide_node[new_run], minlength=m)
+    first_run = np.cumsum(node_runs) - node_runs
     lane_feature = cands.ravel()
-    lane_bins = view.bin_start[lane_feature + 1] - view.bin_start[lane_feature]
+    lane_bins = np.where(
+        at_wide.ravel(), np.repeat(node_runs, k),
+        view.bin_start[lane_feature + 1] - view.bin_start[lane_feature])
     lane_table = np.cumsum(lane_bins) - lane_bins
-    # Table slot of each (row, candidate) cell, in node then column order.
-    cell = (rows * view.n_features)[:, None] + cands[row_node]
-    key = view.codes.ravel()[cell] + lane_table.reshape(m, k)[row_node]
     size = int(lane_bins.sum())
-    counts = np.bincount(key.ravel(), minlength=size)
-    pos = np.bincount(key[labels].ravel(), minlength=size)
-    present = counts.nonzero()[0]
+    # Code of each (row, candidate) cell, in node then column order; in
+    # the widest column, the rank of the row's run in its node.
+    node_slots = np.bincount(row_node, minlength=m)
+    cell = np.repeat(cands, node_slots, axis=0)
+    cell += (rows * view.n_features)[:, None]
+    code = view.codes.ravel()[cell]
+    np.put(code, wide_rows * k + at_wide.argmax(axis=1)[wide_node],
+           np.cumsum(new_run) - 1 - first_run[wide_node])
+    # A positive row's cells count size slots higher. The running sums
+    # over the table stay within k times the nodes' rows, repeats
+    # included, far under 2**53, so its floats are exact integers.
+    key = np.repeat(lane_table.reshape(m, k), node_slots, axis=0)
+    key += (size * labels)[:, None]
+    key += code
+    table = np.bincount(key.ravel(), np.repeat(counts.astype(float), k),
+                        minlength=2 * size)
+    pos = table[size:]
+    total = table[:size] + pos
+    present = total.nonzero()[0]
     lane = np.searchsorted(lane_table, present, side="right") - 1
     # Every lane holds all of its node's rows, so the running counts over
     # the table restart at each lane's first row.
     lane_n = np.repeat(node_n, k)
     lane_pos = np.repeat(node_pos, k)
-    n_left = counts[present].cumsum() - (np.cumsum(lane_n) - lane_n)[lane]
+    n_left = total[present].cumsum() - (np.cumsum(lane_n) - lane_n)[lane]
     pos_left = pos[present].cumsum() - (np.cumsum(lane_pos) - lane_pos)[lane]
     cut = (n_left < lane_n[lane]).nonzero()[0]
     if cut.size == 0:
@@ -251,7 +298,8 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
 
     # Cuts come in (node, column, value) order: each node's first maximum
     # is its tie-broken best.
-    new_node = np.diff(node, prepend=-1) != 0
+    new_node = np.ones(len(node), dtype=bool)
+    new_node[1:] = node[1:] != node[:-1]
     starts = new_node.nonzero()[0]
     best = np.maximum.reduceat(gain, starts)
     at_best = np.where(gain == best[new_node.cumsum() - 1],
@@ -260,11 +308,16 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     chosen = np.where(positive, np.minimum.reduceat(at_best, starts), starts)
     lanes = cut_lane[chosen]
     col = lane_feature[lanes]
-    low = present[cut[chosen]] - lane_table[lanes] + view.bin_start[col]
-    high = low + present[cut[chosen] + 1] - present[cut[chosen]]
     at = node[chosen]
+    low, high = present[cut[chosen] + [[0], [1]]] - lane_table[lanes]
+    # A run's rank maps back to its bin through the run's first row.
+    ranked = col == wide
+    run_code = wide_code[new_run]
+    low[ranked] = run_code[first_run[at[ranked]] + low[ranked]]
+    high[ranked] = run_code[first_run[at[ranked]] + high[ranked]]
     feature[at] = col
-    threshold[at] = 0.5 * (view.bin_values[low] + view.bin_values[high])
+    threshold[at] = 0.5 * (view.bin_values[view.bin_start[col] + low]
+                           + view.bin_values[view.bin_start[col] + high])
     gain_out[at] = np.where(positive, best, 0.0)
     return feature, threshold, gain_out
 
@@ -288,38 +341,46 @@ def best_split(X: np.ndarray | BinnedMatrix, y: np.ndarray,
     if n_pos == 0 or n_pos == n:
         return None
     cands = np.unique(np.asarray(list(candidate_features), dtype=int))
-    f, thr, gain = _best_cuts(view, np.arange(n), y != 0,
-                              np.zeros(n, dtype=int), np.array([n]),
-                              np.array([n_pos]), cands[None, :])
+    if cands.size == 0:
+        return None
+    f, thr, gain = _search(view, y != 0, _sample(view, np.arange(n),
+                                                 np.ones(n, dtype=int)),
+                           np.array([0]), np.array([n]), np.array([n]),
+                           np.array([n_pos]), cands[None, :])[:3]
     if gain[0] <= GAIN_EPS:
         return None
     return int(f[0]), float(thr[0]), float(gain[0])
 
 
 class _Tree:
-    """One tree being grown level by level: its sample, permuted in place
-    so that every node's rows are one contiguous range of it; front, the
-    nodes of its current level left to right as a (3, nodes) array of
-    first row, rows and positives; and its finished levels, each a (6,
-    nodes) float array holding per node its first row, rows, positive
-    fraction, feature (-1 for a leaf), threshold and sample-weighted
-    impurity decrease. Counts and features are exact as floats."""
+    """One tree being grown level by level: its sample (see _sample),
+    permuted in place so that every node's rows are one contiguous range
+    of slots, in widest-column order within it; front, the nodes of its
+    current level left to right as a (4, nodes) array of first slot,
+    slots, rows and positives, rows and positives counting repeats; and
+    its finished levels, each a (6, nodes) float array holding per node
+    its first slot, rows, positive fraction, feature (-1 for a leaf),
+    threshold and sample-weighted impurity decrease. Counts and features
+    are exact as floats."""
 
     __slots__ = ("key", "sample", "rng", "k", "min_leaf", "max_depth",
                  "n_total", "depth", "front", "levels")
 
-    def __init__(self, key, sample: np.ndarray, config: ForestConfig,
-                 seed: int, labels: np.ndarray, n_features: int):
+    def __init__(self, key, rows: np.ndarray, counts: np.ndarray,
+                 config: ForestConfig, seed: int, view: BinnedMatrix,
+                 labels: np.ndarray):
         self.key = key
-        self.sample = sample
+        self.k = config.resolve_features_per_split(view.n_features)
+        self.sample = _sample(view, rows, counts)
         self.rng = np.random.default_rng(seed)
-        self.k = config.resolve_features_per_split(n_features)
         self.min_leaf = config.min_samples_leaf
         self.max_depth = (math.inf if config.max_depth is None
                           else config.max_depth)
-        self.n_total = len(sample)
+        rows, counts = self.sample
+        self.n_total = counts.sum()
         self.depth = 0
-        self.front = np.array([[0], [len(sample)], [labels[sample].sum()]])
+        self.front = np.array([[0], [len(rows)], [self.n_total],
+                               [counts[labels[rows]].sum()]])
         self.levels = []
 
     def tree(self, n_features: int) -> tuple[Tree, np.ndarray]:
@@ -336,8 +397,8 @@ class _Tree:
         # right, so split s (in level order) has children 2s + 1, 2s + 2.
         right = np.full(len(n), -1, dtype=np.int32)
         right[inner] = 2 * np.arange(inner.sum()) + 2
-        # A left child's rows start where its parent's do, and a right
-        # child's after its left sibling's: (first row, depth) order is
+        # A left child's slots start where its parent's do, and a right
+        # child's after its left sibling's: (first slot, depth) order is
         # preorder.
         order = np.lexsort((depth, start))
         preorder = np.empty_like(right)
@@ -348,18 +409,17 @@ class _Tree:
 
 
 def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
-    """Grow one tree per task (key, sample, config, seed) and yield (key,
-    tree, raw importance) as each tree completes.
+    """Grow one tree per task (key, rows, counts, config, seed) and yield
+    (key, tree, raw importance) as each tree completes.
 
-    sample holds the tree's rows of view (bootstrap repeats included);
-    seed seeds the candidate draws. Up to TREES_IN_FLIGHT trees grow
-    together, each by one depth level per pass. A tree draws the
-    candidates of all its splittable nodes of a level at once from its
-    own generator, and each node's cut depends on its own rows and
-    candidates alone, so a tree is the same however many trees grow
-    beside it and however the passes are cut into sub-steps. Importances
-    are the per-feature sums of sample-weighted impurity decreases, in
-    level order.
+    The tree's sample holds rows[i] of view counts[i] times; seed seeds
+    the candidate draws. Up to TREES_IN_FLIGHT trees grow together, each
+    by one depth level per pass. A tree draws the candidates of all its
+    splittable nodes of a level at once from its own generator, and each
+    node's cut depends on its own rows and candidates alone, so a tree is
+    the same however many trees grow beside it and however the passes are
+    cut into sub-steps. Importances are the per-feature sums of
+    sample-weighted impurity decreases, in level order.
     """
     labels = np.asarray(y) != 0
     n_features = view.n_features
@@ -371,18 +431,20 @@ def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
             task = next(tasks, None)
             if task is None:
                 break
-            growing.append(_Tree(*task, labels, n_features))
+            growing.append(_Tree(*task, view, labels))
             changed = True
         if not growing:
             return
         if changed:
-            # One buffer holds every sample in flight, so that a sub-step
-            # gathers and writes back the rows of many trees at once.
-            sizes = [g.n_total for g in growing]
+            # One buffer of rows and one of counts hold every sample in
+            # flight, so that a sub-step gathers and writes back the slots
+            # of many trees at once.
+            sizes = [len(g.sample[0]) for g in growing]
             offsets = np.cumsum(sizes) - sizes
-            buffer = np.concatenate([g.sample for g in growing])
+            buffer = [np.concatenate(part)
+                      for part in zip(*(g.sample for g in growing))]
             for g, o, size in zip(growing, offsets.tolist(), sizes):
-                g.sample = buffer[o:o + size]
+                g.sample = [part[o:o + size] for part in buffer]
         _grow_level(view, labels, growing, buffer, offsets)
         done = [g for g in growing if not g.front.size]
         growing = [g for g in growing if g.front.size]
@@ -392,12 +454,13 @@ def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
 
 
 def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
-                buffer: np.ndarray, offsets: np.ndarray) -> None:
+                buffer: list, offsets: np.ndarray) -> None:
     """Split the current level of every tree in growing, whose samples lie
     in buffer at offsets, and make each tree's next level its children."""
     n_features = view.n_features
     sizes = [g.front.shape[1] for g in growing]
-    start, n, n_pos = np.concatenate([g.front for g in growing], axis=1)
+    start, slots, n, n_pos = np.concatenate([g.front for g in growing],
+                                            axis=1)
     node_offset = np.repeat(offsets, sizes)
     start += node_offset
     min_leaf = np.repeat([g.min_leaf for g in growing], sizes)
@@ -417,25 +480,27 @@ def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
     feature = np.full(len(n), -1)
     threshold = np.zeros(len(n))
     gain = np.zeros(len(n))
+    slots_left = np.zeros(len(n), dtype=int)
     n_left = np.zeros(len(n), dtype=int)
     pos_left = np.zeros(len(n), dtype=int)
     # A sub-step searches nodes with equal candidate counts, at most
-    # STEP_ROWS rows of them unless one node holds more.
+    # STEP_ROWS distinct rows of them unless one node holds more.
     for k_nodes, parts in keys.items():
         nodes = np.flatnonzero(splittable & (k == k_nodes))
         cands = np.argpartition(np.concatenate(parts), k_nodes - 1,
                                 axis=1)[:, :k_nodes]
         cands.sort(axis=1)
-        ends = np.cumsum(n[nodes])
+        ends = np.cumsum(slots[nodes])
         first = 0
         while first < len(nodes):
             rows_before = ends[first - 1] if first else 0
             last = max(first + 1, int(np.searchsorted(
                 ends, rows_before + STEP_ROWS, side="right")))
             at = nodes[first:last]
-            (feature[at], threshold[at], gain[at], n_left[at],
-             pos_left[at]) = _search(view, labels, buffer, start[at], n[at],
-                                     n_pos[at], cands[first:last])
+            (feature[at], threshold[at], gain[at], slots_left[at],
+             n_left[at], pos_left[at]) = _search(
+                view, labels, buffer, start[at], slots[at], n[at],
+                n_pos[at], cands[first:last])
             first = last
 
     split = ((feature >= 0) & (n_left >= min_leaf)
@@ -448,9 +513,10 @@ def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
                  * gain, 0.0)])
     s = split.nonzero()[0]
     # Children left to right, each split's left child first.
-    children = np.stack([start[s], n_left[s], pos_left[s],
-                         start[s] + n_left[s], n[s] - n_left[s],
-                         n_pos[s] - pos_left[s]], axis=1).reshape(-1, 3).T
+    children = np.stack([start[s], slots_left[s], n_left[s], pos_left[s],
+                         start[s] + slots_left[s], slots[s] - slots_left[s],
+                         n[s] - n_left[s], n_pos[s] - pos_left[s]],
+                        axis=1).reshape(-1, 4).T
     child_bounds = 2 * np.concatenate(
         [[0], np.add.reduceat(split, bounds, dtype=int).cumsum()])
     bounds = bounds.tolist()
@@ -461,25 +527,29 @@ def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
         g.depth += 1
 
 
-def _search(view: BinnedMatrix, labels: np.ndarray, buffer: np.ndarray,
-            start: np.ndarray, n: np.ndarray, n_pos: np.ndarray,
-            cands: np.ndarray):
-    """Best cut of each node whose n rows lie in buffer from start, and
-    the rows and positives it sends left; puts each node's left rows
-    first within its range, both sides in their old order."""
+def _search(view: BinnedMatrix, labels: np.ndarray, buffer: list,
+            start: np.ndarray, slots: np.ndarray, n: np.ndarray,
+            n_pos: np.ndarray, cands: np.ndarray):
+    """Best cut of each node whose sample lies in buffer's slots from
+    start, and the slots, rows and positives it sends left; puts each
+    node's left slots first within its range, both sides in their old
+    order."""
     m = len(n)
-    first = np.cumsum(n) - n
-    slot = np.repeat(start - first, n) + np.arange(first[-1] + n[-1])
-    rows = buffer[slot]
+    first = np.cumsum(slots) - slots
+    slot = np.repeat(start - first, slots) + np.arange(first[-1] + slots[-1])
+    rows, counts = (part[slot] for part in buffer)
     row_labels = labels[rows]
-    row_node = np.repeat(np.arange(m), n)
+    row_node = np.repeat(np.arange(m), slots)
     feature, threshold, gain = _best_cuts(view, rows, row_labels, row_node,
-                                          n, n_pos, cands)
+                                          n, n_pos, cands, counts)
     go_left = view.X[rows, feature[row_node]] <= threshold[row_node]
-    n_left = np.add.reduceat(go_left, first, dtype=int)
-    pos_left = np.add.reduceat(go_left & row_labels, first, dtype=int)
-    buffer[slot] = rows[np.argsort(2 * row_node + ~go_left, kind="stable")]
-    return feature, threshold, gain, n_left, pos_left
+    left = np.where(go_left, counts, 0)
+    order = np.argsort(2 * row_node + ~go_left, kind="stable")
+    for part, values in zip(buffer, (rows, counts)):
+        part[slot] = values[order]
+    return (feature, threshold, gain,
+            *(np.add.reduceat(v, first, dtype=int)
+              for v in (go_left, left, left * row_labels)))
 
 
 def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
@@ -494,8 +564,9 @@ def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
     idx = np.asarray(sample_indices, dtype=int)
     if len(idx) == 0:
         raise ForestError("cannot fit a tree on an empty sample")
-    [(_, tree, importance)] = _grow_trees(view, y,
-                                          [(None, idx, config, tree_seed)])
+    [(_, tree, importance)] = _grow_trees(
+        view, y, [(None, *np.unique(idx, return_counts=True), config,
+                   tree_seed)])
     return tree, importance
 
 
@@ -512,11 +583,12 @@ def _tree_task(forest: int, i: int, rows: np.ndarray, config: ForestConfig):
     bootstrap and its growth from seeds derived from (config.seed, i)
     alone."""
     tree_seed = mix_seed(config.seed, i)
-    sample = rows
+    counts = np.ones(len(rows), dtype=int)
     if config.bootstrap:
         boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
-        sample = rows[boot_rng.integers(0, len(rows), size=len(rows))]
-    return (forest, i), sample, config, mix_seed(tree_seed, 1)
+        counts = np.bincount(boot_rng.integers(0, len(rows), size=len(rows)),
+                             minlength=len(rows))
+    return (forest, i), rows, counts, config, mix_seed(tree_seed, 1)
 
 
 def _grow_chunk(view: BinnedMatrix, y: np.ndarray, _jobs: int, trees):
@@ -585,24 +657,32 @@ def fit_forest(matrix: EncodedMatrix, config: ForestConfig,
 
 
 def _leaf_values(trees: list[Tree], rows: np.ndarray) -> np.ndarray:
-    """(len(trees), len(rows)) positive fraction of the leaf each row
-    reaches in each tree; all (tree, row) pairs descend together."""
+    """(len(trees), len(rows)) positive fraction of the leaf each finite
+    row reaches in each tree. A leaf sends every finite value right, to
+    itself (column 0, threshold -inf), so all (tree, row) pairs step
+    together until none moves."""
     sizes = [len(t.feature) for t in trees]
     offset = np.cumsum(sizes) - sizes
     feature = np.concatenate([t.feature for t in trees])
-    threshold = np.concatenate([t.threshold for t in trees])
+    leaf = feature < 0
+    feature[leaf] = 0
+    threshold = np.where(leaf, -np.inf,
+                         np.concatenate([t.threshold for t in trees]))
+    # Node i steps to step[i] when its test fails, else to step[i + size].
+    size = len(feature)
     right = np.concatenate([t.right + o for t, o in zip(trees, offset)])
-    n = rows.shape[0]
+    step = np.concatenate([np.where(leaf, np.arange(size), right),
+                           np.arange(1, size + 1)])
+    n, n_columns = rows.shape
     node = np.repeat(offset, n)
-    row = np.tile(np.arange(n), len(trees))
-    live = np.arange(len(node))
-    while live.size:
-        at = node[live]
-        f = feature[at]
-        inner = f >= 0
-        live, at, f = live[inner], at[inner], f[inner]
-        left = rows[row[live], f] <= threshold[at]
-        node[live] = np.where(left, at + 1, right[at])
+    cell = np.tile(np.arange(n) * n_columns, len(trees))
+    values = rows.ravel()
+    while True:
+        moved = step[node + size * (values[cell + feature[node]]
+                                    <= threshold[node])]
+        if np.array_equal(moved, node):
+            break
+        node = moved
     value = np.concatenate([t.value for t in trees])
     return value[node].reshape(len(trees), n)
 

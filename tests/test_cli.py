@@ -197,6 +197,17 @@ class TestDerivedCommands:
         assert "'Guns' is degenerate" in capsys.readouterr().err
         assert not list(out.glob("ranking_*.csv"))
 
+    def test_rank_names_the_run_whose_training_split_has_one_class(
+            self, data_file, tmp_path, capsys):
+        # Guns has 4 usable cases here, 3 positive: it passes the domain
+        # check, but run 2's 2-case training split is all positive.
+        out = tmp_path / "o"
+        assert main(["rank", "--data", data_file, "--runs", "3",
+                     "--trees", "4", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "domain 'Guns', run 2 of 3" in err
+        assert not list(out.glob("ranking_*.csv"))
+
     def test_gains(self, data_file, tmp_path, capsys):
         out = tmp_path / "g"
         assert main(["gains", "--data", data_file, "--runs", "2",

@@ -207,6 +207,11 @@ class TestBestSplit:
         y = np.array([0, 1, 0, 1])
         assert best_split(X, y, [0]) is None
 
+    def test_no_candidates(self):
+        y = np.array([0, 1, 0, 1])
+        assert best_split(np.zeros((4, 2)), y, []) is None
+        assert best_split(np.zeros((4, 0)), y, []) is None
+
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(17)
         for _ in range(60):
@@ -263,6 +268,22 @@ class TestFitTree:
         assert leaves.sum() > 1
         assert np.all(tree.n_samples[leaves] >= 5)
 
+    @pytest.mark.parametrize("min_leaf", [1, 3])
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    @pytest.mark.parametrize("fps", [2, 7])
+    def test_repeats_count_like_rows(self, min_leaf, max_depth, fps):
+        m = TestModelIdentity._noisy_matrix()
+        cfg = ForestConfig(n_trees=1, min_samples_leaf=min_leaf,
+                           max_depth=max_depth, features_per_split=fps)
+        rng = np.random.default_rng(min_leaf + fps)
+        for seed in range(3):
+            sample = rng.integers(0, m.n_samples, m.n_samples)
+            repeated, i_repeated = fit_tree(m.X, m.y, sample, cfg, seed)
+            copied, i_copied = fit_tree(m.X[sample], m.y[sample],
+                                        np.arange(len(sample)), cfg, seed)
+            assert tree_arrays(repeated) == tree_arrays(copied)
+            assert np.array_equal(i_repeated, i_copied)
+
 
 def _separable_matrix(n=80, seed=0):
     rng = np.random.default_rng(seed)
@@ -295,6 +316,14 @@ class TestFitForest:
         m = matrix_from(np.zeros((5, 1)), np.ones(5, dtype=int))
         with pytest.raises(ForestError, match="single class"):
             fit_forest(m, ForestConfig(n_trees=2))
+
+    def test_no_columns_error(self):
+        y = np.array([0, 1] * 3)
+        with pytest.raises(ForestError, match="without columns"):
+            fit_forest(matrix_from(np.zeros((6, 0)), y),
+                       ForestConfig(n_trees=2))
+        with pytest.raises(ForestError, match="without columns"):
+            fit_tree(np.zeros((6, 0)), y, np.arange(6), ForestConfig(), 0)
 
     def test_memorization_limit(self):
         rng = np.random.default_rng(3)
@@ -348,6 +377,33 @@ class TestFitForest:
         probe_t[:, 1] = np.log(probe_t[:, 1])
         assert np.array_equal(predict_proba(base, probe),
                               predict_proba(trans, probe_t))
+
+    def test_predictions_equal_a_walk_of_each_tree(self):
+        rng = np.random.default_rng(14)
+        m = matrix_from(np.round(rng.normal(size=(60, 3)), 1),
+                        rng.integers(0, 2, size=60))
+        model = fit_forest(m, ForestConfig(n_trees=6, max_depth=4, seed=3))
+        root_only = Tree(np.array([-1], dtype=np.int32), np.array([0.0]),
+                         np.array([-1], dtype=np.int32), np.array([0.25]),
+                         np.array([8], dtype=np.int32))
+        model.trees.insert(2, root_only)
+        # Rows on every threshold of every column, and far out either side.
+        cuts = np.concatenate([t.threshold[t.feature >= 0]
+                               for t in model.trees])
+        rows = np.concatenate([np.column_stack([cuts] * 3),
+                               [[1e300] * 3, [-1e300] * 3, [1e300, -1e300, 0]],
+                               rng.normal(size=(20, 3))])
+
+        def walk(tree, row):
+            i = 0
+            while tree.feature[i] >= 0:
+                i = (i + 1 if row[tree.feature[i]] <= tree.threshold[i]
+                     else tree.right[i])
+            return tree.value[i]
+
+        expected = [sum(walk(t, row) for t in model.trees) / len(model.trees)
+                    for row in rows]
+        assert predict_proba(model, rows).tolist() == expected
 
     def test_arity_mismatch(self):
         m = _separable_matrix()
@@ -433,9 +489,58 @@ class TestModelIdentity:
         y = ((a + b).ravel() % 2).astype(int)
         return matrix_from(X, y)
 
+    @staticmethod
+    def _two_widest_matrix():
+        # Columns 2 and 4 tie for the most distinct values (12), each
+        # value held by several rows; the lower one is searched by runs.
+        rng = np.random.default_rng(37)
+        n = 80
+
+        def twelve_values(scale):
+            v = np.concatenate([np.arange(12), rng.integers(0, 12, n - 12)])
+            return rng.permutation(v) * scale
+
+        X = np.column_stack([
+            rng.integers(0, 2, size=n),
+            rng.integers(-1, 2, size=n),
+            twelve_values(0.5),
+            rng.integers(0, 4, size=n),
+            twelve_values(-1.5),
+        ]).astype(float)
+        y = ((X[:, 2] - 0.3 * X[:, 4] + rng.normal(0, 2, n)) > 3).astype(int)
+        return matrix_from(X, y)
+
+    @staticmethod
+    def _narrow_matrix():
+        # No column takes more than 3 values.
+        rng = np.random.default_rng(39)
+        n = 70
+        X = np.column_stack([rng.integers(0, 3, size=n),
+                             rng.integers(0, 2, size=n),
+                             rng.integers(-1, 2, size=n) * 2.5,
+                             np.full(n, 7.0)]).astype(float)
+        y = ((X[:, 0] + X[:, 2] + rng.normal(0, 1, n)) > 1).astype(int)
+        return matrix_from(X, y)
+
+    def test_widest_column_search_matches_brute_force(self):
+        rng = np.random.default_rng(47)
+        for m, widths in ((self._two_widest_matrix(), [2, 3, 12, 4, 12]),
+                          (self._narrow_matrix(), [3, 2, 3, 1])):
+            assert np.diff(BinnedMatrix.of(m.X).bin_start).tolist() == widths
+            for _ in range(40):
+                rows = rng.integers(0, m.n_samples,
+                                    int(rng.integers(2, m.n_samples)))
+                feats = rng.choice(m.n_features,
+                                   int(rng.integers(1, m.n_features + 1)),
+                                   replace=False)
+                X, y = m.X[rows], m.y[rows]
+                assert best_split(X, y, feats) == \
+                    brute_force_best_split(X, y, feats)
+
     def test_matches_reference_grower(self):
         fallbacks = []
-        for m in (self._noisy_matrix(), self._parity_matrix()):
+        for m in (self._noisy_matrix(), self._parity_matrix(),
+                  self._two_widest_matrix(), self._narrow_matrix()):
             for overrides in ({}, {"max_depth": 3}, {"min_samples_leaf": 5},
                               {"bootstrap": False},
                               {"features_per_split": m.n_features}):
