@@ -13,17 +13,14 @@ import sys
 from functools import partial
 from pathlib import Path
 
-from . import __version__
-from .dataset import (CUTOFF_YEAR, IG_NAMES, PA_LABELS, PA_TO_PD, PD_LABELS,
-                      DatasetError, FeatureSetSpec, canonical_header,
-                      domain_counts, load_cases, parse_name_map)
-from .forest import ForestConfig, ForestError
-from .logistic import LogisticError
-from .metrics import MetricsError
-from . import experiments as ex
+from . import PolicyforestError, __version__
+from .dataset import (CUTOFF_YEAR, IG_NAMES, MODEL_KINDS, PA_LABELS, PA_TO_PD,
+                      PD_LABELS, REGIMES, TRAIN_FRACTION, DatasetError,
+                      FeatureSetSpec, canonical_header, domain_counts,
+                      load_cases, parse_name_map)
 
-_ERRORS = (DatasetError, ForestError, LogisticError, MetricsError,
-           ex.ExperimentError, OSError)
+# The experiments, forest, logistic and metrics modules are imported by the
+# commands that run them: schema, validate and summarize load none of them.
 
 
 def _provenance(args: argparse.Namespace, argv: list[str]) -> str:
@@ -48,11 +45,13 @@ def _load(args: argparse.Namespace):
         return load_cases(fh, name_map)
 
 
-def _forest_config(args: argparse.Namespace) -> ForestConfig:
+def _forest_config(args: argparse.Namespace):
     # Every command that uses --jobs builds its forest config here, after
     # any config-file override. No seed: each experiment seeds every
     # forest from --seed and the forest's run.
-    ex.check_positive("--jobs", args.jobs)
+    from .experiments import check_positive
+    from .forest import ForestConfig
+    check_positive("--jobs", args.jobs)
     return ForestConfig(
         n_trees=args.trees,
         max_depth=args.max_depth,
@@ -126,6 +125,7 @@ def _resolve_spec(args, cases, fc) -> FeatureSetSpec:
     if args.set == "D":
         return FeatureSetSpec.set_d()
     # Set C is derived from the data (top-14 IGs by averaged Gini score).
+    from . import experiments as ex
     return ex.build_set_c(cases, k=14, base_seed=args.seed,
                           n_splits=args.selection_splits, forest_config=fc,
                           n_jobs=args.jobs)
@@ -146,12 +146,14 @@ def _config_value(key: str, val, action: argparse.Action):
         ok = (isinstance(val, kinds) and not isinstance(val, bool)
               and (action.choices is None or val in action.choices))
     if not ok:
-        raise ex.ExperimentError(f"config key {key!r}: {val!r} is not a "
-                                 f"valid {action.option_strings[0]} value")
+        from .experiments import ExperimentError
+        raise ExperimentError(f"config key {key!r}: {val!r} is not a "
+                              f"valid {action.option_strings[0]} value")
     return float(val) if action.type is float else val
 
 
 def cmd_eval(parser, args, argv) -> int:
+    from . import experiments as ex
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -199,6 +201,7 @@ def cmd_eval(parser, args, argv) -> int:
 
 
 def cmd_rank(args, argv) -> int:
+    from . import experiments as ex
     ex.check_positive("--top", args.top)
     cases = _load(args)
     fc = _forest_config(args)
@@ -236,6 +239,7 @@ def cmd_rank(args, argv) -> int:
 
 
 def cmd_set_c(args, argv) -> int:
+    from . import experiments as ex
     cases = _load(args)
     fc = _forest_config(args)
     spec = ex.build_set_c(cases, k=args.k, base_seed=args.seed,
@@ -253,6 +257,7 @@ def cmd_set_c(args, argv) -> int:
 
 
 def cmd_gains(args, argv) -> int:
+    from . import experiments as ex
     cases = _load(args)
     fc = _forest_config(args)
     report = ex.gain_per_ig(cases, n_runs=args.runs,
@@ -279,6 +284,7 @@ def cmd_gains(args, argv) -> int:
 
 
 def cmd_compare_selectors(args, argv) -> int:
+    from . import experiments as ex
     cases = _load(args)
     fc = _forest_config(args)
     comp = ex.compare_selectors(cases, k=args.k, n_splits=args.runs,
@@ -307,6 +313,7 @@ def cmd_compare_selectors(args, argv) -> int:
 
 
 def cmd_case_study(args, argv) -> int:
+    from . import experiments as ex
     cases = _load(args)
     fc = _forest_config(args)
     report = ex.nonlinearity_case_study(cases, pivot_ig=args.pivot,
@@ -385,13 +392,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p, data_required=False)
     p.add_argument("--config", help="JSON experiment configuration file")
     p.add_argument("--set", choices=["A", "B", "C", "D"], default="D")
-    p.add_argument("--regime", choices=list(ex.REGIMES),
+    p.add_argument("--regime", choices=list(REGIMES),
                    default="random_draw")
-    p.add_argument("--model", choices=list(ex.MODEL_KINDS), default="forest")
+    p.add_argument("--model", choices=list(MODEL_KINDS), default="forest")
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--train-fraction", type=float, default=None,
                    help=f"train share of eval's own random draws (default "
-                        f"{ex.TRAIN_FRACTION}); Set C selection keeps the "
+                        f"{TRAIN_FRACTION}); Set C selection keeps the "
                         f"default, and retrodiction takes none")
     p.add_argument("--selection-splits", type=int, default=21,
                    help="splits used to derive Set C membership")
@@ -439,7 +446,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, argv)
-    except _ERRORS as e:
+    except (PolicyforestError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

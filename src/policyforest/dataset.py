@@ -13,10 +13,13 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, TextIO
 
 import numpy as np
+
+from . import PolicyforestError
 
 # Canonical interest-group names, kept alphabetical so column order is
 # deterministic everywhere.
@@ -102,10 +105,12 @@ PD_LABELS: tuple[str, ...] = ("Economic", "Foreign", "Social Welfare",
 
 assert len(PA_LABELS) == 19
 
-VALID_ALIGNMENTS = (-2, -1, 0, 1, 2)
+VALID_ALIGNMENTS = frozenset((-2, -1, 0, 1, 2))
+# The alignment each canonical spelling of a valid alignment cell reads as.
+_ALIGNMENT_OF = {str(v): v for v in VALID_ALIGNMENTS}
 
 
-class DatasetError(ValueError):
+class DatasetError(PolicyforestError):
     """Raised for malformed input files or invalid field values."""
 
 
@@ -124,30 +129,37 @@ class PolicyCase:
     p10: float | None = None
 
     def __post_init__(self):
+        # The one check of each field's value, also for load_cases, which
+        # adds the row to the message.
         if self.outcome not in (0, 1):
-            raise DatasetError(f"case {self.case_id!r}: outcome must be 0 or 1, "
-                               f"got {self.outcome!r}")
+            raise self._error("outcome", f"must be 0 or 1, got "
+                                         f"{self.outcome!r}")
         if len(self.ig_alignments) != len(IG_NAMES):
             raise DatasetError(f"case {self.case_id!r}: expected "
                                f"{len(IG_NAMES)} IG alignments, got "
                                f"{len(self.ig_alignments)}")
-        for name, v in zip(IG_NAMES, self.ig_alignments):
-            if v not in VALID_ALIGNMENTS:
-                raise DatasetError(f"case {self.case_id!r}: IG {name!r} "
-                                   f"alignment {v!r} outside {{-2..2}}")
-        if self.policy_area not in PA_TO_PD:
-            raise DatasetError(f"case {self.case_id!r}: unknown policy area "
-                               f"{self.policy_area!r}")
-        expected_pd = PA_TO_PD[self.policy_area]
+        if not VALID_ALIGNMENTS.issuperset(self.ig_alignments):
+            name, v = next((name, v) for name, v in zip(IG_NAMES,
+                                                        self.ig_alignments)
+                           if v not in VALID_ALIGNMENTS)
+            raise self._error(name, f"alignment {v!r} outside {{-2..2}}")
+        expected_pd = PA_TO_PD.get(self.policy_area)
+        if expected_pd is None:
+            raise self._error("policy_area", f"unknown policy area "
+                                             f"{self.policy_area!r}")
         if self.policy_domain != expected_pd:
-            raise DatasetError(f"case {self.case_id!r}: policy area "
-                               f"{self.policy_area!r} belongs to domain "
-                               f"{expected_pd!r}, not {self.policy_domain!r}")
-        for fname in ("p90", "p50", "p10"):
-            v = getattr(self, fname)
+            raise self._error("policy_domain", f"policy area "
+                                               f"{self.policy_area!r} belongs "
+                                               f"to domain {expected_pd!r}, "
+                                               f"not {self.policy_domain!r}")
+        for name in ("p90", "p50", "p10"):
+            v = getattr(self, name)
             if v is not None and not (0.0 <= v <= 1.0):
-                raise DatasetError(f"case {self.case_id!r}: {fname}={v!r} "
-                                   f"outside [0,1]")
+                raise self._error(name, f"value {v!r} outside [0,1]")
+
+    def _error(self, column: str, problem: str) -> DatasetError:
+        return DatasetError(f"case {self.case_id!r}, column {column!r}: "
+                            f"{problem}")
 
     def alignment(self, ig_name: str) -> int:
         return self.ig_alignments[_IG_INDEX[ig_name]]
@@ -342,6 +354,11 @@ def encode(cases: list[PolicyCase], spec: FeatureSetSpec) -> EncodedMatrix:
 
 # Retrodiction trains on the cases before this year and tests on the rest.
 CUTOFF_YEAR = 1997
+REGIMES = ("random_draw", "retrodiction")
+MODEL_KINDS = ("forest", "logistic")
+# Share of cases each random draw trains on; only run_feature_set_eval
+# takes another.
+TRAIN_FRACTION = 0.67
 
 
 @dataclass(frozen=True)
@@ -366,8 +383,8 @@ def random_split(n_cases: int, train_fraction: float, seed: int) -> SplitPlan:
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_cases)
     n_train = int(math.floor(train_fraction * n_cases))
-    return SplitPlan(tuple(int(i) for i in perm[:n_train]),
-                     tuple(int(i) for i in perm[n_train:]))
+    return SplitPlan(tuple(perm[:n_train].tolist()),
+                     tuple(perm[n_train:].tolist()))
 
 
 def retrodiction_split(cases: list[PolicyCase]) -> SplitPlan:
@@ -451,17 +468,33 @@ def parse_name_map(stream: TextIO) -> dict[str, str]:
 
 
 def _parse_optional_fraction(cell: str, row: int, col: str) -> float | None:
+    """A p90/p50/p10 cell as a float, or None when empty; PolicyCase
+    checks its range."""
     if cell.strip() == "":
         return None
     try:
-        v = float(cell)
+        return float(cell)
     except ValueError:
         raise DatasetError(f"row {row}, column {col!r}: non-numeric value "
                            f"{cell!r}") from None
-    if not (0.0 <= v <= 1.0):
-        raise DatasetError(f"row {row}, column {col!r}: value {v} outside "
-                           f"[0,1]")
-    return v
+
+
+def _parse_int(cell: str, row: int, col: str, what: str = "") -> int:
+    try:
+        return int(cell)
+    except ValueError:
+        raise DatasetError(f"row {row}, column {col!r}: non-integer "
+                           f"{what}{cell!r}") from None
+
+
+def _parse_alignments(cells: tuple[str, ...], row: int) -> tuple[int, ...]:
+    """A row's IG cells as ints: the canonical spellings by one lookup,
+    any other by int(); PolicyCase checks their range."""
+    try:
+        return tuple(map(_ALIGNMENT_OF.__getitem__, cells))
+    except KeyError:
+        return tuple(_parse_int(cell, row, name, "alignment ")
+                     for name, cell in zip(IG_NAMES, cells))
 
 
 def load_cases(source: TextIO | str,
@@ -469,7 +502,8 @@ def load_cases(source: TextIO | str,
     """Load and validate the canonical CSV; returns one PolicyCase per row.
 
     name_map optionally renames source columns to canonical names before
-    validation (adapter mode for files with foreign headers).
+    validation (adapter mode for files with foreign headers). Every error
+    names its row, and its column where one cell is at fault.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
@@ -492,6 +526,7 @@ def load_cases(source: TextIO | str,
             parts.append(f"missing columns {missing}")
         raise DatasetError("header mismatch: " + "; ".join(parts))
     pos = {name: header.index(name) for name in expected}
+    ig_cells = itemgetter(*(pos[name] for name in IG_NAMES))
 
     cases: list[PolicyCase] = []
     seen_ids: set[str] = set()
@@ -503,39 +538,21 @@ def load_cases(source: TextIO | str,
         if case_id in seen_ids:
             raise DatasetError(f"row {rowno}: duplicate case_id {case_id!r}")
         seen_ids.add(case_id)
-        try:
-            year = int(row[pos["year"]])
-        except ValueError:
-            raise DatasetError(f"row {rowno}, column 'year': non-integer "
-                               f"{row[pos['year']]!r}") from None
-        try:
-            outcome = int(row[pos["outcome"]])
-        except ValueError:
-            raise DatasetError(f"row {rowno}, column 'outcome': non-integer "
-                               f"{row[pos['outcome']]!r}") from None
-
-        alignments = []
-        for name in IG_NAMES:
-            cell = row[pos[name]]
-            try:
-                v = int(cell)
-            except ValueError:
-                raise DatasetError(f"row {rowno}, column {name!r}: "
-                                   f"non-integer alignment {cell!r}") from None
-            if v not in VALID_ALIGNMENTS:
-                raise DatasetError(f"row {rowno}, column {name!r}: alignment "
-                                   f"{v} outside {{-2..2}}")
-            alignments.append(v)
-
+        year = _parse_int(row[pos["year"]], rowno, "year")
+        outcome = _parse_int(row[pos["outcome"]], rowno, "outcome")
+        alignments = _parse_alignments(ig_cells(row), rowno)
+        p90 = _parse_optional_fraction(row[pos["p90"]], rowno, "p90")
+        p50 = _parse_optional_fraction(row[pos["p50"]], rowno, "p50")
+        p10 = _parse_optional_fraction(row[pos["p10"]], rowno, "p10")
         try:
             cases.append(PolicyCase(
                 case_id=case_id,
                 year=year,
                 outcome=outcome,
-                p90=_parse_optional_fraction(row[pos["p90"]], rowno, "p90"),
-                p50=_parse_optional_fraction(row[pos["p50"]], rowno, "p50"),
-                p10=_parse_optional_fraction(row[pos["p10"]], rowno, "p10"),
-                ig_alignments=tuple(alignments),
+                p90=p90,
+                p50=p50,
+                p10=p10,
+                ig_alignments=alignments,
                 policy_area=row[pos["policy_area"]],
                 policy_domain=row[pos["policy_domain"]],
             ))

@@ -22,20 +22,15 @@ import numpy as np
 from . import forest as rf
 from . import logistic as lr
 from . import metrics as mx
-from .dataset import (CUTOFF_YEAR, IG_NAMES, PD_LABELS, EncodedMatrix,
-                      FeatureSetSpec, PolicyCase, SplitPlan, encode,
-                      random_split, rescale_p90, retrodiction_split,
-                      zero_noncommittal)
+from . import PolicyforestError
+from .dataset import (CUTOFF_YEAR, IG_NAMES, MODEL_KINDS, PD_LABELS, REGIMES,
+                      TRAIN_FRACTION, EncodedMatrix, FeatureSetSpec,
+                      PolicyCase, SplitPlan, encode, random_split,
+                      rescale_p90, retrodiction_split, zero_noncommittal)
 from .forest import ForestConfig, map_chunks, mix_seed
 
-REGIMES = ("random_draw", "retrodiction")
-MODEL_KINDS = ("forest", "logistic")
-# Share of cases each random draw trains on; only run_feature_set_eval
-# takes another.
-TRAIN_FRACTION = 0.67
 
-
-class ExperimentError(ValueError):
+class ExperimentError(PolicyforestError):
     """Raised for invalid experiment parameters or degenerate data."""
 
 

@@ -17,6 +17,7 @@ from itertools import starmap
 
 import numpy as np
 
+from . import PolicyforestError
 from .dataset import EncodedMatrix, check_finite
 
 SCHEMA_VERSION = 2
@@ -36,7 +37,7 @@ def mix_seed(seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
-class ForestError(ValueError):
+class ForestError(PolicyforestError):
     """Raised for invalid forest configuration or inputs."""
 
 
@@ -176,17 +177,16 @@ class BinnedMatrix:
     def of(cls, X: np.ndarray) -> "BinnedMatrix":
         X = np.asarray(X, dtype=float)
         check_finite(X, ForestError)
-        n, n_features = X.shape
-        codes = np.empty((n, n_features), dtype=np.int32)
-        values = []
-        for f in range(n_features):
-            vals = np.unique(X[:, f])
-            codes[:, f] = np.searchsorted(vals, X[:, f])
-            values.append(vals)
-        bin_start = np.cumsum([0] + [len(v) for v in values])
-        # The leading empty array keeps a matrix without columns valid.
-        return cls(X, codes, bin_start,
-                   np.concatenate([np.empty(0), *values]))
+        # One stable sort of every column; a bin starts at each value that
+        # differs from the one before it in its column.
+        order = np.argsort(X, axis=0, kind="stable")
+        ranked = np.take_along_axis(X, order, axis=0)
+        new_bin = np.ones(X.shape, dtype=bool)
+        new_bin[1:] = ranked[1:] != ranked[:-1]
+        codes = np.empty(X.shape, dtype=np.int32)
+        np.put_along_axis(codes, order, new_bin.cumsum(axis=0) - 1, axis=0)
+        bin_start = np.concatenate([[0], new_bin.sum(axis=0).cumsum()])
+        return cls(X, codes, bin_start, ranked.T[new_bin.T])
 
     @property
     def n_features(self) -> int:
@@ -624,9 +624,13 @@ def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
     def trees():
         for f, (rows, config) in enumerate(forests):
             rows = np.asarray(rows, dtype=int)
-            n_pos = y[rows].sum()
             if len(rows) < 2:
                 raise ForestError(f"need at least 2 samples, got {len(rows)}")
+            outside = (rows < 0) | (rows >= len(y))
+            if outside.any():
+                raise ForestError(f"row {rows[outside.argmax()]} outside the "
+                                  f"matrix's {len(y)} rows")
+            n_pos = y[rows].sum()
             if n_pos == 0 or n_pos == len(rows):
                 raise ForestError("training labels contain a single class")
             configs[f] = config

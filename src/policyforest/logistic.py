@@ -19,12 +19,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import PolicyforestError
 from .dataset import EncodedMatrix, check_finite
 
 SCHEMA_VERSION = 1
 
 
-class LogisticError(ValueError):
+class LogisticError(PolicyforestError):
     """Raised for degenerate inputs or failed convergence."""
 
 

@@ -10,8 +10,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import PolicyforestError
 
-class MetricsError(ValueError):
+
+class MetricsError(PolicyforestError):
     """Raised for degenerate inputs (single-class or non-binary labels,
     non-finite scores, length mismatch)."""
 

@@ -352,3 +352,39 @@ class TestJobs:
                              capture_output=True, text=True, timeout=60,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+
+class TestImports:
+    @staticmethod
+    def _loaded_after(argv, cwd):
+        """The lazily loaded modules in sys.modules after main(argv) runs
+        in a fresh interpreter, printed on its last line."""
+        code = ("import sys; from policyforest.cli import main; "
+                f"assert main({argv!r}) == 0; "
+                "print(*(m for m in ('policyforest.forest', "
+                "'policyforest.experiments', 'policyforest.logistic', "
+                "'policyforest.metrics', 'numpy.ma') if m in sys.modules))")
+        src = str(Path(policyforest.__file__).resolve().parents[1])
+        out = subprocess.run([sys.executable, "-c", code], check=True,
+                             capture_output=True, text=True, timeout=120,
+                             cwd=cwd, env={**os.environ, "PYTHONPATH": src})
+        return out.stdout.splitlines()[-1].split()
+
+    def test_validate_loads_only_dataset(self, data_file, tmp_path):
+        assert self._loaded_after(["validate", "--data", data_file],
+                                  tmp_path) == []
+
+    def test_forest_eval_loads_no_numpy_ma(self, data_file, tmp_path):
+        loaded = self._loaded_after(["eval", "--data", data_file, "--trees",
+                                     "2", "--runs", "2"], tmp_path)
+        assert "policyforest.forest" in loaded and "numpy.ma" not in loaded
+
+    def test_package_names_resolve_on_use(self):
+        from policyforest import fit_forest, load_cases, run_feature_set_eval
+        from policyforest.experiments import run_feature_set_eval as rfse
+        from policyforest.forest import fit_forest as ff
+        assert (fit_forest, run_feature_set_eval) == (ff, rfse)
+        assert load_cases is policyforest.dataset.load_cases
+        assert "fit_forest" in dir(policyforest)
+        with pytest.raises(AttributeError):
+            policyforest.no_such_name

@@ -22,6 +22,13 @@ def _row(case_id="c1", year=1983, outcome=1, p90="0.6", p50="", p10="",
                     + alignments + [pa, pd_label])
 
 
+def _aligns(column, cell):
+    """All-neutral alignment cells but cell in the named IG column."""
+    aligns = ["0"] * 43
+    aligns[IG_NAMES.index(column)] = cell
+    return aligns
+
+
 def _csv(*rows):
     return ",".join(canonical_header()) + "\n" + "\n".join(rows) + "\n"
 
@@ -57,6 +64,45 @@ class TestLoadCases:
         bad = _row() + ",extra"
         with pytest.raises(DatasetError, match="row 2"):
             load_cases(_csv(bad))
+
+    # (rows, bad row, column the message names or None). Every message
+    # names its row once, and the column of the cell at fault.
+    BAD_CELLS = {
+        "non-integer alignment": (
+            [_row(alignments=_aligns("Airlines", "x"))], 2, "Airlines"),
+        "alignment out of range": (
+            [_row(), _row("c2", alignments=_aligns("AARP", "-3"))], 3,
+            "AARP"),
+        "non-integer year": ([_row(year="1983.5")], 2, "year"),
+        "non-integer outcome": ([_row(outcome="yes")], 2, "outcome"),
+        "outcome 2": ([_row(outcome=2)], 2, "outcome"),
+        "non-numeric p90": ([_row(p90="high")], 2, "p90"),
+        "non-numeric p50": ([_row(p50="n/a")], 2, "p50"),
+        "p10 above 1": ([_row(p10="1.5")], 2, "p10"),
+        "p90 below 0": ([_row(p90="-0.1")], 2, "p90"),
+        "unknown policy area": ([_row(pa="Space", pd_label="Misc")], 2,
+                                "policy_area"),
+        "mismatched domain": ([_row(pa="Guns", pd_label="Foreign")], 2,
+                              "policy_domain"),
+        "duplicate case_id": ([_row(), _row()], 3, "case_id"),
+        "wrong cell count": ([_row(), _row("c2") + ",extra"], 3, None),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BAD_CELLS))
+    def test_bad_cell_names_row_and_column(self, name):
+        rows, row, column = self.BAD_CELLS[name]
+        with pytest.raises(DatasetError) as err:
+            load_cases(_csv(*rows))
+        message = str(err.value)
+        assert message.count("row ") == 1 and f"row {row}" in message
+        if column is not None:
+            assert column in message
+
+    def test_other_integer_spellings_read_as_int(self):
+        aligns = ["0"] * 43
+        aligns[:4] = ["+1", " 2", "-0", "-02"]
+        [case] = load_cases(_csv(_row(alignments=aligns)))
+        assert case.ig_alignments[:5] == (1, 2, 0, -2, 0)
 
     def test_non_numeric_cell(self):
         with pytest.raises(DatasetError, match="p90"):

@@ -617,6 +617,28 @@ class TestFitForests:
             list(fit_forests(m, [(range(8), ForestConfig(n_trees=2)),
                                  (range(4), ForestConfig(n_trees=2))]))
 
+    @pytest.mark.parametrize("bad", [-1, -6, 6, 9])
+    def test_row_outside_matrix_rejected(self, bad):
+        m = matrix_from(np.arange(6.0)[:, None], [0, 1, 0, 1, 0, 1])
+        with pytest.raises(ForestError, match=f"row {bad} outside"):
+            list(fit_forests(m, [([bad, 0, 1, 2], ForestConfig(n_trees=2))]))
+
+    def test_binning_equals_np_unique_per_column(self):
+        rng = np.random.default_rng(5)
+        X = rng.integers(-3, 4, size=(40, 5)) * np.array(
+            [1.0, 0.5, 5e-324, -1.0, 0.0])
+        X[::7, 1] = rng.normal(size=6)
+        view = BinnedMatrix.of(X)
+        values = [np.unique(column) for column in X.T]
+        assert view.bin_start.tolist() == np.cumsum(
+            [0] + [len(v) for v in values]).tolist()
+        assert np.array_equal(view.bin_values, np.concatenate(values))
+        assert np.array_equal(view.codes, np.column_stack(
+            [np.searchsorted(v, c) for v, c in zip(values, X.T)]))
+        assert view.codes.dtype == np.int32
+        empty = BinnedMatrix.of(np.empty((3, 0)))
+        assert empty.bin_start.tolist() == [0] and empty.bin_values.size == 0
+
     def test_binning_all_rows_equals_binning_the_rows(self):
         """Trees grown on rows R of a matrix binned over all rows equal
         trees grown on the matrix of R alone."""
