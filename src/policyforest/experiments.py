@@ -5,17 +5,20 @@ comparisons, and the nonlinearity case study.
 Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
-execution parallelism: seeded runs are handed out in contiguous chunks
-by one forest.map_chunks call per series (a rank's series holds every
-domain's runs), each chunk grows the forests of its runs together
-(forest.fit_forests), and callers reduce the results in run order.
+execution parallelism. Each seeded-split experiment lists its runs as
+items (series, model kind, run) over its series, each an encoded matrix
+and a fixed split or None; one forest.map_chunks call hands the items
+out in contiguous chunks, which may span cells, specs or domains;
+_series_chunk fits a chunk's runs of one series and kind together (all
+their forests in one forest.fit_forests call); and callers reduce the
+results in item order.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from itertools import groupby, product
+from typing import NamedTuple
 
 import numpy as np
 
@@ -78,91 +81,108 @@ def _check_k(k: int) -> None:
 def _runs(n_samples: int, base_seed: int, js,
           train_fraction: float = TRAIN_FRACTION,
           fixed_plan: SplitPlan | None = None):
-    """(plan, model seed) of each run j in js: run j splits with seed
-    mix_seed(base_seed, j), unless the plan is fixed, and fits with seed
-    mix_seed(run_seed, 1)."""
+    """(train rows, test rows, model seed) of each run j in js: run j
+    splits with seed mix_seed(base_seed, j), unless the plan is fixed,
+    and fits with seed mix_seed(run_seed, 1)."""
     for j in js:
         run_seed = mix_seed(base_seed, j)
         plan = fixed_plan
         if plan is None:
             plan = random_split(n_samples, train_fraction, run_seed)
-        yield plan, mix_seed(run_seed, 1)
+        yield (np.asarray(plan.train_indices, dtype=int),
+               np.asarray(plan.test_indices, dtype=int), mix_seed(run_seed, 1))
 
 
-def _split_chunk(matrices: list[EncodedMatrix], base_seed: int,
-                 forest_config: ForestConfig, with_logistic: bool,
-                 n_jobs: int, items) -> list:
-    """Items (g, j): run j of the seeded split series (_runs) of
-    matrices[g] fits a forest and, with_logistic, a logistic model on its
-    train rows; the forests of one matrix's runs grow together. Returns
-    (plan, forest Gini importance, {name: |beta|} or None) per item."""
-    out = []
-    for g, group in groupby(items, key=lambda item: item[0]):
-        matrix = matrices[g]
-        runs = list(_runs(matrix.n_samples, base_seed, [j for _, j in group]))
-        forests = [(plan.train_indices, replace(forest_config, seed=seed))
-                   for plan, seed in runs]
-        gini = {i: model.gini_importance
-                for i, model in rf.fit_forests(matrix, forests, n_jobs)}
-        for i, (plan, _) in enumerate(runs):
-            betas = None
-            if with_logistic:
-                betas = dict(lr.coefficient_ranking(
-                    lr.fit(matrix.subset(plan.train_indices))))
-            out.append((plan, gini[i], betas))
-    return out
+class _Fit(NamedTuple):
+    """What one run hands back to its command: its test rows, the model's
+    per-column importance (forest Gini, or logistic |beta| with 0 for a
+    column dropped as constant) and, when scored, the operating point
+    chosen on its train rows and its test scores."""
+    test_rows: np.ndarray
+    importance: np.ndarray
+    op: mx.OperatingPoint | None = None
+    test_scores: np.ndarray | None = None
 
 
-def _split_forests(matrices: list[EncodedMatrix], n_splits: int,
-                   base_seed: int, forest_config: ForestConfig, n_jobs: int,
-                   first: int = 0, with_logistic: bool = False) -> list:
-    """_split_chunk for runs first .. first + n_splits - 1 of every matrix,
-    in (matrix, run) order, in one map on up to n_jobs worker processes."""
-    chunk = partial(_split_chunk, matrices, base_seed, forest_config,
-                    with_logistic)
-    items = product(range(len(matrices)), range(first, first + n_splits))
-    return map_chunks(chunk, items, n_jobs)
+def _scored(matrix: EncodedMatrix, train: np.ndarray, test: np.ndarray,
+            importance: np.ndarray, predict) -> _Fit:
+    """The _Fit of a model whose scores on rows of matrix.X are
+    predict(rows), or unscored when predict is None."""
+    if predict is None:
+        return _Fit(test, importance)
+    op = mx.select_operating_point(predict(matrix.X[train]), matrix.y[train])
+    return _Fit(test, importance, op, predict(matrix.X[test]))
 
 
-def _logistic_scores(matrix: EncodedMatrix, plan: SplitPlan) -> tuple:
-    """(train labels, test labels, train scores, test scores) of a
-    logistic model fit on the plan's train rows."""
-    train = matrix.subset(plan.train_indices)
-    test = matrix.subset(plan.test_indices)
-    model = lr.fit(train)
-    return (train.y, test.y,
-            lr.predict_proba(model, train.X, train.column_names),
-            lr.predict_proba(model, test.X, test.column_names))
-
-
-def _run_scores(model_kind: str, matrix: EncodedMatrix, runs,
-                forest_config: ForestConfig, n_jobs: int):
-    """Fit one model per (plan, model seed) in runs on the plan's train
-    rows. Yields (i, train labels, test labels, train scores, test scores)
-    for runs[i] as each fit completes; the forests of all runs grow
-    together. No frame holds a model or its rows while the next one fits."""
-    if model_kind == "logistic":
-        for i, (plan, _) in enumerate(runs):
-            yield (i, *_logistic_scores(matrix, plan))
-        return
+def _forest_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
+                 score: bool, n_jobs: int):
+    """Fit a forest per (train rows, test rows, model seed) in runs;
+    yields (i, _Fit) for runs[i] as each forest completes. The forests of
+    all runs grow together, and no frame holds a model or its rows while
+    the next one grows."""
     split = {}
 
     def forests():
-        for i, (plan, model_seed) in enumerate(runs):
-            train_idx = np.asarray(plan.train_indices, dtype=int)
-            split[i] = train_idx, np.asarray(plan.test_indices, dtype=int)
-            yield train_idx, replace(forest_config, seed=model_seed)
+        for i, (train, test, model_seed) in enumerate(runs):
+            split[i] = train, test
+            yield train, replace(forest_config, seed=model_seed)
 
-    def score(done):
+    def fit(done):
         i, model = done
-        train_idx, test_idx = split.pop(i)
-        return (i, matrix.y[train_idx], matrix.y[test_idx],
-                rf.predict_proba(model, matrix.X[train_idx]),
-                rf.predict_proba(model, matrix.X[test_idx]))
+        predict = partial(rf.predict_proba, model) if score else None
+        return i, _scored(matrix, *split.pop(i), model.gini_importance,
+                          predict)
 
     # map, not a loop, so that no frame holds the last model while the
     # next forests grow.
-    yield from map(score, rf.fit_forests(matrix, forests(), n_jobs))
+    return map(fit, rf.fit_forests(matrix, forests(), n_jobs))
+
+
+def _logistic_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
+                   score: bool, n_jobs: int):
+    """_forest_fits for a logistic model per run, fit one by one."""
+    for i, (train, test, _) in enumerate(runs):
+        model = lr.fit(matrix.subset(train))
+        mags = dict(zip(model.column_names, np.abs(model.beta)))
+        importance = np.array([mags.get(name, 0.0)
+                               for name in matrix.column_names])
+        predict = partial(lr.predict_proba, model,
+                          input_columns=matrix.column_names) if score else None
+        yield i, _scored(matrix, train, test, importance, predict)
+
+
+def _series_chunk(series: list, base_seed: int, forest_config: ForestConfig,
+                  train_fraction: float, score: bool, n_jobs: int, items):
+    """Items (s, kind, j): run j (_runs) of series[s], a (matrix, fixed
+    plan or None) pair, fits a model of kind on its train rows. Yields
+    each item's _Fit in item order, as soon as it and every earlier item
+    are done; the runs of one series and kind are fit together, all their
+    forests in one fit_forests call."""
+    items = list(items)
+    groups: dict[tuple[int, str], list[int]] = {}
+    for at, (s, kind, _) in enumerate(items):
+        groups.setdefault((s, kind), []).append(at)
+    done, first = {}, 0
+    for (s, kind), ats in groups.items():
+        matrix, fixed_plan = series[s]
+        runs = _runs(matrix.n_samples, base_seed, [items[at][2] for at in ats],
+                     train_fraction, fixed_plan)
+        fits = _forest_fits if kind == "forest" else _logistic_fits
+        for i, fit in fits(matrix, runs, forest_config, score, n_jobs):
+            done[ats[i]] = fit
+            while first in done:
+                yield done.pop(first)
+                first += 1
+
+
+def _map_series(series: list, items, base_seed: int,
+                forest_config: ForestConfig, n_jobs: int, score: bool = True,
+                train_fraction: float = TRAIN_FRACTION):
+    """_series_chunk over items in one map on up to n_jobs worker
+    processes: the _Fit of each item, in item order."""
+    chunk = partial(_series_chunk, series, base_seed, forest_config,
+                    train_fraction, score)
+    return map_chunks(chunk, items, n_jobs)
 
 
 # ---------------------------------------------------------------------------
@@ -206,26 +226,26 @@ class EvalReport:
         return asdict(self)
 
 
-def _eval_chunk(matrix: EncodedMatrix, fixed_plan: SplitPlan | None,
-                model_kind: str, base_seed: int, forest_config: ForestConfig,
-                train_fraction: float, n_jobs: int,
-                js: list[int]) -> list[RunResult]:
-    """Runs js of run_feature_set_eval (_runs), in run order: each fits,
-    picks the threshold on train and scores test."""
-    runs = _runs(matrix.n_samples, base_seed, js, train_fraction, fixed_plan)
-    results = {}
-    for i, train_y, test_y, train_scores, test_scores in _run_scores(
-            model_kind, matrix, runs, forest_config, n_jobs):
-        op = mx.select_operating_point(train_scores, train_y)
-        conf = mx.confusion_at_threshold(test_scores, test_y, op.threshold)
-        _, auc = mx.roc_and_auc(test_scores, test_y)
-        results[i] = RunResult(
-            run_index=js[i], seed=mix_seed(base_seed, js[i]),
-            threshold=op.threshold,
-            train_balanced_accuracy=op.train_balanced_accuracy,
-            balanced_accuracy=mx.balanced_accuracy(conf), auc=auc,
-            tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn)
-    return [results[i] for i in range(len(js))]
+def _fixed_plan(cases: list[PolicyCase], matrix: EncodedMatrix,
+                regime: str) -> SplitPlan | None:
+    """The regime's fixed split of matrix's rows: None for random draws,
+    whose runs each draw their own."""
+    if regime == "random_draw":
+        return None
+    return retrodiction_split([cases[i] for i in matrix.case_indices])
+
+
+def _run_result(matrix: EncodedMatrix, base_seed: int, j: int,
+                fit: _Fit) -> RunResult:
+    """Run j's RunResult: its test rows scored at the operating point."""
+    test_y = matrix.y[fit.test_rows]
+    conf = mx.confusion_at_threshold(fit.test_scores, test_y, fit.op.threshold)
+    _, auc = mx.roc_and_auc(fit.test_scores, test_y)
+    return RunResult(run_index=j, seed=mix_seed(base_seed, j),
+                     threshold=fit.op.threshold,
+                     train_balanced_accuracy=fit.op.train_balanced_accuracy,
+                     balanced_accuracy=mx.balanced_accuracy(conf), auc=auc,
+                     tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn)
 
 
 def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
@@ -252,14 +272,12 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
         train_fraction = TRAIN_FRACTION
     matrix = encode(cases, spec)
 
-    fixed_plan = None
-    if regime == "retrodiction":
-        fixed_plan = retrodiction_split(
-            [cases[i] for i in matrix.case_indices])
-
-    chunk = partial(_eval_chunk, matrix, fixed_plan, model_kind, base_seed,
-                    forest_config, train_fraction)
-    runs = map_chunks(chunk, range(n_runs), n_jobs)
+    fits = _map_series([(matrix, _fixed_plan(cases, matrix, regime))],
+                       [(0, model_kind, j) for j in range(n_runs)],
+                       base_seed, forest_config, n_jobs,
+                       train_fraction=train_fraction)
+    runs = [_run_result(matrix, base_seed, j, fit)
+            for j, fit in enumerate(fits)]
     return EvalReport(feature_set_id=spec.id, regime=regime,
                       model_kind=model_kind, base_seed=base_seed,
                       n_dropped_missing_p90=matrix.n_dropped_missing_p90,
@@ -343,24 +361,27 @@ def rank_igs_by_domain(cases: list[PolicyCase],
         if n < 2 or n_pos == 0 or n_pos == n:
             raise ExperimentError(f"domain {domain!r} is degenerate: cannot "
                                   f"rank ({n} usable cases, {n_pos} positive)")
-        for j, (plan, _) in enumerate(_runs(n, base_seed, range(n_splits))):
-            train = matrix.y[list(plan.train_indices)]
+        for j, (rows, _, _) in enumerate(_runs(n, base_seed, range(n_splits))):
+            train = matrix.y[rows]
             if train.min() == train.max():
                 raise ExperimentError(
                     f"domain {domain!r}, run {j + 1} of {n_splits}: the "
                     f"{len(train)} training cases have a single class; "
                     f"cannot rank")
         matrices.append(matrix)
-    splits = _split_forests(matrices, n_splits, base_seed, forest_config,
-                            n_jobs)
+    fits = list(_map_series(
+        [(matrix, None) for matrix in matrices],
+        [(g, "forest", j) for g in range(len(matrices))
+         for j in range(n_splits)],
+        base_seed, forest_config, n_jobs, score=False))
     ranked = {}
     for g, (domain, matrix) in enumerate(zip(domains, matrices)):
-        runs = splits[g * n_splits:(g + 1) * n_splits]
-        importances = np.array([importance for _, importance, _ in runs])
+        runs = fits[g * n_splits:(g + 1) * n_splits]
+        importances = np.array([fit.importance for fit in runs])
         corrs, at_bats = map(np.array, zip(*(
-            _stance_correlations(test.X, test.y, matrix.column_names)
-            for test in (matrix.subset(plan.test_indices)
-                         for plan, _, _ in runs))))
+            _stance_correlations(matrix.X[fit.test_rows],
+                                 matrix.y[fit.test_rows], matrix.column_names)
+            for fit in runs)))
         rows = []
         for f, name in enumerate(matrix.column_names):
             seen = at_bats[:, f] > 0
@@ -394,9 +415,10 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
 
     acc = np.zeros(matrix.n_features)
-    for _, importance, _ in _split_forests([matrix], n_splits, base_seed,
-                                           forest_config, n_jobs):
-        acc += importance
+    for fit in _map_series([(matrix, None)],
+                           [(0, "forest", j) for j in range(n_splits)],
+                           base_seed, forest_config, n_jobs, score=False):
+        acc += fit.importance
     chosen = _top_k(acc[ig_cols], k)
     if k == len(IG_NAMES):
         return FeatureSetSpec.set_b()
@@ -427,39 +449,6 @@ class GainReport:
         return asdict(self)
 
 
-def _gain_chunk(mat_b: EncodedMatrix, mat_a: EncodedMatrix,
-                align: np.ndarray, base_seed: int, forest_config: ForestConfig,
-                n_jobs: int,
-                js: list[int]) -> list[list[tuple[int, float | None]]]:
-    """Runs js of gain_per_ig (_runs), in run order: per run, per IG,
-    (strong-stance test cases, spec_b accuracy minus spec_a accuracy on
-    them, or None when there are none)."""
-    # Same model seed for both fits: the comparison is paired, so the
-    # models differ only by feature set (identical specs give gain 0).
-    runs = list(_runs(mat_b.n_samples, base_seed, js))
-    preds = {}
-    for tag, mat in (("b", mat_b), ("a", mat_a)):
-        for i, train_y, _, train_scores, test_scores in _run_scores(
-                "forest", mat, runs, forest_config, n_jobs):
-            op = mx.select_operating_point(train_scores, train_y)
-            preds[tag, i] = (test_scores >= op.threshold).astype(int)
-    out = []
-    for i, (plan, _) in enumerate(runs):
-        test_idx = np.asarray(plan.test_indices, dtype=int)
-        y_test = mat_b.y[test_idx]
-        per_ig: list[tuple[int, float | None]] = []
-        for g in range(len(IG_NAMES)):
-            mask = np.abs(align[test_idx, g]) == 2
-            gain = None
-            if mask.any():
-                acc_b = float(np.mean(preds["b", i][mask] == y_test[mask]))
-                acc_a = float(np.mean(preds["a", i][mask] == y_test[mask]))
-                gain = acc_b - acc_a
-            per_ig.append((int(mask.sum()), gain))
-        out.append(per_ig)
-    return out
-
-
 def gain_per_ig(cases: list[PolicyCase],
                 spec_b: FeatureSetSpec | None = None,
                 spec_a: FeatureSetSpec | None = None,
@@ -488,13 +477,23 @@ def gain_per_ig(cases: list[PolicyCase],
 
     gains: dict[str, list[float]] = {name: [] for name in IG_NAMES}
     counts: dict[str, list[int]] = {name: [] for name in IG_NAMES}
-    chunk = partial(_gain_chunk, mat_b, mat_a, align, base_seed,
-                    forest_config)
-    for per_ig in map_chunks(chunk, range(n_runs), n_jobs):
-        for name, (count, gain) in zip(IG_NAMES, per_ig):
-            counts[name].append(count)
-            if gain is not None:
-                gains[name].append(gain)
+    # Same run, so same split and model seed, for both fits: the
+    # comparison is paired, so the models differ only by feature set
+    # (identical specs give gain 0).
+    fits = iter(_map_series([(mat_b, None), (mat_a, None)],
+                            [(s, "forest", j) for j in range(n_runs)
+                             for s in (0, 1)],
+                            base_seed, forest_config, n_jobs))
+    for fit_b, fit_a in zip(fits, fits):
+        test = fit_b.test_rows
+        hit_b = (fit_b.test_scores >= fit_b.op.threshold) == mat_b.y[test]
+        hit_a = (fit_a.test_scores >= fit_a.op.threshold) == mat_b.y[test]
+        for g, name in enumerate(IG_NAMES):
+            mask = np.abs(align[test, g]) == 2
+            counts[name].append(int(mask.sum()))
+            if mask.any():
+                gains[name].append(float(np.mean(hit_b[mask]))
+                                   - float(np.mean(hit_a[mask])))
 
     rows: list[GainRow] = []
     excluded: list[str] = []
@@ -546,21 +545,6 @@ class SelectorComparison:
         return asdict(self)
 
 
-def _select_subsets(matrix: EncodedMatrix, k: int, n_splits: int,
-                    base_seed: int, forest_config: ForestConfig,
-                    n_jobs: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    ig_cols = {name: matrix.column_names.index(name) for name in IG_NAMES}
-    gini_acc = np.zeros(len(IG_NAMES))
-    beta_acc = np.zeros(len(IG_NAMES))
-    for _, gini, mags in _split_forests([matrix], n_splits, base_seed,
-                                        forest_config, n_jobs, first=10_000,
-                                        with_logistic=True):
-        for i, name in enumerate(IG_NAMES):
-            gini_acc[i] += gini[ig_cols[name]]
-            beta_acc[i] += mags.get(name, 0.0)
-    return _top_k(gini_acc, k), _top_k(beta_acc, k)
-
-
 def compare_selectors(cases: list[PolicyCase], k: int = 14,
                       regimes: tuple[str, ...] = REGIMES,
                       n_splits: int = 21, base_seed: int = 0,
@@ -568,45 +552,60 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
                       n_jobs: int = 1) -> SelectorComparison:
     """Evaluate forest-chosen vs logistic-chosen k-IG subsets.
 
-    Both model kinds are evaluated on both subsets (features: P90 plus
-    the chosen IGs) under paired split seeds; gain rows are the mean of
+    Both subsets are chosen over runs 10,000 onward of a random-draw
+    series: the k IGs of highest summed forest Gini importance, and of
+    highest summed logistic |beta|. Both model kinds are then evaluated
+    on both subsets (features: P90 plus the chosen IGs) under paired
+    split seeds, every cell's runs in one map; gain rows are the mean of
     per-split differences, not the difference of means.
     """
     _check_k(k)
     check_positive("n_splits", n_splits)
     for regime in regimes:
         _check_choice("regime", regime, REGIMES)
-    rf_chosen, lg_chosen = _select_subsets(
-        encode(cases, _RANKING_SPEC), k, n_splits, base_seed, forest_config,
-        n_jobs)
+    matrix = encode(cases, _RANKING_SPEC)
+    ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
+    acc = {kind: np.zeros(len(IG_NAMES)) for kind in MODEL_KINDS}
+    items = [(0, kind, 10_000 + j) for j in range(n_splits)
+             for kind in MODEL_KINDS]
+    for (_, kind, _), fit in zip(items, _map_series(
+            [(matrix, None)], items, base_seed, forest_config, n_jobs,
+            score=False)):
+        acc[kind] += fit.importance[ig_cols]
+    chosen = {"rf_gini": _top_k(acc["forest"], k),
+              "logistic_beta": _top_k(acc["logistic"], k)}
 
-    specs = {"rf_gini": replace(_RANKING_SPEC, ig_subset=rf_chosen),
-             "logistic_beta": replace(_RANKING_SPEC, ig_subset=lg_chosen)}
-    cells: list[SelectorCell] = []
+    # Series 2r + i: selector i's matrix under regimes[r].
+    matrices = [encode(cases, replace(_RANKING_SPEC, ig_subset=subset))
+                for subset in chosen.values()]
+    series = [(m, _fixed_plan(cases, m, regime))
+              for regime in regimes for m in matrices]
+    runs = {(kind, s): [] for kind in MODEL_KINDS for s in range(len(series))}
+    # A logistic model runs once on a fixed split: it is deterministic.
+    items = [(s, kind, j) for j in range(n_splits) for kind, s in runs
+             if j == 0 or kind == "forest" or series[s][1] is None]
+    for (s, kind, j), fit in zip(items, _map_series(
+            series, items, base_seed, forest_config, n_jobs)):
+        runs[kind, s].append(_run_result(series[s][0], base_seed, j, fit))
+
+    out: list[SelectorCell] = []
     gains: list[SelectorGain] = []
-    for model_kind in MODEL_KINDS:
-        for regime in regimes:
-            n_runs = n_splits
-            if regime == "retrodiction" and model_kind == "logistic":
-                n_runs = 1  # deterministic on a fixed split
-            per_sel: dict[str, EvalReport] = {}
-            for sel, spec in specs.items():
-                rep = per_sel[sel] = run_feature_set_eval(
-                    cases, spec, regime, model_kind, n_runs=n_runs,
-                    base_seed=base_seed, forest_config=forest_config,
-                    n_jobs=n_jobs)
-                cells.append(SelectorCell(
-                    model_kind, sel, regime,
-                    rep.balanced_accuracy_mean, rep.balanced_accuracy_std,
-                    rep.auc_mean, rep.auc_std))
-            a, b = per_sel["rf_gini"].runs, per_sel["logistic_beta"].runs
+    for kind in MODEL_KINDS:
+        for r, regime in enumerate(regimes):
+            pair = runs[kind, 2 * r], runs[kind, 2 * r + 1]
+            for sel, rs in zip(chosen, pair):
+                out.append(SelectorCell(
+                    kind, sel, regime,
+                    *_mean_std(x.balanced_accuracy for x in rs),
+                    *_mean_std(x.auc for x in rs)))
             gains.append(SelectorGain(
-                model_kind, regime,
+                kind, regime,
                 *_mean_std(x.balanced_accuracy - y.balanced_accuracy
-                           for x, y in zip(a, b)),
-                *_mean_std(x.auc - y.auc for x, y in zip(a, b))))
-    return SelectorComparison(rf_chosen=rf_chosen, logistic_chosen=lg_chosen,
-                              cells=cells, gains=gains, base_seed=base_seed)
+                           for x, y in zip(*pair)),
+                *_mean_std(x.auc - y.auc for x, y in zip(*pair))))
+    return SelectorComparison(rf_chosen=chosen["rf_gini"],
+                              logistic_chosen=chosen["logistic_beta"],
+                              cells=out, gains=gains, base_seed=base_seed)
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,14 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     return feature, threshold, gain_out
 
 
+def _check_indices(kind: str, idx: np.ndarray, n: int) -> None:
+    """Raise a ForestError naming the first of idx outside [0, n)."""
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise ForestError(f"{kind} {idx[outside.argmax()]} outside the "
+                          f"matrix's {n} {kind}s")
+
+
 def best_split(X: np.ndarray | BinnedMatrix, y: np.ndarray,
                candidate_features) -> tuple[int, float, float] | None:
     """Greedy search over candidate features and midpoint thresholds.
@@ -333,15 +341,14 @@ def best_split(X: np.ndarray | BinnedMatrix, y: np.ndarray,
     the search that grows trees.
     """
     view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
+    cands = np.array(sorted(set(candidate_features)), dtype=int)
+    _check_indices("column", cands, view.n_features)
     y = np.asarray(y)
     n = len(y)
     if n < 2:
         return None
     n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == n:
-        return None
-    cands = np.unique(np.asarray(list(candidate_features), dtype=int))
-    if cands.size == 0:
+    if n_pos == 0 or n_pos == n or cands.size == 0:
         return None
     f, thr, gain = _search(view, y != 0, _sample(view, np.arange(n),
                                                  np.ones(n, dtype=int)),
@@ -564,9 +571,10 @@ def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
     idx = np.asarray(sample_indices, dtype=int)
     if len(idx) == 0:
         raise ForestError("cannot fit a tree on an empty sample")
+    _check_indices("row", idx, len(y))
     [(_, tree, importance)] = _grow_trees(
-        view, y, [(None, *np.unique(idx, return_counts=True), config,
-                   tree_seed)])
+        view, y, [(None, np.arange(len(y)), np.bincount(idx, minlength=len(y)),
+                   config, tree_seed)])
     return tree, importance
 
 
@@ -626,10 +634,7 @@ def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
             rows = np.asarray(rows, dtype=int)
             if len(rows) < 2:
                 raise ForestError(f"need at least 2 samples, got {len(rows)}")
-            outside = (rows < 0) | (rows >= len(y))
-            if outside.any():
-                raise ForestError(f"row {rows[outside.argmax()]} outside the "
-                                  f"matrix's {len(y)} rows")
+            _check_indices("row", rows, len(y))
             n_pos = y[rows].sum()
             if n_pos == 0 or n_pos == len(rows):
                 raise ForestError("training labels contain a single class")

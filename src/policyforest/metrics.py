@@ -5,7 +5,6 @@ Decision rule throughout: predict positive iff score >= threshold.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,13 +49,6 @@ class RocCurve:
     non-decreasing."""
 
     points: tuple[tuple[float, float], ...]
-
-    def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write("fpr,tpr\n")
-        for fpr, tpr in self.points:
-            out.write(f"{fpr!r},{tpr!r}\n")
-        return out.getvalue()
 
 
 def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:

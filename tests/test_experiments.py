@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from policyforest import experiments, forest
+from policyforest.cli import main
 from policyforest.dataset import (IG_NAMES, PD_LABELS, FeatureSetSpec,
-                                  PolicyCase, encode, random_split)
+                                  PolicyCase, dump_cases, encode,
+                                  random_split)
 from policyforest.experiments import (TRAIN_FRACTION, ExperimentError,
                                       build_set_c,
                                       compare_selectors, gain_per_ig,
@@ -116,19 +118,17 @@ class TestRunFeatureSetEval:
         cases = make_cases(200, seed=7, missing_p90_every=4)
         kept = [i for i, c in enumerate(cases) if c.p90 is not None]
         seen = []
-        run_scores = experiments._run_scores
+        forest_fits = experiments._forest_fits
 
-        def spy(model_kind, matrix, runs, *args):
+        def spy(matrix, runs, *args):
             def recorded():
-                for plan, model_seed in runs:
-                    seen.append((matrix.subset(plan.train_indices)
-                                 .case_indices,
-                                 matrix.subset(plan.test_indices)
-                                 .case_indices))
-                    yield plan, model_seed
-            return run_scores(model_kind, matrix, recorded(), *args)
+                for train, test, model_seed in runs:
+                    seen.append((matrix.case_indices[train],
+                                 matrix.case_indices[test]))
+                    yield train, test, model_seed
+            return forest_fits(matrix, recorded(), *args)
 
-        monkeypatch.setattr(experiments, "_run_scores", spy)
+        monkeypatch.setattr(experiments, "_forest_fits", spy)
         rep = run_feature_set_eval(cases, FeatureSetSpec.set_a(), regime,
                                    n_runs=2, forest_config=FAST_FOREST)
         assert rep.n_dropped_missing_p90 == 50
@@ -432,6 +432,30 @@ class TestWorkerFanOut:
                              n_jobs=2)
         # The single forest's 15 trees go out as two chunks.
         assert recording_pool == [(2, 1)]
+
+    # Pools per command: two where a selection precedes the evaluation
+    # runs that use it, else one.
+    POOLS = {
+        "eval_set_c": (["eval", "--set", "C", "--selection-splits", "2",
+                        "--runs", "2"], 2),
+        "eval_logistic": (["eval", "--model", "logistic", "--runs", "2"], 1),
+        "rank": (["rank", "--runs", "2"], 1),
+        "set_c": (["set-c", "--k", "3", "--runs", "2"], 1),
+        "gains": (["gains", "--runs", "2", "--min-test-cases", "1"], 1),
+        "compare_selectors": (["compare-selectors", "--k", "3",
+                               "--runs", "2"], 2),
+        "case_study": (["case-study", "--pivot", "AARP"], 1),
+    }
+
+    @pytest.mark.parametrize("name", sorted(POOLS))
+    def test_pools_per_command(self, name, cases_200, recording_pool,
+                               tmp_path):
+        argv, pools = self.POOLS[name]
+        data = tmp_path / "cases.csv"
+        data.write_text(dump_cases(cases_200))
+        assert main(argv + ["--data", str(data), "--trees", "4",
+                            "--jobs", "2"]) == 0
+        assert recording_pool == [(2, 1)] * pools
 
 
 class TestRunCounts:

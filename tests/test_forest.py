@@ -230,6 +230,13 @@ class TestBestSplit:
         f, thr, _ = best_split(X, y, [1, 0])
         assert f == 0
 
+    @pytest.mark.parametrize("bad", [5, -1])
+    def test_candidate_outside_matrix_rejected(self, bad):
+        with pytest.raises(ForestError,
+                           match=f"column {bad} outside the matrix's 3 "
+                                 f"columns"):
+            best_split(np.zeros((4, 3)), np.array([0, 1, 0, 1]), [bad])
+
 
 class TestFitTree:
     def test_pure_sample_single_leaf(self):
@@ -283,6 +290,14 @@ class TestFitTree:
                                         np.arange(len(sample)), cfg, seed)
             assert tree_arrays(repeated) == tree_arrays(copied)
             assert np.array_equal(i_repeated, i_copied)
+
+    @pytest.mark.parametrize("bad", [-1, 6])
+    def test_row_outside_matrix_rejected(self, bad):
+        X = np.arange(6.0)[:, None]
+        with pytest.raises(ForestError,
+                           match=f"row {bad} outside the matrix's 6 rows"):
+            fit_tree(X, np.array([0, 1, 0, 1, 0, 1]), [bad, 0, 1, 2],
+                     ForestConfig(n_trees=1), 0)
 
 
 def _separable_matrix(n=80, seed=0):

@@ -274,9 +274,3 @@ class TestRocAuc:
     def test_single_class_error(self):
         with pytest.raises(MetricsError):
             roc_and_auc([0.1, 0.9], [0, 0])
-
-    def test_csv_export(self):
-        curve, _ = roc_and_auc([0.1, 0.9], [0, 1])
-        text = curve.to_csv()
-        assert text.startswith("fpr,tpr\n")
-        assert text.strip().endswith("1.0,1.0")
