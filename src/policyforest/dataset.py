@@ -17,9 +17,10 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, TextIO
 
-import numpy as np
-
 from . import PolicyforestError
+
+# NumPy is imported inside the functions that build or read arrays, so that
+# loading and checking a CSV (schema, validate, summarize) never imports it.
 
 # Canonical interest-group names, kept alphabetical so column order is
 # deterministic everywhere.
@@ -283,6 +284,7 @@ class FeatureSetSpec:
 def check_finite(X: np.ndarray, error: type[Exception]) -> None:
     """Raise `error` naming the first row and column of the 2-D matrix X
     that holds NaN or +-inf."""
+    import numpy as np
     finite = np.isfinite(X)
     if not finite.all():
         r, c = (int(i) for i in np.argwhere(~finite)[0])
@@ -312,6 +314,7 @@ class EncodedMatrix:
         return self.X.shape[1]
 
     def subset(self, indices) -> "EncodedMatrix":
+        import numpy as np
         idx = np.asarray(indices, dtype=int)
         return EncodedMatrix(self.X[idx], self.y[idx], self.column_names,
                              self.case_indices[idx],
@@ -336,6 +339,7 @@ def _column(cases: list[PolicyCase], name: str) -> list:
 def encode(cases: list[PolicyCase], spec: FeatureSetSpec) -> EncodedMatrix:
     """Build the feature matrix for a spec: one float64 column per name in
     spec.column_names(), P90 raw in [0,1], policy one-hots as 0/1."""
+    import numpy as np
     cols = spec.column_names()
     kept = [i for i, c in enumerate(cases)
             if not (spec.use_p90 and c.p90 is None)]
@@ -380,6 +384,7 @@ def random_split(n_cases: int, train_fraction: float, seed: int) -> SplitPlan:
     if not (0.0 < train_fraction < 1.0):
         raise DatasetError(f"train_fraction must be in (0,1), got "
                            f"{train_fraction}")
+    import numpy as np
     rng = np.random.default_rng(seed)
     perm = rng.permutation(n_cases)
     n_train = int(math.floor(train_fraction * n_cases))

@@ -7,11 +7,11 @@ run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
 execution parallelism. Each seeded-split experiment lists its runs as
 items (series, model kind, run) over its series, each an encoded matrix
-and a fixed split or None; one forest.map_chunks call hands the items
-out in contiguous chunks, which may span cells, specs or domains;
-_series_chunk fits a chunk's runs of one series and kind together (all
-their forests in one forest.fit_forests call); and callers reduce the
-results in item order.
+and a fixed split, None, or its runs already drawn; one forest.map_chunks
+call hands the items out in contiguous chunks, which may span cells,
+specs or domains; _series_chunk fits a chunk's runs of one series and
+kind together (all their forests in one forest.fit_forests call); and
+callers reduce the results in item order.
 """
 
 from __future__ import annotations
@@ -153,20 +153,25 @@ def _logistic_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
 
 def _series_chunk(series: list, base_seed: int, forest_config: ForestConfig,
                   train_fraction: float, score: bool, n_jobs: int, items):
-    """Items (s, kind, j): run j (_runs) of series[s], a (matrix, fixed
-    plan or None) pair, fits a model of kind on its train rows. Yields
-    each item's _Fit in item order, as soon as it and every earlier item
-    are done; the runs of one series and kind are fit together, all their
-    forests in one fit_forests call."""
+    """Items (s, kind, j): run j of series[s], a (matrix, plan) pair,
+    fits a model of kind on its train rows. The plan is a fixed SplitPlan
+    or None, from which _runs derives run j, or the list of the series'
+    runs as _runs drew them. Yields each item's _Fit in item order, as
+    soon as it and every earlier item are done; the runs of one series
+    and kind are fit together, all their forests in one fit_forests
+    call."""
     items = list(items)
     groups: dict[tuple[int, str], list[int]] = {}
     for at, (s, kind, _) in enumerate(items):
         groups.setdefault((s, kind), []).append(at)
     done, first = {}, 0
     for (s, kind), ats in groups.items():
-        matrix, fixed_plan = series[s]
-        runs = _runs(matrix.n_samples, base_seed, [items[at][2] for at in ats],
-                     train_fraction, fixed_plan)
+        matrix, plan = series[s]
+        js = [items[at][2] for at in ats]
+        if isinstance(plan, list):
+            runs = [plan[j] for j in js]
+        else:
+            runs = _runs(matrix.n_samples, base_seed, js, train_fraction, plan)
         fits = _forest_fits if kind == "forest" else _logistic_fits
         for i, fit in fits(matrix, runs, forest_config, score, n_jobs):
             done[ats[i]] = fit
@@ -346,13 +351,14 @@ def rank_igs_by_domain(cases: list[PolicyCase],
     rows by falling importance.
 
     Every domain, and the training labels of each of its runs, is checked
-    before any forest is fit. Then the runs of
-    all domains go to one worker map; run j of every domain splits with
-    seed mix_seed(base_seed, j). Correlations and at-bats are computed on
-    each split's test rows; every figure is a mean +/- std over splits.
+    before any forest is fit; the runs drawn for the check are the ones
+    fit. Then the runs of all domains go to one worker map; run j of
+    every domain splits with seed mix_seed(base_seed, j). Correlations
+    and at-bats are computed on each split's test rows; every figure is a
+    mean +/- std over splits.
     """
     check_positive("n_splits", n_splits)
-    matrices = []
+    series = []
     for domain in domains:
         _check_choice("policy domain", domain, PD_LABELS)
         matrix = encode([c for c in cases if c.policy_domain == domain],
@@ -361,21 +367,22 @@ def rank_igs_by_domain(cases: list[PolicyCase],
         if n < 2 or n_pos == 0 or n_pos == n:
             raise ExperimentError(f"domain {domain!r} is degenerate: cannot "
                                   f"rank ({n} usable cases, {n_pos} positive)")
-        for j, (rows, _, _) in enumerate(_runs(n, base_seed, range(n_splits))):
+        runs = list(_runs(n, base_seed, range(n_splits)))
+        for j, (rows, _, _) in enumerate(runs):
             train = matrix.y[rows]
             if train.min() == train.max():
                 raise ExperimentError(
                     f"domain {domain!r}, run {j + 1} of {n_splits}: the "
                     f"{len(train)} training cases have a single class; "
                     f"cannot rank")
-        matrices.append(matrix)
+        series.append((matrix, runs))
     fits = list(_map_series(
-        [(matrix, None) for matrix in matrices],
-        [(g, "forest", j) for g in range(len(matrices))
+        series,
+        [(g, "forest", j) for g in range(len(series))
          for j in range(n_splits)],
         base_seed, forest_config, n_jobs, score=False))
     ranked = {}
-    for g, (domain, matrix) in enumerate(zip(domains, matrices)):
+    for g, (domain, (matrix, _)) in enumerate(zip(domains, series)):
         runs = fits[g * n_splits:(g + 1) * n_splits]
         importances = np.array([fit.importance for fit in runs])
         corrs, at_bats = map(np.array, zip(*(

@@ -665,11 +665,16 @@ def fit_forest(matrix: EncodedMatrix, config: ForestConfig,
     return model
 
 
+# Routing steps between two drops of the (tree, row) pairs at a leaf.
+ROUTE_STEPS = 4
+
+
 def _leaf_values(trees: list[Tree], rows: np.ndarray) -> np.ndarray:
     """(len(trees), len(rows)) positive fraction of the leaf each finite
     row reaches in each tree. A leaf sends every finite value right, to
-    itself (column 0, threshold -inf), so all (tree, row) pairs step
-    together until none moves."""
+    itself (column 0, threshold -inf), so the live (tree, row) pairs step
+    together ROUTE_STEPS times; then each writes its node back, and only
+    the pairs not yet at a leaf go on."""
     sizes = [len(t.feature) for t in trees]
     offset = np.cumsum(sizes) - sizes
     feature = np.concatenate([t.feature for t in trees])
@@ -686,12 +691,14 @@ def _leaf_values(trees: list[Tree], rows: np.ndarray) -> np.ndarray:
     node = np.repeat(offset, n)
     cell = np.tile(np.arange(n) * n_columns, len(trees))
     values = rows.ravel()
-    while True:
-        moved = step[node + size * (values[cell + feature[node]]
-                                    <= threshold[node])]
-        if np.array_equal(moved, node):
-            break
-        node = moved
+    live, at = np.arange(len(node)), node
+    while len(live):
+        for _ in range(ROUTE_STEPS):
+            at = step[at + size * (values[cell + feature[at]]
+                                   <= threshold[at])]
+        node[live] = at
+        going = ~leaf[at]
+        live, at, cell = live[going], at[going], cell[going]
     value = np.concatenate([t.value for t in trees])
     return value[node].reshape(len(trees), n)
 

@@ -363,7 +363,8 @@ class TestImports:
                 f"assert main({argv!r}) == 0; "
                 "print(*(m for m in ('policyforest.forest', "
                 "'policyforest.experiments', 'policyforest.logistic', "
-                "'policyforest.metrics', 'numpy.ma') if m in sys.modules))")
+                "'policyforest.metrics', 'numpy', 'numpy.ma') "
+                "if m in sys.modules))")
         src = str(Path(policyforest.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], check=True,
                              capture_output=True, text=True, timeout=120,
@@ -373,6 +374,13 @@ class TestImports:
     def test_validate_loads_only_dataset(self, data_file, tmp_path):
         assert self._loaded_after(["validate", "--data", data_file],
                                   tmp_path) == []
+
+    @pytest.mark.parametrize("command", ["summarize", "schema"])
+    def test_checking_commands_load_no_numpy(self, command, data_file,
+                                             tmp_path):
+        argv = [command] + (["--data", data_file] if command != "schema"
+                            else [])
+        assert self._loaded_after(argv, tmp_path) == []
 
     def test_forest_eval_loads_no_numpy_ma(self, data_file, tmp_path):
         loaded = self._loaded_after(["eval", "--data", data_file, "--trees",

@@ -245,6 +245,17 @@ class TestRankIgsByDomain:
         assert list(every) == list(PD_LABELS)
         assert every["Guns"] == alone["Guns"]
 
+    def test_each_split_drawn_once(self, cases_200, monkeypatch):
+        calls = []
+
+        def spy(*args):
+            calls.append(args)
+            return random_split(*args)
+
+        monkeypatch.setattr(experiments, "random_split", spy)
+        rank_igs_by_domain(cases_200, forest_config=ForestConfig(n_trees=2))
+        assert len(calls) == len(PD_LABELS) * 21
+
     def test_correlations_are_means_over_test_splits(self, cases_200):
         seed, n_splits = 5, 3
         rows = rank_igs_by_domain(cases_200, ("Misc",), n_splits=n_splits,

@@ -96,12 +96,24 @@ def to_tree(root):
 
 
 def tree_predict(tree, X):
-    """Predictions of a single tree: a one-tree forest."""
-    n_features = X.shape[1]
-    model = ForestModel([tree], ForestConfig(n_trees=1),
-                        [f"f{i}" for i in range(n_features)],
-                        np.zeros(n_features))
-    return predict_proba(model, X)
+    """Predictions of a single tree, walking it node by node for each row
+    of X."""
+    def walk(row):
+        i = 0
+        while tree.feature[i] >= 0:
+            i = (i + 1 if row[tree.feature[i]] <= tree.threshold[i]
+                 else tree.right[i])
+        return tree.value[i]
+
+    return np.array([walk(row) for row in X])
+
+
+def tree_depth(tree):
+    """The number of tests on the longest path from the root to a leaf."""
+    depth = np.zeros(len(tree.feature), dtype=int)
+    for i in np.flatnonzero(tree.feature >= 0):
+        depth[[i + 1, tree.right[i]]] = depth[i] + 1
+    return depth.max()
 
 
 def tree_arrays(tree):
@@ -408,17 +420,27 @@ class TestFitForest:
         rows = np.concatenate([np.column_stack([cuts] * 3),
                                [[1e300] * 3, [-1e300] * 3, [1e300, -1e300, 0]],
                                rng.normal(size=(20, 3))])
+        expected = sum(tree_predict(t, rows) for t in model.trees)
+        assert predict_proba(model, rows).tolist() == (
+            expected / len(model.trees)).tolist()
 
-        def walk(tree, row):
-            i = 0
-            while tree.feature[i] >= 0:
-                i = (i + 1 if row[tree.feature[i]] <= tree.threshold[i]
-                     else tree.right[i])
-            return tree.value[i]
-
-        expected = [sum(walk(t, row) for t in model.trees) / len(model.trees)
-                    for row in rows]
-        assert predict_proba(model, rows).tolist() == expected
+    def test_trees_of_any_depth_over_several_blocks(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        m = matrix_from(rng.normal(size=(300, 4)), rng.integers(0, 2, 300))
+        deep = fit_forest(m, ForestConfig(n_trees=5, bootstrap=False,
+                                          min_samples_leaf=1, seed=2))
+        stumps = fit_forest(m, ForestConfig(n_trees=4, max_depth=1, seed=4))
+        # Deep trees take several rounds of ROUTE_STEPS steps, stumps one.
+        assert min(map(tree_depth, deep.trees)) > 2 * forest.ROUTE_STEPS
+        assert set(map(tree_depth, stumps.trees)) == {1}
+        deep.trees[1:1] = stumps.trees[:2]
+        deep.trees += stumps.trees[2:]
+        rows = rng.normal(size=(40, 4))
+        # Three trees per block: four blocks, the last one partial.
+        monkeypatch.setattr(forest, "PREDICT_PAIRS", 3 * len(rows))
+        expected = sum(tree_predict(t, rows) for t in deep.trees)
+        assert predict_proba(deep, rows).tolist() == (
+            expected / len(deep.trees)).tolist()
 
     def test_arity_mismatch(self):
         m = _separable_matrix()
