@@ -15,7 +15,7 @@ import io
 import math
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from . import PolicyforestError
 
@@ -252,14 +252,6 @@ class FeatureSetSpec:
     @classmethod
     def set_b(cls) -> "FeatureSetSpec":
         return cls("B", use_p90=True, use_net_iga=False, ig_subset=IG_NAMES,
-                   policy_encoding="pd")
-
-    @classmethod
-    def set_c(cls, igs: Iterable[str]) -> "FeatureSetSpec":
-        igs = tuple(igs)
-        if len(igs) != 14:
-            raise DatasetError(f"Set C requires exactly 14 IGs, got {len(igs)}")
-        return cls("C", use_p90=True, use_net_iga=False, ig_subset=igs,
                    policy_encoding="pd")
 
     @classmethod

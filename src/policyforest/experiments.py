@@ -5,13 +5,13 @@ comparisons, and the nonlinearity case study.
 Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
-execution parallelism. Each seeded-split experiment lists its runs as
-items (series, model kind, run) over its series, each an encoded matrix
-and a fixed split, None, or its runs already drawn; one forest.map_chunks
-call hands the items out in contiguous chunks, which may span cells,
-specs or domains; _series_chunk fits a chunk's runs of one series and
-kind together (all their forests in one forest.fit_forests call); and
-callers reduce the results in item order.
+execution parallelism. Each seeded-split experiment draws its runs
+once, up front (_runs), and lists them as items (series, model kind,
+run) over its series, each an encoded matrix and the list of its drawn
+runs; one forest.map_chunks call hands the items out in contiguous
+chunks, which may span cells, specs or domains; _series_chunk fits a
+chunk's runs of one series and kind together (all their forests in one
+forest.fit_forests call); and callers reduce the results in item order.
 """
 
 from __future__ import annotations
@@ -54,10 +54,14 @@ def check_regime_settings(regime: str, model_kind: str, n_runs: int | None,
                           train_fraction: float | None,
                           names=("n_runs", "train_fraction")) -> None:
     """Raise an ExperimentError naming the setting, as in names, that the
-    regime cannot use: a train fraction under retrodiction, whose split
-    is fixed by year, or more than one logistic run there, since every
-    logistic refit on the fixed split is the same model."""
+    regime cannot use: a train fraction outside (0, 1), or any under
+    retrodiction, whose split is fixed by year, or more than one logistic
+    run there, since every logistic refit on the fixed split is the same
+    model."""
     if regime != "retrodiction":
+        if train_fraction is not None and not 0 < train_fraction < 1:
+            raise ExperimentError(f"{names[1]} must be in (0, 1), got "
+                                  f"{train_fraction}")
         return
     if train_fraction is not None:
         raise ExperimentError(f"{names[1]} applies to random_draw splits "
@@ -80,17 +84,20 @@ def _check_k(k: int) -> None:
 
 def _runs(n_samples: int, base_seed: int, js,
           train_fraction: float = TRAIN_FRACTION,
-          fixed_plan: SplitPlan | None = None):
-    """(train rows, test rows, model seed) of each run j in js: run j
-    splits with seed mix_seed(base_seed, j), unless the plan is fixed,
-    and fits with seed mix_seed(run_seed, 1)."""
+          fixed_plan: SplitPlan | None = None) -> list:
+    """The list of (train rows, test rows, model seed) of each run j in
+    js: run j splits with seed mix_seed(base_seed, j), unless the plan is
+    fixed, and fits with seed mix_seed(run_seed, 1)."""
+    runs = []
     for j in js:
         run_seed = mix_seed(base_seed, j)
         plan = fixed_plan
         if plan is None:
             plan = random_split(n_samples, train_fraction, run_seed)
-        yield (np.asarray(plan.train_indices, dtype=int),
-               np.asarray(plan.test_indices, dtype=int), mix_seed(run_seed, 1))
+        runs.append((np.asarray(plan.train_indices, dtype=int),
+                     np.asarray(plan.test_indices, dtype=int),
+                     mix_seed(run_seed, 1)))
+    return runs
 
 
 class _Fit(NamedTuple):
@@ -116,26 +123,22 @@ def _scored(matrix: EncodedMatrix, train: np.ndarray, test: np.ndarray,
 
 def _forest_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
                  score: bool, n_jobs: int):
-    """Fit a forest per (train rows, test rows, model seed) in runs;
-    yields (i, _Fit) for runs[i] as each forest completes. The forests of
-    all runs grow together, and no frame holds a model or its rows while
+    """Fit a forest per (train rows, test rows, model seed) in the list
+    runs; yields (i, _Fit) for runs[i] as each forest completes. The
+    forests of all runs grow together, and no frame holds a model while
     the next one grows."""
-    split = {}
-
-    def forests():
-        for i, (train, test, model_seed) in enumerate(runs):
-            split[i] = train, test
-            yield train, replace(forest_config, seed=model_seed)
-
     def fit(done):
         i, model = done
+        train, test, _ = runs[i]
         predict = partial(rf.predict_proba, model) if score else None
-        return i, _scored(matrix, *split.pop(i), model.gini_importance,
+        return i, _scored(matrix, train, test, model.gini_importance,
                           predict)
 
     # map, not a loop, so that no frame holds the last model while the
     # next forests grow.
-    return map(fit, rf.fit_forests(matrix, forests(), n_jobs))
+    return map(fit, rf.fit_forests(
+        matrix, ((train, replace(forest_config, seed=model_seed))
+                 for train, _, model_seed in runs), n_jobs))
 
 
 def _logistic_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
@@ -151,42 +154,34 @@ def _logistic_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
         yield i, _scored(matrix, train, test, importance, predict)
 
 
-def _series_chunk(series: list, base_seed: int, forest_config: ForestConfig,
-                  train_fraction: float, score: bool, n_jobs: int, items):
-    """Items (s, kind, j): run j of series[s], a (matrix, plan) pair,
-    fits a model of kind on its train rows. The plan is a fixed SplitPlan
-    or None, from which _runs derives run j, or the list of the series'
-    runs as _runs drew them. Yields each item's _Fit in item order, as
-    soon as it and every earlier item are done; the runs of one series
-    and kind are fit together, all their forests in one fit_forests
-    call."""
+def _series_chunk(series: list, forest_config: ForestConfig, score: bool,
+                  n_jobs: int, items):
+    """Items (s, kind, j): runs[j] of series[s], a (matrix, runs) pair
+    with runs as _runs drew them, fits a model of kind on its train rows.
+    Yields each item's _Fit in item order, as soon as it and every
+    earlier item are done; the runs of one series and kind are fit
+    together, all their forests in one fit_forests call."""
     items = list(items)
     groups: dict[tuple[int, str], list[int]] = {}
     for at, (s, kind, _) in enumerate(items):
         groups.setdefault((s, kind), []).append(at)
     done, first = {}, 0
     for (s, kind), ats in groups.items():
-        matrix, plan = series[s]
-        js = [items[at][2] for at in ats]
-        if isinstance(plan, list):
-            runs = [plan[j] for j in js]
-        else:
-            runs = _runs(matrix.n_samples, base_seed, js, train_fraction, plan)
+        matrix, runs = series[s]
         fits = _forest_fits if kind == "forest" else _logistic_fits
-        for i, fit in fits(matrix, runs, forest_config, score, n_jobs):
+        for i, fit in fits(matrix, [runs[items[at][2]] for at in ats],
+                           forest_config, score, n_jobs):
             done[ats[i]] = fit
             while first in done:
                 yield done.pop(first)
                 first += 1
 
 
-def _map_series(series: list, items, base_seed: int,
-                forest_config: ForestConfig, n_jobs: int, score: bool = True,
-                train_fraction: float = TRAIN_FRACTION):
+def _map_series(series: list, items, forest_config: ForestConfig,
+                n_jobs: int, score: bool = True):
     """_series_chunk over items in one map on up to n_jobs worker
     processes: the _Fit of each item, in item order."""
-    chunk = partial(_series_chunk, series, base_seed, forest_config,
-                    train_fraction, score)
+    chunk = partial(_series_chunk, series, forest_config, score)
     return map_chunks(chunk, items, n_jobs)
 
 
@@ -276,17 +271,17 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
     if train_fraction is None:
         train_fraction = TRAIN_FRACTION
     matrix = encode(cases, spec)
+    runs = _runs(matrix.n_samples, base_seed, range(n_runs), train_fraction,
+                 _fixed_plan(cases, matrix, regime))
 
-    fits = _map_series([(matrix, _fixed_plan(cases, matrix, regime))],
+    fits = _map_series([(matrix, runs)],
                        [(0, model_kind, j) for j in range(n_runs)],
-                       base_seed, forest_config, n_jobs,
-                       train_fraction=train_fraction)
-    runs = [_run_result(matrix, base_seed, j, fit)
-            for j, fit in enumerate(fits)]
+                       forest_config, n_jobs)
     return EvalReport(feature_set_id=spec.id, regime=regime,
                       model_kind=model_kind, base_seed=base_seed,
                       n_dropped_missing_p90=matrix.n_dropped_missing_p90,
-                      runs=runs)
+                      runs=[_run_result(matrix, base_seed, j, fit)
+                            for j, fit in enumerate(fits)])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +362,7 @@ def rank_igs_by_domain(cases: list[PolicyCase],
         if n < 2 or n_pos == 0 or n_pos == n:
             raise ExperimentError(f"domain {domain!r} is degenerate: cannot "
                                   f"rank ({n} usable cases, {n_pos} positive)")
-        runs = list(_runs(n, base_seed, range(n_splits)))
+        runs = _runs(n, base_seed, range(n_splits))
         for j, (rows, _, _) in enumerate(runs):
             train = matrix.y[rows]
             if train.min() == train.max():
@@ -380,7 +375,7 @@ def rank_igs_by_domain(cases: list[PolicyCase],
         series,
         [(g, "forest", j) for g in range(len(series))
          for j in range(n_splits)],
-        base_seed, forest_config, n_jobs, score=False))
+        forest_config, n_jobs, score=False))
     ranked = {}
     for g, (domain, (matrix, _)) in enumerate(zip(domains, series)):
         runs = fits[g * n_splits:(g + 1) * n_splits]
@@ -421,10 +416,11 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     matrix = encode(cases, FeatureSetSpec.set_b())
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
 
+    runs = _runs(matrix.n_samples, base_seed, range(n_splits))
     acc = np.zeros(matrix.n_features)
-    for fit in _map_series([(matrix, None)],
+    for fit in _map_series([(matrix, runs)],
                            [(0, "forest", j) for j in range(n_splits)],
-                           base_seed, forest_config, n_jobs, score=False):
+                           forest_config, n_jobs, score=False):
         acc += fit.importance
     chosen = _top_k(acc[ig_cols], k)
     if k == len(IG_NAMES):
@@ -484,13 +480,14 @@ def gain_per_ig(cases: list[PolicyCase],
 
     gains: dict[str, list[float]] = {name: [] for name in IG_NAMES}
     counts: dict[str, list[int]] = {name: [] for name in IG_NAMES}
-    # Same run, so same split and model seed, for both fits: the
+    # Same runs, so same split and model seed, for both fits: the
     # comparison is paired, so the models differ only by feature set
     # (identical specs give gain 0).
-    fits = iter(_map_series([(mat_b, None), (mat_a, None)],
+    runs = _runs(mat_b.n_samples, base_seed, range(n_runs))
+    fits = iter(_map_series([(mat_b, runs), (mat_a, runs)],
                             [(s, "forest", j) for j in range(n_runs)
                              for s in (0, 1)],
-                            base_seed, forest_config, n_jobs))
+                            forest_config, n_jobs))
     for fit_b, fit_a in zip(fits, fits):
         test = fit_b.test_rows
         hit_b = (fit_b.test_scores >= fit_b.op.threshold) == mat_b.y[test]
@@ -573,33 +570,40 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     matrix = encode(cases, _RANKING_SPEC)
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
     acc = {kind: np.zeros(len(IG_NAMES)) for kind in MODEL_KINDS}
-    items = [(0, kind, 10_000 + j) for j in range(n_splits)
-             for kind in MODEL_KINDS]
+    # Selection item j is run 10,000 + j.
+    runs = _runs(matrix.n_samples, base_seed, range(10_000, 10_000 + n_splits))
+    items = [(0, kind, j) for j in range(n_splits) for kind in MODEL_KINDS]
     for (_, kind, _), fit in zip(items, _map_series(
-            [(matrix, None)], items, base_seed, forest_config, n_jobs,
-            score=False)):
+            [(matrix, runs)], items, forest_config, n_jobs, score=False)):
         acc[kind] += fit.importance[ig_cols]
     chosen = {"rf_gini": _top_k(acc["forest"], k),
               "logistic_beta": _top_k(acc["logistic"], k)}
 
-    # Series 2r + i: selector i's matrix under regimes[r].
+    # Series 2r + i: selector i's matrix under regimes[r]. Both keep the
+    # rows of matrix (those with a P90), so one list of runs per regime
+    # serves both.
     matrices = [encode(cases, replace(_RANKING_SPEC, ig_subset=subset))
                 for subset in chosen.values()]
-    series = [(m, _fixed_plan(cases, m, regime))
-              for regime in regimes for m in matrices]
-    runs = {(kind, s): [] for kind in MODEL_KINDS for s in range(len(series))}
+    series = []
+    for regime in regimes:
+        runs = _runs(matrix.n_samples, base_seed, range(n_splits),
+                     fixed_plan=_fixed_plan(cases, matrix, regime))
+        series += [(m, runs) for m in matrices]
+    results = {(kind, s): [] for kind in MODEL_KINDS
+               for s in range(len(series))}
     # A logistic model runs once on a fixed split: it is deterministic.
-    items = [(s, kind, j) for j in range(n_splits) for kind, s in runs
-             if j == 0 or kind == "forest" or series[s][1] is None]
+    items = [(s, kind, j) for j in range(n_splits) for kind, s in results
+             if j == 0 or kind == "forest"
+             or regimes[s // 2] == "random_draw"]
     for (s, kind, j), fit in zip(items, _map_series(
-            series, items, base_seed, forest_config, n_jobs)):
-        runs[kind, s].append(_run_result(series[s][0], base_seed, j, fit))
+            series, items, forest_config, n_jobs)):
+        results[kind, s].append(_run_result(series[s][0], base_seed, j, fit))
 
     out: list[SelectorCell] = []
     gains: list[SelectorGain] = []
     for kind in MODEL_KINDS:
         for r, regime in enumerate(regimes):
-            pair = runs[kind, 2 * r], runs[kind, 2 * r + 1]
+            pair = results[kind, 2 * r], results[kind, 2 * r + 1]
             for sel, rs in zip(chosen, pair):
                 out.append(SelectorCell(
                     kind, sel, regime,

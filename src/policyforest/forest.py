@@ -8,7 +8,6 @@ fits produce identical models.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 from dataclasses import dataclass
@@ -19,8 +18,6 @@ import numpy as np
 
 from . import PolicyforestError
 from .dataset import EncodedMatrix, check_finite
-
-SCHEMA_VERSION = 2
 
 _MASK64 = (1 << 64) - 1
 
@@ -104,6 +101,8 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise ForestError(f"n_trees must be >= 1, got {self.n_trees}")
+        if self.max_depth is not None and self.max_depth < 1:
+            raise ForestError(f"max_depth must be >= 1, got {self.max_depth}")
         if self.min_samples_leaf < 1:
             raise ForestError(f"min_samples_leaf must be >= 1, got "
                               f"{self.min_samples_leaf}")
@@ -141,11 +140,6 @@ class Tree:
     right: np.ndarray      # int32
     value: np.ndarray      # float64
     n_samples: np.ndarray  # int32
-
-
-_TREE_DTYPES = {"feature": np.int32, "threshold": np.float64,
-                "right": np.int32, "value": np.float64,
-                "n_samples": np.int32}
 
 
 def gini_impurity(n_pos: int, n_neg: int) -> float:
@@ -581,7 +575,6 @@ def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
 @dataclass
 class ForestModel:
     trees: list[Tree]
-    config: ForestConfig
     column_names: list[str]
     gini_importance: np.ndarray  # normalized to sum 1 when any split exists
 
@@ -606,13 +599,12 @@ def _grow_chunk(view: BinnedMatrix, y: np.ndarray, _jobs: int, trees):
     return _grow_trees(view, y, starmap(_tree_task, trees))
 
 
-def _assemble(config: ForestConfig, column_names,
+def _assemble(column_names,
               grown: list[tuple[Tree, np.ndarray]]) -> ForestModel:
     raw = np.mean([imp for _, imp in grown], axis=0)
     total = raw.sum()
     importance = raw / total if total > 0 else raw
-    return ForestModel([t for t, _ in grown], config, list(column_names),
-                       importance)
+    return ForestModel([t for t, _ in grown], list(column_names), importance)
 
 
 def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
@@ -627,7 +619,7 @@ def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
     """
     view = BinnedMatrix.of(matrix.X)
     y = matrix.y
-    configs, grown, missing = {}, {}, {}
+    grown, missing = {}, {}
 
     def trees():
         for f, (rows, config) in enumerate(forests):
@@ -638,7 +630,6 @@ def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
             n_pos = y[rows].sum()
             if n_pos == 0 or n_pos == len(rows):
                 raise ForestError("training labels contain a single class")
-            configs[f] = config
             grown[f] = [None] * config.n_trees
             missing[f] = config.n_trees
             for i in range(config.n_trees):
@@ -650,8 +641,7 @@ def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
         missing[f] -= 1
         if not missing[f]:
             del missing[f]
-            yield f, _assemble(configs.pop(f), matrix.column_names,
-                               grown.pop(f))
+            yield f, _assemble(matrix.column_names, grown.pop(f))
 
 
 def fit_forest(matrix: EncodedMatrix, config: ForestConfig,
@@ -732,40 +722,3 @@ def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
             acc += values
     probs = acc / len(trees)
     return float(probs[0]) if single else probs
-
-
-# ---------------------------------------------------------------------------
-# JSON serialization
-
-
-def forest_to_json(model: ForestModel) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "forest",
-        "config": {
-            "n_trees": model.config.n_trees,
-            "max_depth": model.config.max_depth,
-            "min_samples_leaf": model.config.min_samples_leaf,
-            "features_per_split": model.config.features_per_split,
-            "bootstrap": model.config.bootstrap,
-            "seed": model.config.seed,
-        },
-        "column_names": model.column_names,
-        "gini_importance": list(model.gini_importance),
-        "trees": [{name: getattr(t, name).tolist() for name in _TREE_DTYPES}
-                  for t in model.trees],
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def forest_from_json(text: str) -> ForestModel:
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ForestError(f"unsupported schema version "
-                          f"{doc.get('schema_version')!r}")
-    cfg = ForestConfig(**doc["config"])
-    trees = [Tree(**{name: np.array(t[name], dtype=dtype)
-                     for name, dtype in _TREE_DTYPES.items()})
-             for t in doc["trees"]]
-    return ForestModel(trees, cfg, doc["column_names"],
-                       np.asarray(doc["gini_importance"]))

@@ -13,16 +13,13 @@ finite.
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import PolicyforestError
 from .dataset import EncodedMatrix, check_finite
-
-SCHEMA_VERSION = 1
 
 
 class LogisticError(PolicyforestError):
@@ -201,40 +198,3 @@ def predict_proba(model: LogisticModel, rows: np.ndarray,
     z = (rows - model.means) / model.stds
     p = sigmoid(model.intercept + z @ model.beta)
     return float(p[0]) if single else p
-
-
-def coefficient_ranking(model: LogisticModel) -> list[tuple[str, float]]:
-    """Features sorted by descending |beta| (standardized scale); ties
-    break toward the lower feature index."""
-    mags = np.abs(model.beta)
-    order = sorted(range(len(mags)), key=lambda i: (-mags[i], i))
-    return [(model.column_names[i], float(mags[i])) for i in order]
-
-
-def logistic_to_json(model: LogisticModel) -> str:
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "kind": "logistic",
-        "column_names": model.column_names,
-        "dropped_columns": model.dropped_columns,
-        "beta": list(model.beta),
-        "intercept": model.intercept,
-        "means": list(model.means),
-        "stds": list(model.stds),
-        "converged": model.converged,
-    }
-    return json.dumps(doc, sort_keys=True)
-
-
-def logistic_from_json(text: str) -> LogisticModel:
-    doc = json.loads(text)
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise LogisticError(f"unsupported schema version "
-                            f"{doc.get('schema_version')!r}")
-    return LogisticModel(beta=np.asarray(doc["beta"]),
-                         intercept=doc["intercept"],
-                         means=np.asarray(doc["means"]),
-                         stds=np.asarray(doc["stds"]),
-                         column_names=doc["column_names"],
-                         dropped_columns=doc["dropped_columns"],
-                         ll_history=[], converged=doc["converged"])

@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from policyforest.dataset import IG_NAMES, PA_LABELS, PA_TO_PD, PolicyCase
+from policyforest.forest import Tree
 
 
 def make_cases(n, seed=0, signal=True, driver_ig=0, missing_p90_every=0):
@@ -35,6 +38,16 @@ def make_cases(n, seed=0, signal=True, driver_ig=0, missing_p90_every=0):
         if all(c.outcome == cases[0].outcome for c in cases):
             raise AssertionError("degenerate synthetic draw; change seed")
     return cases
+
+
+def same_forest(a, b):
+    """Whether two ForestModels are the same model: equal trees, every
+    node array compared exactly, and the same importance and columns."""
+    return (len(a.trees) == len(b.trees)
+            and all(np.array_equal(getattr(s, f.name), getattr(t, f.name))
+                    for s, t in zip(a.trees, b.trees) for f in fields(Tree))
+            and np.array_equal(a.gini_importance, b.gini_importance)
+            and a.column_names == b.column_names)
 
 
 @pytest.fixture(scope="session")

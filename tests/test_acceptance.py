@@ -23,14 +23,13 @@ from policyforest.experiments import (build_set_c, compare_selectors,
                                       rank_igs_by_domain,
                                       run_feature_set_eval)
 from policyforest.forest import (GAIN_EPS, ForestConfig, best_split,
-                                 fit_forest, forest_to_json, gini_impurity,
-                                 mix_seed)
+                                 fit_forest, gini_impurity, mix_seed)
 from policyforest.logistic import (LogisticConfig, fit,
                                    log_likelihood_gradient,
                                    penalized_log_likelihood)
 from policyforest.metrics import (balanced_accuracy, confusion_at_threshold,
                                   roc_and_auc, select_operating_point)
-from conftest import make_cases
+from conftest import make_cases, same_forest
 from test_experiments import three_region_cases
 
 DATA_ENV = "POLICY_CASES_CSV"
@@ -239,7 +238,7 @@ def test_determinism(tmp_path):
                       np.random.default_rng(1).integers(0, 2, 80))
     f1 = fit_forest(mat, cfg, n_jobs=1)
     f2 = fit_forest(mat, cfg, n_jobs=4)
-    assert forest_to_json(f1) == forest_to_json(f2)
+    assert same_forest(f1, f2)
 
 
 @criterion(8, "aggregate-stance and correlation identities hold exactly")

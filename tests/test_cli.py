@@ -9,6 +9,7 @@ import pytest
 
 import policyforest
 
+from policyforest import forest
 from policyforest.cli import main
 from policyforest.dataset import IG_NAMES, PA_TO_PD, dump_cases
 from conftest import make_cases
@@ -256,11 +257,24 @@ class TestInputChecks:
         (["eval", "--regime", "retrodiction", "--train-fraction", "0.3"],
          "--train-fraction applies to random_draw splits only"),
         (["eval", "--regime", "retrodiction", "--model", "logistic"],
-         "--runs must be 1 for a logistic model under retrodiction")],
+         "--runs must be 1 for a logistic model under retrodiction"),
+        (["eval", "--set", "C", "--train-fraction", "1.5"],
+         "--train-fraction must be in (0, 1), got 1.5"),
+        (["eval", "--set", "C", "--train-fraction", "0"],
+         "--train-fraction must be in (0, 1), got 0.0"),
+        (["eval", "--set", "C", "--train-fraction", "nan"],
+         "--train-fraction must be in (0, 1), got nan"),
+        (["eval", "--max-depth", "-3"], "max_depth must be >= 1, got -3")],
         ids=["k0", "k44", "top0", "top-1", "min-test-cases0",
-             "retrodiction-train-fraction", "retrodiction-logistic-runs"])
+             "retrodiction-train-fraction", "retrodiction-logistic-runs",
+             "train-fraction1.5", "train-fraction0", "train-fraction-nan",
+             "max-depth-3"])
     def test_rejected_with_exit_1(self, cmd, message, data_file, tmp_path,
-                                  capsys):
+                                  capsys, monkeypatch):
+        def no_fit(*args):
+            raise AssertionError("a forest was fit before the check")
+
+        monkeypatch.setattr(forest, "fit_forests", no_fit)
         out = tmp_path / "o"
         assert main(cmd + ["--data", data_file, "--runs", "2", "--trees",
                            "4", "--out", str(out)]) == 1

@@ -230,7 +230,8 @@ class TestEncode:
         assert m.n_features == 1 + 43 + 19
 
     def test_set_c_column_count(self, cases_200):
-        spec = FeatureSetSpec.set_c(IG_NAMES[:14])
+        spec = FeatureSetSpec("C", use_p90=True, use_net_iga=False,
+                              ig_subset=IG_NAMES[:14], policy_encoding="pd")
         m = encode(cases_200, spec)
         assert m.n_features == 1 + 14 + 6
 

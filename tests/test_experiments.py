@@ -126,7 +126,7 @@ class TestRunFeatureSetEval:
                     seen.append((matrix.case_indices[train],
                                  matrix.case_indices[test]))
                     yield train, test, model_seed
-            return forest_fits(matrix, recorded(), *args)
+            return forest_fits(matrix, list(recorded()), *args)
 
         monkeypatch.setattr(experiments, "_forest_fits", spy)
         rep = run_feature_set_eval(cases, FeatureSetSpec.set_a(), regime,
@@ -246,6 +246,8 @@ class TestRankIgsByDomain:
         assert every["Guns"] == alone["Guns"]
 
     def test_each_split_drawn_once(self, cases_200, monkeypatch):
+        """rank draws its splits once for its single-class check and its
+        fits, and every other seeded series draws each split once."""
         calls = []
 
         def spy(*args):
@@ -253,8 +255,24 @@ class TestRankIgsByDomain:
             return random_split(*args)
 
         monkeypatch.setattr(experiments, "random_split", spy)
-        rank_igs_by_domain(cases_200, forest_config=ForestConfig(n_trees=2))
-        assert len(calls) == len(PD_LABELS) * 21
+        fc = ForestConfig(n_trees=2)
+        for run, splits in [
+                (lambda: rank_igs_by_domain(cases_200, forest_config=fc),
+                 len(PD_LABELS) * 21),
+                (lambda: gain_per_ig(cases_200, n_runs=25,
+                                     forest_config=fc), 25),
+                # 21 selection runs, then 21 random draws that both
+                # subsets share.
+                (lambda: compare_selectors(cases_200, n_splits=21,
+                                           forest_config=fc), 42),
+                (lambda: build_set_c(cases_200, n_splits=21,
+                                     forest_config=fc), 21),
+                (lambda: run_feature_set_eval(
+                    cases_200, FeatureSetSpec.set_a(), "random_draw",
+                    forest_config=fc), 25)]:
+            calls.clear()
+            run()
+            assert len(calls) == splits
 
     def test_correlations_are_means_over_test_splits(self, cases_200):
         seed, n_splits = 5, 3
@@ -555,6 +573,18 @@ class TestEntryChecks:
             run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
                                  "retrodiction", forest_config=FAST_FOREST,
                                  **settings)
+
+    @pytest.mark.parametrize("fraction", [1.5, 0.0, float("nan")])
+    def test_train_fraction_outside_unit_interval_starts_no_pool(
+            self, fraction, cases_200, recording_pool, monkeypatch):
+        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        with pytest.raises(ExperimentError,
+                           match=r"train_fraction must be in \(0, 1\)"):
+            run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
+                                 "random_draw", n_runs=3,
+                                 train_fraction=fraction,
+                                 forest_config=FAST_FOREST, n_jobs=2)
+        assert recording_pool == []
 
     def test_unknown_model_kind_starts_no_pool(self, cases_200,
                                                recording_pool, monkeypatch):

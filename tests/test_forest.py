@@ -1,6 +1,6 @@
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import pytest
@@ -10,9 +10,9 @@ from policyforest.dataset import EncodedMatrix
 from policyforest.forest import (ForestConfig, ForestError, ForestModel,
                                  GAIN_EPS, BinnedMatrix, Tree, best_split,
                                  fit_forest, fit_forests, fit_tree,
-                                 forest_from_json, forest_to_json,
                                  gini_impurity, map_chunks, mix_seed,
                                  predict_proba)
+from conftest import same_forest
 
 
 def matrix_from(X, y):
@@ -182,7 +182,7 @@ def reference_fit_forest(matrix, config, fallbacks):
         raws.append(importance)
     raw = np.mean(raws, axis=0)
     total = raw.sum()
-    return ForestModel(trees, config, list(matrix.column_names),
+    return ForestModel(trees, list(matrix.column_names),
                        raw / total if total > 0 else raw)
 
 
@@ -344,6 +344,12 @@ class TestFitForest:
         with pytest.raises(ForestError, match="single class"):
             fit_forest(m, ForestConfig(n_trees=2))
 
+    @pytest.mark.parametrize("depth", [0, -3])
+    def test_max_depth_below_one_rejected(self, depth):
+        with pytest.raises(ForestError,
+                           match=f"max_depth must be >= 1, got {depth}"):
+            ForestConfig(max_depth=depth)
+
     def test_no_columns_error(self):
         y = np.array([0, 1] * 3)
         with pytest.raises(ForestError, match="without columns"):
@@ -380,7 +386,8 @@ class TestFitForest:
                               predict_proba(parallel, X))
         assert np.array_equal(serial.gini_importance,
                               parallel.gini_importance)
-        assert forest_to_json(serial) == forest_to_json(parallel)
+        assert same_forest(serial, parallel)
+        assert not same_forest(serial, fit_forest(m, replace(cfg, seed=12)))
 
     def test_tree_order_invariance(self):
         m = _separable_matrix(seed=8)
@@ -493,7 +500,7 @@ class TestMapOrdered:
         model = fit_forest(m, cfg, n_jobs=3)
         # One pool, one chunk of trees per worker.
         assert recording_pool == [(3, 1)]
-        assert forest_to_json(model) == forest_to_json(fit_forest(m, cfg))
+        assert same_forest(model, fit_forest(m, cfg))
 
 
 class TestModelIdentity:
@@ -584,8 +591,8 @@ class TestModelIdentity:
                 for seed in (0, 1, 2):
                     cfg = ForestConfig(n_trees=4, seed=seed, **overrides)
                     expected = reference_fit_forest(m, cfg, fallbacks)
-                    assert forest_to_json(fit_forest(m, cfg)) == \
-                        forest_to_json(expected), (overrides, seed)
+                    assert same_forest(fit_forest(m, cfg), expected), \
+                        (overrides, seed)
         assert fallbacks  # the zero-gain fallback was exercised
 
 
@@ -612,8 +619,7 @@ class TestFitForests:
     def test_equals_fitting_each_forest_alone(self, in_flight, monkeypatch):
         m = TestModelIdentity._noisy_matrix()
         forests = self._forests(m.n_samples)
-        alone = [forest_to_json(fit_forest(m.subset(rows), cfg))
-                 for rows, cfg in forests]
+        alone = [fit_forest(m.subset(rows), cfg) for rows, cfg in forests]
         # The last forest draws more candidates than the others, so a
         # level of many trees in flight mixes candidate counts.
         monkeypatch.setattr(forest, "TREES_IN_FLIGHT", in_flight)
@@ -633,7 +639,7 @@ class TestFitForests:
             assert sorted(i for i, _ in together) == \
                 list(range(len(forests)))
             for i, model in together:
-                assert forest_to_json(model) == alone[i], (step_rows, i)
+                assert same_forest(model, alone[i]), (step_rows, i)
             assert (max(searched) == 1) == (step_rows == 1)
 
     def test_parallel_equals_serial(self, recording_pool, monkeypatch):
@@ -646,7 +652,7 @@ class TestFitForests:
         # Models come back as they complete, in either mode.
         assert sorted(i for i, _ in parallel) == list(range(len(forests)))
         for i, model in parallel:
-            assert forest_to_json(model) == forest_to_json(serial[i])
+            assert same_forest(model, serial[i])
 
     def test_single_class_forest_rejected(self):
         m = matrix_from(np.arange(8.0)[:, None], [0, 0, 0, 0, 1, 1, 1, 1])
@@ -754,32 +760,6 @@ class TestImportances:
         model = fit_forest(matrix_from(X, y), ForestConfig(n_trees=10, seed=4))
         assert model.gini_importance.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(model.gini_importance >= 0)
-
-
-class TestSerialization:
-    def test_round_trip(self):
-        m = _separable_matrix(seed=21)
-        model = fit_forest(m, ForestConfig(n_trees=7, seed=9))
-        text = forest_to_json(model)
-        clone = forest_from_json(text)
-        assert np.array_equal(predict_proba(model, m.X),
-                              predict_proba(clone, m.X))
-        assert forest_to_json(clone) == text
-
-    def test_bad_schema_version(self):
-        with pytest.raises(ForestError, match="schema version"):
-            forest_from_json(json.dumps({"schema_version": 99}))
-
-    def test_schema_one_rejected(self):
-        # Schema 1 stored each tree as nested node objects.
-        doc = json.loads(forest_to_json(fit_forest(
-            _separable_matrix(seed=22), ForestConfig(n_trees=2, seed=1))))
-        doc["schema_version"] = 1
-        doc["trees"] = [{"leaf": True, "positive_fraction": 0.5,
-                         "n_samples": 80}] * 2
-        with pytest.raises(ForestError,
-                           match="unsupported schema version 1"):
-            forest_from_json(json.dumps(doc))
 
 
 class TestMixSeed:
