@@ -19,18 +19,17 @@ class PolicyforestError(ValueError):
 _EXPORTS = {
     "dataset": ("IG_NAMES", "PA_LABELS", "PA_TO_PD", "PD_LABELS",
                 "AlignmentTally", "DatasetError", "EncodedMatrix",
-                "FeatureSetSpec", "PolicyCase", "SplitPlan", "domain_counts",
-                "encode", "load_cases", "net_iga", "random_split",
-                "rescale_p90", "retrodiction_split", "tally_alignments",
+                "FeatureSetSpec", "PolicyCase", "domain_counts", "encode",
+                "load_cases", "net_iga", "random_split", "rescale_p90",
+                "retrodiction_split", "tally_alignments",
                 "zero_noncommittal"),
     "forest": ("ForestConfig", "ForestError", "ForestModel", "Tree",
                "best_split", "fit_forest", "fit_forests", "fit_tree",
                "gini_impurity", "mix_seed"),
-    "logistic": ("LogisticConfig", "LogisticError", "LogisticModel",
-                 "sigmoid"),
+    "logistic": ("LogisticError", "LogisticModel", "sigmoid"),
     "metrics": ("ConfusionCounts", "MetricsError", "OperatingPoint",
-                "RocCurve", "balanced_accuracy", "confusion_at_threshold",
-                "roc_and_auc", "select_operating_point"),
+                "balanced_accuracy", "confusion_at_threshold", "roc_and_auc",
+                "select_operating_point"),
     "experiments": ("EvalReport", "ExperimentError", "build_set_c",
                     "compare_selectors", "gain_per_ig",
                     "ig_outcome_correlation", "nonlinearity_case_study",

@@ -357,44 +357,32 @@ MODEL_KINDS = ("forest", "logistic")
 TRAIN_FRACTION = 0.67
 
 
-@dataclass(frozen=True)
-class SplitPlan:
-    """Disjoint train/test index sets covering all cases."""
-
-    train_indices: tuple[int, ...]
-    test_indices: tuple[int, ...]
-
-    def __post_init__(self):
-        if set(self.train_indices) & set(self.test_indices):
-            raise DatasetError("train and test indices overlap")
-
-
-def random_split(n_cases: int, train_fraction: float, seed: int) -> SplitPlan:
-    """Seeded uniform split; train size is floor(train_fraction * n)."""
+def random_split(n_cases: int, train_fraction: float, seed: int):
+    """Seeded uniform split of range(n_cases) into disjoint (train, test)
+    int arrays; train size is floor(train_fraction * n)."""
     if n_cases < 2:
         raise DatasetError(f"need at least 2 cases to split, got {n_cases}")
     if not (0.0 < train_fraction < 1.0):
         raise DatasetError(f"train_fraction must be in (0,1), got "
                            f"{train_fraction}")
     import numpy as np
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n_cases)
+    perm = np.random.default_rng(seed).permutation(n_cases)
     n_train = int(math.floor(train_fraction * n_cases))
-    return SplitPlan(tuple(perm[:n_train].tolist()),
-                     tuple(perm[n_train:].tolist()))
+    return perm[:n_train], perm[n_train:]
 
 
-def retrodiction_split(cases: list[PolicyCase]) -> SplitPlan:
-    """Train on cases before CUTOFF_YEAR, test on the rest (inclusive)."""
-    train = tuple(i for i, c in enumerate(cases) if c.year < CUTOFF_YEAR)
-    test = tuple(i for i, c in enumerate(cases) if c.year >= CUTOFF_YEAR)
-    if not train:
+def retrodiction_split(cases: list[PolicyCase]):
+    """(train, test) int arrays of the indices of cases before
+    CUTOFF_YEAR and of the rest (inclusive)."""
+    import numpy as np
+    before = np.array([c.year < CUTOFF_YEAR for c in cases], dtype=bool)
+    if not before.any():
         raise DatasetError(f"no cases before {CUTOFF_YEAR}: empty training "
                            f"set")
-    if not test:
+    if before.all():
         raise DatasetError(f"no cases in or after {CUTOFF_YEAR}: empty test "
                            f"set")
-    return SplitPlan(train, test)
+    return np.flatnonzero(before), np.flatnonzero(~before)
 
 
 # ---------------------------------------------------------------------------

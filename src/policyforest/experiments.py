@@ -5,13 +5,14 @@ comparisons, and the nonlinearity case study.
 Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
-execution parallelism. Each seeded-split experiment draws its runs
-once, up front (_runs), and lists them as items (series, model kind,
-run) over its series, each an encoded matrix and the list of its drawn
-runs; one forest.map_chunks call hands the items out in contiguous
-chunks, which may span cells, specs or domains; _series_chunk fits a
-chunk's runs of one series and kind together (all their forests in one
-forest.fit_forests call); and callers reduce the results in item order.
+execution parallelism. Each seeded-split experiment draws and checks
+all its runs up front (_runs), each a (train rows, test rows, model
+seed) triple, and lists them as items (series, model kind, run) over its
+series, each an encoded matrix and its runs; one forest.map_chunks call
+hands the items out in contiguous chunks, which may span cells, specs or
+domains; _series_chunk fits a chunk's runs of one series and kind
+together (all their forests in one forest.fit_forests call); and callers
+reduce the results in item order.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from . import metrics as mx
 from . import PolicyforestError
 from .dataset import (CUTOFF_YEAR, IG_NAMES, MODEL_KINDS, PD_LABELS, REGIMES,
                       TRAIN_FRACTION, EncodedMatrix, FeatureSetSpec,
-                      PolicyCase, SplitPlan, encode, random_split,
+                      PolicyCase, encode, random_split,
                       rescale_p90, retrodiction_split, zero_noncommittal)
 from .forest import ForestConfig, map_chunks, mix_seed
 
@@ -82,21 +83,28 @@ def _check_k(k: int) -> None:
         raise ExperimentError(f"k must be in [1, {len(IG_NAMES)}], got {k}")
 
 
-def _runs(n_samples: int, base_seed: int, js,
-          train_fraction: float = TRAIN_FRACTION,
-          fixed_plan: SplitPlan | None = None) -> list:
+def _runs(y: np.ndarray, base_seed: int, js,
+          train_fraction: float = TRAIN_FRACTION, fixed_split=None,
+          check_test: bool = False) -> list:
     """The list of (train rows, test rows, model seed) of each run j in
-    js: run j splits with seed mix_seed(base_seed, j), unless the plan is
-    fixed, and fits with seed mix_seed(run_seed, 1)."""
+    js over the rows labelled y: run j splits with seed mix_seed(base_seed,
+    j), unless the split is fixed, and fits with seed mix_seed(run_seed, 1).
+    A run whose training rows, or with check_test its test rows, are fewer
+    than 2 or of one class is an ExperimentError naming the run and side."""
     runs = []
-    for j in js:
+    for at, j in enumerate(js, 1):
         run_seed = mix_seed(base_seed, j)
-        plan = fixed_plan
-        if plan is None:
-            plan = random_split(n_samples, train_fraction, run_seed)
-        runs.append((np.asarray(plan.train_indices, dtype=int),
-                     np.asarray(plan.test_indices, dtype=int),
-                     mix_seed(run_seed, 1)))
+        train, test = fixed_split or random_split(len(y), train_fraction,
+                                                  run_seed)
+        sides = [("training", train), ("test", test)][:1 + check_test]
+        for side, rows in sides:
+            labels = y[rows]
+            if labels.size < 2 or labels.min() == labels.max():
+                what = ("are fewer than 2" if labels.size < 2
+                        else "have a single class")
+                raise ExperimentError(f"run {at} of {len(js)}: the "
+                                      f"{labels.size} {side} cases {what}")
+        runs.append((train, test, mix_seed(run_seed, 1)))
     return runs
 
 
@@ -226,10 +234,9 @@ class EvalReport:
         return asdict(self)
 
 
-def _fixed_plan(cases: list[PolicyCase], matrix: EncodedMatrix,
-                regime: str) -> SplitPlan | None:
-    """The regime's fixed split of matrix's rows: None for random draws,
-    whose runs each draw their own."""
+def _fixed_split(cases: list[PolicyCase], matrix: EncodedMatrix, regime: str):
+    """The regime's fixed (train, test) split of matrix's rows: None for
+    random draws, whose runs each draw their own."""
     if regime == "random_draw":
         return None
     return retrodiction_split([cases[i] for i in matrix.case_indices])
@@ -240,11 +247,11 @@ def _run_result(matrix: EncodedMatrix, base_seed: int, j: int,
     """Run j's RunResult: its test rows scored at the operating point."""
     test_y = matrix.y[fit.test_rows]
     conf = mx.confusion_at_threshold(fit.test_scores, test_y, fit.op.threshold)
-    _, auc = mx.roc_and_auc(fit.test_scores, test_y)
     return RunResult(run_index=j, seed=mix_seed(base_seed, j),
                      threshold=fit.op.threshold,
                      train_balanced_accuracy=fit.op.train_balanced_accuracy,
-                     balanced_accuracy=mx.balanced_accuracy(conf), auc=auc,
+                     balanced_accuracy=mx.balanced_accuracy(conf),
+                     auc=mx.roc_and_auc(fit.test_scores, test_y),
                      tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn)
 
 
@@ -271,8 +278,8 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
     if train_fraction is None:
         train_fraction = TRAIN_FRACTION
     matrix = encode(cases, spec)
-    runs = _runs(matrix.n_samples, base_seed, range(n_runs), train_fraction,
-                 _fixed_plan(cases, matrix, regime))
+    runs = _runs(matrix.y, base_seed, range(n_runs), train_fraction,
+                 _fixed_split(cases, matrix, regime), check_test=True)
 
     fits = _map_series([(matrix, runs)],
                        [(0, model_kind, j) for j in range(n_runs)],
@@ -345,9 +352,8 @@ def rank_igs_by_domain(cases: list[PolicyCase],
     over its cases that have a P90; returns {domain: rows}, each domain's
     rows by falling importance.
 
-    Every domain, and the training labels of each of its runs, is checked
-    before any forest is fit; the runs drawn for the check are the ones
-    fit. Then the runs of all domains go to one worker map; run j of
+    Every domain and each of its runs is checked before any forest is
+    fit; then the runs of all domains go to one worker map; run j of
     every domain splits with seed mix_seed(base_seed, j). Correlations
     and at-bats are computed on each split's test rows; every figure is a
     mean +/- std over splits.
@@ -362,14 +368,10 @@ def rank_igs_by_domain(cases: list[PolicyCase],
         if n < 2 or n_pos == 0 or n_pos == n:
             raise ExperimentError(f"domain {domain!r} is degenerate: cannot "
                                   f"rank ({n} usable cases, {n_pos} positive)")
-        runs = _runs(n, base_seed, range(n_splits))
-        for j, (rows, _, _) in enumerate(runs):
-            train = matrix.y[rows]
-            if train.min() == train.max():
-                raise ExperimentError(
-                    f"domain {domain!r}, run {j + 1} of {n_splits}: the "
-                    f"{len(train)} training cases have a single class; "
-                    f"cannot rank")
+        try:
+            runs = _runs(matrix.y, base_seed, range(n_splits))
+        except ExperimentError as e:
+            raise ExperimentError(f"domain {domain!r}, {e}") from None
         series.append((matrix, runs))
     fits = list(_map_series(
         series,
@@ -416,7 +418,7 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     matrix = encode(cases, FeatureSetSpec.set_b())
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
 
-    runs = _runs(matrix.n_samples, base_seed, range(n_splits))
+    runs = _runs(matrix.y, base_seed, range(n_splits))
     acc = np.zeros(matrix.n_features)
     for fit in _map_series([(matrix, runs)],
                            [(0, "forest", j) for j in range(n_splits)],
@@ -483,7 +485,7 @@ def gain_per_ig(cases: list[PolicyCase],
     # Same runs, so same split and model seed, for both fits: the
     # comparison is paired, so the models differ only by feature set
     # (identical specs give gain 0).
-    runs = _runs(mat_b.n_samples, base_seed, range(n_runs))
+    runs = _runs(mat_b.y, base_seed, range(n_runs))
     fits = iter(_map_series([(mat_b, runs), (mat_a, runs)],
                             [(s, "forest", j) for j in range(n_runs)
                              for s in (0, 1)],
@@ -569,9 +571,15 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
         _check_choice("regime", regime, REGIMES)
     matrix = encode(cases, _RANKING_SPEC)
     ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
+    # Selection item j is run 10,000 + j. Both subsets' matrices keep
+    # the rows of matrix (those with a P90), so one list of evaluation
+    # runs per regime serves both.
+    runs = _runs(matrix.y, base_seed, range(10_000, 10_000 + n_splits))
+    eval_runs = [_runs(matrix.y, base_seed, range(n_splits),
+                       fixed_split=_fixed_split(cases, matrix, regime),
+                       check_test=True)
+                 for regime in regimes]
     acc = {kind: np.zeros(len(IG_NAMES)) for kind in MODEL_KINDS}
-    # Selection item j is run 10,000 + j.
-    runs = _runs(matrix.n_samples, base_seed, range(10_000, 10_000 + n_splits))
     items = [(0, kind, j) for j in range(n_splits) for kind in MODEL_KINDS]
     for (_, kind, _), fit in zip(items, _map_series(
             [(matrix, runs)], items, forest_config, n_jobs, score=False)):
@@ -579,16 +587,10 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     chosen = {"rf_gini": _top_k(acc["forest"], k),
               "logistic_beta": _top_k(acc["logistic"], k)}
 
-    # Series 2r + i: selector i's matrix under regimes[r]. Both keep the
-    # rows of matrix (those with a P90), so one list of runs per regime
-    # serves both.
+    # Series 2r + i: selector i's matrix under regimes[r].
     matrices = [encode(cases, replace(_RANKING_SPEC, ig_subset=subset))
                 for subset in chosen.values()]
-    series = []
-    for regime in regimes:
-        runs = _runs(matrix.n_samples, base_seed, range(n_splits),
-                     fixed_plan=_fixed_plan(cases, matrix, regime))
-        series += [(m, runs) for m in matrices]
+    series = [(m, runs) for runs in eval_runs for m in matrices]
     results = {(kind, s): [] for kind in MODEL_KINDS
                for s in range(len(series))}
     # A logistic model runs once on a fixed split: it is deterministic.
@@ -661,6 +663,7 @@ def nonlinearity_case_study(cases: list[PolicyCase],
     at each model's own best operating point.
     """
     _check_choice("IG", pivot_ig, IG_NAMES)
+    _check_choice("policy domain", domain, PD_LABELS)
     sub = [c for c in cases
            if c.policy_domain == domain and c.p90 is not None
            and c.alignment(pivot_ig) != 0]

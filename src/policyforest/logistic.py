@@ -13,7 +13,6 @@ finite.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,26 +22,14 @@ from .dataset import EncodedMatrix, check_finite
 
 
 class LogisticError(PolicyforestError):
-    """Raised for degenerate inputs or failed convergence."""
+    """Raised for degenerate inputs."""
 
 
-@dataclass(frozen=True)
-class LogisticConfig:
-    max_iters: int = 1000
-    tolerance: float = 1e-8
-    l2: float = 1e-6
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise LogisticError(f"max_iters must be >= 1, got "
-                                f"{self.max_iters}")
-        if not (math.isfinite(self.tolerance) and self.tolerance > 0):
-            raise LogisticError(f"tolerance must be finite and > 0, got "
-                                f"{self.tolerance}")
-        if not math.isfinite(self.l2):
-            raise LogisticError(f"l2 must be finite, got {self.l2}")
-        if self.l2 < 0:
-            raise LogisticError(f"l2 must be >= 0, got {self.l2}")
+# Newton iteration cap, gradient-norm convergence tolerance, and the ridge
+# penalty on the standardized coefficients (not the intercept).
+MAX_ITERS = 1000
+TOLERANCE = 1e-8
+L2 = 1e-6
 
 
 @dataclass
@@ -94,8 +81,7 @@ def log_likelihood_gradient(X_std: np.ndarray, y: np.ndarray,
     return np.concatenate(([resid.sum()], X_std.T @ resid - l2 * beta))
 
 
-def fit(matrix: EncodedMatrix,
-        config: LogisticConfig = LogisticConfig()) -> LogisticModel:
+def fit(matrix: EncodedMatrix) -> LogisticModel:
     """Maximum-likelihood fit with standardization; deterministic
     (zero initialization)."""
     X, y = matrix.X, matrix.y.astype(float)
@@ -116,19 +102,19 @@ def fit(matrix: EncodedMatrix,
 
     m = Z.shape[1]
     theta = np.zeros(m + 1)  # [intercept, beta]
-    pen = np.concatenate(([0.0], np.full(m, config.l2)))
+    pen = np.concatenate(([0.0], np.full(m, L2)))
     A = np.hstack([np.ones((n, 1)), Z])
 
     # p and ll always belong to the current theta: the line search
     # computes them for the step it accepts.
     p = sigmoid(A @ theta)
-    ll = _penalized_ll(y, p, theta[1:], config.l2)
+    ll = _penalized_ll(y, p, theta[1:], L2)
     history: list[float] = []
     converged = False
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         history.append(ll)
         grad = A.T @ (y - p) - pen * theta
-        if np.linalg.norm(grad) < config.tolerance:
+        if np.linalg.norm(grad) < TOLERANCE:
             converged = True
             break
         # The line search only accepts steps that do not lower ll (short
@@ -146,26 +132,15 @@ def fit(matrix: EncodedMatrix,
         for halvings in range(61):
             cand = theta + scale * step
             p_c = sigmoid(A @ cand)
-            ll_c = _penalized_ll(y, p_c, cand[1:], config.l2)
+            ll_c = _penalized_ll(y, p_c, cand[1:], L2)
             if ll_c >= ll or halvings == 60:
                 break
             scale *= 0.5
         theta, p, ll = cand, p_c, ll_c
-        # Unpenalized likelihood on separable data has no finite optimum:
-        # the gradient vanishes as |beta| grows, so flag runaway
-        # coefficients instead of reporting a spurious convergence.
-        if config.l2 == 0 and np.linalg.norm(theta[1:]) > 20.0:
-            raise LogisticError(
-                "coefficients diverging: data appear perfectly separable; "
-                "refit with l2 > 0")
 
     if not converged:
         grad = A.T @ (y - p) - pen * theta
-        converged = bool(np.linalg.norm(grad) < config.tolerance)
-        if not converged and config.l2 == 0:
-            raise LogisticError(
-                "did not converge: possible perfect separation; refit with "
-                "l2 > 0")
+        converged = bool(np.linalg.norm(grad) < TOLERANCE)
 
     return LogisticModel(beta=theta[1:], intercept=float(theta[0]),
                          means=means, stds=stds, column_names=names,

@@ -43,29 +43,22 @@ class OperatingPoint:
     train_balanced_accuracy: float
 
 
-@dataclass(frozen=True)
-class RocCurve:
-    """ROC points (fpr, tpr) from (0,0) to (1,1), both coordinates
-    non-decreasing."""
-
-    points: tuple[tuple[float, float], ...]
-
-
 def _check_pair(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1:
         raise MetricsError(f"scores and labels must be equal-length vectors, "
                            f"got shapes {scores.shape} and {labels.shape}")
     if scores.size == 0:
         raise MetricsError("empty score vector")
+    # Checked before the cast to int, which would truncate 0.7 to 0.
     if not np.all((labels == 0) | (labels == 1)):
         raise MetricsError("labels must be 0 or 1")
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         raise MetricsError(f"non-finite score {float(scores[bad[0]])} at "
                            f"index {bad[0]}")
-    return scores, labels
+    return scores, labels.astype(int, copy=False)
 
 
 def confusion_at_threshold(scores, labels, threshold: float) -> ConfusionCounts:
@@ -130,15 +123,14 @@ def select_operating_point(train_scores, train_labels) -> OperatingPoint:
                           train_balanced_accuracy=float(ba[best]))
 
 
-def roc_and_auc(scores, labels) -> tuple[RocCurve, float]:
-    """ROC curve over distinct-score thresholds and its trapezoidal AUC.
+def roc_and_auc(scores, labels) -> float:
+    """Trapezoidal area under the ROC curve over distinct-score
+    thresholds.
 
-    Tied scores advance tpr and fpr jointly, so the trapezoidal area
-    equals the Mann-Whitney statistic P(s_pos > s_neg) + 0.5 P(equal).
+    Tied scores advance tpr and fpr jointly, so the area equals the
+    Mann-Whitney statistic P(s_pos > s_neg) + 0.5 P(equal).
     """
     _, tp, fp, n_pos, n_neg = _sweep(scores, labels, lambda d: d[::-1])
     pts = np.column_stack((np.concatenate(([0], fp)) / n_neg,
                            np.concatenate(([0], tp)) / n_pos))
-    curve = RocCurve(tuple(map(tuple, pts.tolist())))
-    auc = float(np.trapezoid(pts[:, 1], pts[:, 0]))
-    return curve, auc
+    return float(np.trapezoid(pts[:, 1], pts[:, 0]))

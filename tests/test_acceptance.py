@@ -24,8 +24,7 @@ from policyforest.experiments import (build_set_c, compare_selectors,
                                       run_feature_set_eval)
 from policyforest.forest import (GAIN_EPS, ForestConfig, best_split,
                                  fit_forest, gini_impurity, mix_seed)
-from policyforest.logistic import (LogisticConfig, fit,
-                                   log_likelihood_gradient,
+from policyforest.logistic import (fit, log_likelihood_gradient,
                                    penalized_log_likelihood)
 from policyforest.metrics import (balanced_accuracy, confusion_at_threshold,
                                   roc_and_auc, select_operating_point)
@@ -100,7 +99,7 @@ def test_auc_oracle():
         if labels.sum() in (0, n):
             continue
         scores = np.round(rng.uniform(size=n), 1)  # coarse grid forces ties
-        _, auc = roc_and_auc(scores, labels)
+        auc = roc_and_auc(scores, labels)
         assert abs(auc - pairwise_auc(scores, labels)) <= 1e-12
         checked += 1
 

@@ -264,11 +264,15 @@ class TestInputChecks:
          "--train-fraction must be in (0, 1), got 0.0"),
         (["eval", "--set", "C", "--train-fraction", "nan"],
          "--train-fraction must be in (0, 1), got nan"),
-        (["eval", "--max-depth", "-3"], "max_depth must be >= 1, got -3")],
+        (["eval", "--max-depth", "-3"], "max_depth must be >= 1, got -3"),
+        (["eval", "--train-fraction", "0.999"],
+         "run 1 of 2: the 1 test cases are fewer than 2"),
+        (["eval", "--train-fraction", "0.001"],
+         "run 1 of 2: the 0 training cases are fewer than 2")],
         ids=["k0", "k44", "top0", "top-1", "min-test-cases0",
              "retrodiction-train-fraction", "retrodiction-logistic-runs",
              "train-fraction1.5", "train-fraction0", "train-fraction-nan",
-             "max-depth-3"])
+             "max-depth-3", "train-fraction0.999", "train-fraction0.001"])
     def test_rejected_with_exit_1(self, cmd, message, data_file, tmp_path,
                                   capsys, monkeypatch):
         def no_fit(*args):

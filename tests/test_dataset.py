@@ -267,18 +267,20 @@ class TestEncode:
 
 class TestSplits:
     def test_small_split(self):
-        plan = random_split(3, 0.67, seed=1)
-        assert len(plan.train_indices) == 2
-        assert len(plan.test_indices) == 1
-        assert not set(plan.train_indices) & set(plan.test_indices)
+        train, test = random_split(3, 0.67, seed=1)
+        assert len(train) == 2
+        assert len(test) == 1
+        assert not set(train) & set(test)
 
     def test_determinism(self):
-        assert random_split(100, 0.67, 9) == random_split(100, 0.67, 9)
+        for a, b in zip(random_split(100, 0.67, 9),
+                        random_split(100, 0.67, 9)):
+            assert np.array_equal(a, b)
 
     def test_floor_convention_full_size(self):
-        plan = random_split(1836, 0.67, seed=0)
-        assert len(plan.train_indices) == 1230
-        assert len(plan.test_indices) == 606
+        train, test = random_split(1836, 0.67, seed=0)
+        assert len(train) == 1230
+        assert len(test) == 606
 
     def test_too_few_cases(self):
         with pytest.raises(DatasetError):
@@ -290,9 +292,8 @@ class TestSplits:
 
     @pytest.mark.parametrize("n,f", [(10, 0.5), (17, 0.67), (101, 0.9)])
     def test_partition_property(self, n, f):
-        plan = random_split(n, f, seed=3)
-        combined = sorted(plan.train_indices + plan.test_indices)
-        assert combined == list(range(n))
+        train, test = random_split(n, f, seed=3)
+        assert sorted([*train, *test]) == list(range(n))
 
     def test_retrodiction_inclusive_cutoff(self):
         cases = make_cases(30, seed=2)
@@ -304,9 +305,9 @@ class TestSplits:
                        a.policy_area, a.policy_domain, p90=a.p90)
         b = PolicyCase(b.case_id, 1997, b.outcome, b.ig_alignments,
                        b.policy_area, b.policy_domain, p90=b.p90)
-        plan = retrodiction_split([a, b])
-        assert plan.train_indices == (0,)
-        assert plan.test_indices == (1,)
+        train, test = retrodiction_split([a, b])
+        assert train.tolist() == [0]
+        assert test.tolist() == [1]
 
     def test_retrodiction_empty_side(self):
         cases = [PolicyCase(f"c{i}", 1985, i % 2, (0,) * 43, "Guns", "Guns")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -282,7 +284,7 @@ class TestRankIgsByDomain:
         sub = [c for c in cases_200
                if c.policy_domain == "Misc" and c.p90 is not None]
         tests = [[sub[i] for i in random_split(
-                     len(sub), TRAIN_FRACTION, mix_seed(seed, j)).test_indices]
+                     len(sub), TRAIN_FRACTION, mix_seed(seed, j))[1]]
                  for j in range(n_splits)]
         for row in rows:
             per_split = [ig_outcome_correlation(t, row.feature)
@@ -428,6 +430,11 @@ class TestNonlinearityCaseStudy:
     def test_unknown_pivot(self):
         with pytest.raises(ExperimentError):
             nonlinearity_case_study([], pivot_ig="Nobody")
+
+    def test_unknown_domain(self, cases_200):
+        with pytest.raises(ExperimentError,
+                           match="unknown policy domain 'Nope'"):
+            nonlinearity_case_study(cases_200, domain="Nope")
 
 
 class TestWorkerFanOut:
@@ -593,6 +600,40 @@ class TestEntryChecks:
             run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
                                  "random_draw", model_kind="tree", n_runs=3,
                                  forest_config=FAST_FOREST, n_jobs=2)
+        assert recording_pool == []
+
+    @pytest.mark.parametrize("run, settings", [
+        (gain_per_ig, {"n_runs": 2}),
+        (build_set_c, {"n_splits": 2}),
+        (compare_selectors, {"k": 3, "n_splits": 2})],
+        ids=["gains", "set-c", "compare-selectors"])
+    def test_single_class_training_run_starts_no_pool(
+            self, run, settings, cases_200, recording_pool, monkeypatch):
+        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        cases = [replace(c, outcome=1) for c in cases_200]
+        with pytest.raises(ExperimentError, match=r"run 1 of 2: the \d+ "
+                           r"training cases have a single class"):
+            run(cases, forest_config=FAST_FOREST, n_jobs=2, **settings)
+        assert recording_pool == []
+
+    @pytest.mark.parametrize("run", [
+        lambda cases: run_feature_set_eval(
+            cases, FeatureSetSpec.set_a(), "retrodiction", n_runs=2,
+            forest_config=FAST_FOREST, n_jobs=2),
+        lambda cases: compare_selectors(
+            cases, k=3, regimes=("retrodiction",), n_splits=2,
+            forest_config=FAST_FOREST, n_jobs=2)],
+        ids=["eval", "compare-selectors"])
+    def test_single_class_test_run_starts_no_pool(
+            self, run, cases_200, recording_pool, monkeypatch):
+        # Every case from the cutoff year on is adopted: the retrodiction
+        # test rows, which the AUC needs with both classes, have one.
+        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        cases = [replace(c, outcome=1) if c.year >= 1997 else c
+                 for c in cases_200]
+        with pytest.raises(ExperimentError, match=r"run 1 of 2: the \d+ "
+                           r"test cases have a single class"):
+            run(cases)
         assert recording_pool == []
 
     def test_unknown_regime_starts_no_pool(self, cases_200, recording_pool,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+from policyforest import logistic
 from policyforest.dataset import EncodedMatrix
-from policyforest.logistic import (LogisticConfig, LogisticError,
+from policyforest.logistic import (MAX_ITERS, TOLERANCE, LogisticError,
                                    LogisticModel, _penalized_ll, fit,
                                    log_likelihood_gradient,
                                    penalized_log_likelihood, predict_proba,
@@ -22,24 +23,26 @@ def by_magnitude(model):
     return [model.column_names[i] for i in order]
 
 
-def reference_fit(matrix, config=LogisticConfig()):
+def reference_fit(matrix):
     """Damped Newton ascent that stops only when the gradient norm falls
-    below tolerance or at max_iters, recomputing each iteration's
-    likelihood from theta."""
+    below TOLERANCE or at MAX_ITERS, recomputing each iteration's
+    likelihood from theta. Reads the solver constants from the module at
+    call time, as fit does."""
+    l2 = logistic.L2
     X, y = matrix.X, matrix.y.astype(float)
     stds = X.std(axis=0)
     keep = stds > 0
     means, stds = X[:, keep].mean(axis=0), stds[keep]
     A = np.hstack([np.ones((len(y), 1)), (X[:, keep] - means) / stds])
-    pen = np.concatenate(([0.0], np.full(A.shape[1] - 1, config.l2)))
+    pen = np.concatenate(([0.0], np.full(A.shape[1] - 1, l2)))
     theta = np.zeros(A.shape[1])
     history, converged = [], False
-    for _ in range(config.max_iters):
+    for _ in range(MAX_ITERS):
         p = sigmoid(A @ theta)
-        ll = _penalized_ll(y, p, theta[1:], config.l2)
+        ll = _penalized_ll(y, p, theta[1:], l2)
         history.append(ll)
         grad = A.T @ (y - p) - pen * theta
-        if np.linalg.norm(grad) < config.tolerance:
+        if np.linalg.norm(grad) < TOLERANCE:
             converged = True
             break
         w = np.maximum(p * (1 - p), 1e-10)
@@ -48,7 +51,7 @@ def reference_fit(matrix, config=LogisticConfig()):
         scale = 1.0
         for _ in range(60):
             cand = theta + scale * step
-            if _penalized_ll(y, sigmoid(A @ cand), cand[1:], config.l2) >= ll:
+            if _penalized_ll(y, sigmoid(A @ cand), cand[1:], l2) >= ll:
                 break
             scale *= 0.5
         theta = theta + scale * step
@@ -94,7 +97,7 @@ class TestFit:
         rng = np.random.default_rng(2)
         x = rng.uniform(-1, 1, size=200)
         y = (x > 0).astype(int)
-        model = fit(matrix_from(x[:, None], y), LogisticConfig(l2=0.01))
+        model = fit(matrix_from(x[:, None], y))
         assert model.beta[0] > 0
         p = predict_proba(model, x[:, None])
         assert np.mean((p >= 0.5) == y) == 1.0
@@ -105,7 +108,7 @@ class TestFit:
         x = rng.normal(size=n)
         p = sigmoid(2.0 * x - 1.0)
         y = (rng.uniform(size=n) < p).astype(int)
-        model = fit(matrix_from(x[:, None], y), LogisticConfig(l2=1e-6))
+        model = fit(matrix_from(x[:, None], y))
         # model is standardized: recover raw-scale coefficients
         raw_beta = model.beta[0] / model.stds[0]
         raw_intercept = model.intercept - model.beta[0] * model.means[0] \
@@ -118,12 +121,12 @@ class TestFit:
         X = rng.normal(size=(300, 3))
         y = (X @ np.array([1.0, -1.0, 0.5]) + rng.normal(0, 1, 300)
              > 0).astype(int)
-        cfg = LogisticConfig(tolerance=1e-8)
-        model = fit(matrix_from(X, y), cfg)
+        model = fit(matrix_from(X, y))
         assert model.converged
         Z = (X - X.mean(axis=0)) / X.std(axis=0)
-        g = log_likelihood_gradient(Z, y, model.beta, model.intercept, cfg.l2)
-        assert np.linalg.norm(g) < cfg.tolerance
+        g = log_likelihood_gradient(Z, y, model.beta, model.intercept,
+                                    logistic.L2)
+        assert np.linalg.norm(g) < TOLERANCE
 
     def test_log_likelihood_nondecreasing(self):
         rng = np.random.default_rng(5)
@@ -171,22 +174,14 @@ class TestFit:
         with pytest.raises(LogisticError):
             fit(matrix_from(np.zeros((4, 1)), np.ones(4, dtype=int)))
 
-    def test_perfect_separation_without_ridge(self):
-        x = np.array([-2.0, -1.0, 1.0, 2.0])
-        y = np.array([0, 0, 1, 1])
-        with pytest.raises(LogisticError, match="l2 > 0"):
-            fit(matrix_from(x[:, None], y),
-                LogisticConfig(l2=0.0, max_iters=200))
-
 
 class TestStallStop:
     def test_collinear_design_stops_when_likelihood_stops_rising(self):
         X, y = collinear_design()
         m = matrix_from(X, y)
-        cfg = LogisticConfig()
-        ref = reference_fit(m, cfg)
-        assert len(ref.ll_history) == cfg.max_iters and not ref.converged
-        model = fit(m, cfg)
+        ref = reference_fit(m)
+        assert len(ref.ll_history) == MAX_ITERS and not ref.converged
+        model = fit(m)
         assert len(model.ll_history) < 50
         assert np.all(np.diff(model.ll_history) >= 0)
         # The gradient never met the tolerance, so the fit is unconverged.
@@ -195,14 +190,16 @@ class TestStallStop:
                              - predict_proba(ref, X))) <= 1e-8
 
     @pytest.mark.parametrize("seed,l2", [(4, 1e-6), (5, 1e-6), (2, 0.01)])
-    def test_well_conditioned_fit_unchanged(self, seed, l2):
+    def test_well_conditioned_fit_unchanged(self, seed, l2, monkeypatch):
+        # A ridge other than the default is set on the module; fit and
+        # reference_fit both read it there.
+        monkeypatch.setattr(logistic, "L2", l2)
         rng = np.random.default_rng(seed)
         X = rng.normal(size=(300, 3))
         y = (X @ np.array([1.0, -1.0, 0.5]) + rng.normal(0, 1, 300)
              > 0).astype(int)
-        cfg = LogisticConfig(l2=l2)
-        ref = reference_fit(matrix_from(X, y), cfg)
-        model = fit(matrix_from(X, y), cfg)
+        ref = reference_fit(matrix_from(X, y))
+        model = fit(matrix_from(X, y))
         assert ref.converged and model.converged
         assert model.ll_history == ref.ll_history
         assert np.array_equal(model.beta, ref.beta)
@@ -210,21 +207,6 @@ class TestStallStop:
 
 
 class TestValidation:
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"max_iters": 0}, "max_iters"),
-        ({"max_iters": -3}, "max_iters"),
-        ({"tolerance": 0.0}, "tolerance"),
-        ({"tolerance": -1e-8}, "tolerance"),
-        ({"tolerance": float("nan")}, "tolerance"),
-        ({"tolerance": float("inf")}, "tolerance"),
-        ({"l2": float("nan")}, "l2 must be finite"),
-        ({"l2": float("inf")}, "l2 must be finite"),
-        ({"l2": -1.0}, "l2 must be >= 0"),
-    ])
-    def test_bad_config_rejected(self, kwargs, message):
-        with pytest.raises(LogisticError, match=message):
-            LogisticConfig(**kwargs)
-
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_names_first_row_and_column(self, bad):
         rng = np.random.default_rng(12)
