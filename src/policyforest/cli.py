@@ -117,18 +117,20 @@ def cmd_summarize(args, argv) -> int:
     return 0
 
 
-def _resolve_spec(args, cases, fc) -> FeatureSetSpec:
+def _resolve_spec(args, cases, fc):
+    """The spec of --set, or for Set C the function that derives it."""
     if args.set == "A":
         return FeatureSetSpec.set_a()
     if args.set == "B":
         return FeatureSetSpec.set_b()
     if args.set == "D":
         return FeatureSetSpec.set_d()
-    # Set C is derived from the data (top-14 IGs by averaged Gini score).
+    # Set C is derived from the data (top-14 IGs by averaged Gini score),
+    # once the evaluation runs are checked.
     from . import experiments as ex
-    return ex.build_set_c(cases, k=14, base_seed=args.seed,
-                          n_splits=args.selection_splits, forest_config=fc,
-                          n_jobs=args.jobs)
+    return partial(ex.build_set_c, cases, k=14, base_seed=args.seed,
+                   n_splits=args.selection_splits, forest_config=fc,
+                   n_jobs=args.jobs)
 
 
 def _config_value(key: str, val, action: argparse.Action):
@@ -172,11 +174,12 @@ def cmd_eval(parser, args, argv) -> int:
                              ("--runs", "--train-fraction"))
     cases = _load(args)
     fc = _forest_config(args)
-    spec = _resolve_spec(args, cases, fc)
     report = ex.run_feature_set_eval(
-        cases, spec, args.regime, model_kind=args.model, n_runs=args.runs,
-        base_seed=args.seed, forest_config=fc,
-        train_fraction=args.train_fraction, n_jobs=args.jobs)
+        cases, _resolve_spec(args, cases, fc), args.regime,
+        model_kind=args.model, n_runs=args.runs, base_seed=args.seed,
+        forest_config=fc, train_fraction=args.train_fraction,
+        n_jobs=args.jobs)
+    set_id = report.feature_set_id
     ba, bs = 100 * report.balanced_accuracy_mean, \
         100 * report.balanced_accuracy_std
     am, as_ = 100 * report.auc_mean, 100 * report.auc_std
@@ -187,15 +190,15 @@ def cmd_eval(parser, args, argv) -> int:
     if args.out:
         out = Path(args.out)
         head = _provenance(args, argv)
-        _write(out / f"eval_{spec.id}_{args.regime}_{args.model}.json",
+        _write(out / f"eval_{set_id}_{args.regime}_{args.model}.json",
                _json_report(report.to_dict(), head))
         csv_lines = [
             "feature_set,regime,model,bal_acc_mean,bal_acc_std,"
             "auc_mean,auc_std,n_runs",
-            f"{spec.id},{args.regime},{args.model},{_fmt(ba)},{_fmt(bs)},"
+            f"{set_id},{args.regime},{args.model},{_fmt(ba)},{_fmt(bs)},"
             f"{_fmt(am)},{_fmt(as_)},{len(report.runs)}",
         ]
-        _write(out / f"eval_{spec.id}_{args.regime}_{args.model}.csv",
+        _write(out / f"eval_{set_id}_{args.regime}_{args.model}.csv",
                head + "\n".join(csv_lines) + "\n")
     return 0
 

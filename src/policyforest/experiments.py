@@ -9,17 +9,17 @@ execution parallelism. Each seeded-split experiment draws and checks
 all its runs up front (_runs), each a (train rows, test rows, model
 seed) triple, and lists them as items (series, model kind, run) over its
 series, each an encoded matrix and its runs; one forest.map_chunks call
-hands the items out in contiguous chunks, which may span cells, specs or
-domains; _series_chunk fits a chunk's runs of one series and kind
-together (all their forests in one forest.fit_forests call); and callers
-reduce the results in item order.
+hands the items out in contiguous chunks, which may span cells or specs
+(rank's domains are row sets of one series); _series_chunk fits a
+chunk's runs of one series and kind together (all their forests in one
+forest.fit_forests call); and callers reduce the results in item order.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
 from functools import partial
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -29,8 +29,7 @@ from . import metrics as mx
 from . import PolicyforestError
 from .dataset import (CUTOFF_YEAR, IG_NAMES, MODEL_KINDS, PD_LABELS, REGIMES,
                       TRAIN_FRACTION, EncodedMatrix, FeatureSetSpec,
-                      PolicyCase, encode, random_split,
-                      rescale_p90, retrodiction_split, zero_noncommittal)
+                      PolicyCase, encode, random_split, retrodiction_split)
 from .forest import ForestConfig, map_chunks, mix_seed
 
 
@@ -43,6 +42,14 @@ def _mean_std(values) -> tuple[float, float]:
     mean = float(np.mean(vals))
     std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
     return mean, std
+
+
+def _row_mean_std(values: np.ndarray) -> list[tuple[float, float]]:
+    """_mean_std of each row of a C-contiguous 2-D array: a reduction
+    along contiguous rows sums them as _mean_std does."""
+    std = (values.std(axis=1, ddof=1) if values.shape[1] > 1
+           else np.zeros(len(values)))
+    return list(zip(values.mean(axis=1).tolist(), std.tolist()))
 
 
 def check_positive(name: str, value: int) -> None:
@@ -234,12 +241,12 @@ class EvalReport:
         return asdict(self)
 
 
-def _fixed_split(cases: list[PolicyCase], matrix: EncodedMatrix, regime: str):
-    """The regime's fixed (train, test) split of matrix's rows: None for
-    random draws, whose runs each draw their own."""
+def _fixed_split(row_cases: list[PolicyCase], regime: str):
+    """The regime's fixed (train, test) split of the rows whose cases are
+    row_cases: None for random draws, whose runs each draw their own."""
     if regime == "random_draw":
         return None
-    return retrodiction_split([cases[i] for i in matrix.case_indices])
+    return retrodiction_split(row_cases)
 
 
 def _run_result(matrix: EncodedMatrix, base_seed: int, j: int,
@@ -255,7 +262,8 @@ def _run_result(matrix: EncodedMatrix, base_seed: int, j: int,
                      tp=conf.tp, fp=conf.fp, tn=conf.tn, fn=conf.fn)
 
 
-def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
+def run_feature_set_eval(cases: list[PolicyCase],
+                         spec: FeatureSetSpec | Callable[[], FeatureSetSpec],
                          regime: str, model_kind: str = "forest",
                          n_runs: int | None = None, base_seed: int = 0,
                          forest_config: ForestConfig = ForestConfig(),
@@ -268,6 +276,10 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
     retrodiction: a single fixed year split, which takes no
     train_fraction; n_runs (default 1) forest refits with different model
     seeds quantify fit randomness only, and a logistic model runs once.
+
+    spec may be a function that derives a spec using P90 (Set C's
+    selection, see build_set_c): it is called once the runs, drawn over
+    the cases that have a P90, are checked.
     """
     _check_choice("regime", regime, REGIMES)
     _check_choice("model kind", model_kind, MODEL_KINDS)
@@ -277,9 +289,18 @@ def run_feature_set_eval(cases: list[PolicyCase], spec: FeatureSetSpec,
     check_regime_settings(regime, model_kind, n_runs, train_fraction)
     if train_fraction is None:
         train_fraction = TRAIN_FRACTION
+    use_p90 = callable(spec) or spec.use_p90
+    # encode's rows: the cases, those with a P90 when the spec uses it.
+    row_cases = [c for c in cases if not (use_p90 and c.p90 is None)]
+    runs = _runs(np.array([c.outcome for c in row_cases], dtype=int),
+                 base_seed, range(n_runs), train_fraction,
+                 _fixed_split(row_cases, regime), check_test=True)
+    if callable(spec):
+        spec = spec()
+        if not spec.use_p90:
+            raise ExperimentError(f"derived feature set {spec.id!r} does "
+                                  f"not use P90")
     matrix = encode(cases, spec)
-    runs = _runs(matrix.y, base_seed, range(n_runs), train_fraction,
-                 _fixed_split(cases, matrix, regime), check_test=True)
 
     fits = _map_series([(matrix, runs)],
                        [(0, model_kind, j) for j in range(n_runs)],
@@ -304,7 +325,9 @@ def _stance_correlations(X: np.ndarray, y: np.ndarray,
     stances = np.array(X, dtype=float)
     if "P90" in names:
         p = names.index("P90")
-        stances[:, p] = [zero_noncommittal(rescale_p90(v)) for v in X[:, p]]
+        # dataset.rescale_p90, then dataset.zero_noncommittal, per column.
+        stances[:, p] = 4.0 * stances[:, p] - 2.0
+        stances[np.abs(stances[:, p]) <= 0.4, p] = 0.0
     at_bats = np.count_nonzero(stances, axis=0)
     sums = np.zeros((2, len(names)))
     np.add.at(sums, y, stances)  # sums[y[i]] += stances[i], i in order
@@ -352,46 +375,59 @@ def rank_igs_by_domain(cases: list[PolicyCase],
     over its cases that have a P90; returns {domain: rows}, each domain's
     rows by falling importance.
 
-    Every domain and each of its runs is checked before any forest is
-    fit; then the runs of all domains go to one worker map; run j of
-    every domain splits with seed mix_seed(base_seed, j). Correlations
-    and at-bats are computed on each split's test rows; every figure is a
-    mean +/- std over splits.
+    The domains' cases are encoded once, each domain a set of rows of the
+    one matrix. Every domain and each of its runs is checked before any
+    forest is fit; run j of every domain splits that domain's rows with
+    seed mix_seed(base_seed, j). The runs of all domains go to one worker
+    map, run j of every domain together, so that each chunk holds every
+    domain. Correlations and at-bats are computed on each split's test
+    rows; every figure is a mean +/- std over splits.
     """
     check_positive("n_splits", n_splits)
-    series = []
     for domain in domains:
         _check_choice("policy domain", domain, PD_LABELS)
-        matrix = encode([c for c in cases if c.policy_domain == domain],
-                        _RANKING_SPEC)
-        n, n_pos = matrix.n_samples, int(matrix.y.sum())
+    in_domains = [c for c in cases if c.policy_domain in domains]
+    matrix = encode(in_domains, _RANKING_SPEC)
+    row_domain = np.array([in_domains[i].policy_domain
+                           for i in matrix.case_indices])
+    domain_runs = []
+    for domain in domains:
+        rows = np.flatnonzero(row_domain == domain)
+        y = matrix.y[rows]
+        n, n_pos = len(rows), int(y.sum())
         if n < 2 or n_pos == 0 or n_pos == n:
             raise ExperimentError(f"domain {domain!r} is degenerate: cannot "
                                   f"rank ({n} usable cases, {n_pos} positive)")
         try:
-            runs = _runs(matrix.y, base_seed, range(n_splits))
+            runs = _runs(y, base_seed, range(n_splits))
         except ExperimentError as e:
             raise ExperimentError(f"domain {domain!r}, {e}") from None
-        series.append((matrix, runs))
-    fits = list(_map_series(
-        series,
-        [(g, "forest", j) for g in range(len(series))
-         for j in range(n_splits)],
-        forest_config, n_jobs, score=False))
+        domain_runs.append([(rows[train], rows[test], model_seed)
+                            for train, test, model_seed in runs])
+    # Split-major: runs[j * len(domains) + d] is run j of domains[d].
+    runs = [run for same_j in zip(*domain_runs) for run in same_j]
+    fits = list(_map_series([(matrix, runs)],
+                            [(0, "forest", r) for r in range(len(runs))],
+                            forest_config, n_jobs, score=False))
     ranked = {}
-    for g, (domain, (matrix, _)) in enumerate(zip(domains, series)):
-        runs = fits[g * n_splits:(g + 1) * n_splits]
-        importances = np.array([fit.importance for fit in runs])
-        corrs, at_bats = map(np.array, zip(*(
+    for d, domain in enumerate(domains):
+        domain_fits = fits[d::len(domains)]
+        # (features, splits) arrays, one row per feature.
+        importances = np.stack([fit.importance for fit in domain_fits],
+                               axis=1)
+        corrs, at_bats = (np.stack(part, axis=1) for part in zip(*(
             _stance_correlations(matrix.X[fit.test_rows],
                                  matrix.y[fit.test_rows], matrix.column_names)
-            for fit in runs)))
+            for fit in domain_fits)))
+        scores = _row_mean_std(importances)
+        seen_stats = _row_mean_std(at_bats)
         rows = []
         for f, name in enumerate(matrix.column_names):
-            seen = at_bats[:, f] > 0
-            corr = _mean_std(corrs[seen, f]) if seen.any() else (None, None)
-            rows.append(DomainRankingRow(name, *_mean_std(importances[:, f]),
-                                         *corr, *_mean_std(at_bats[:, f])))
+            # The splits a feature's correlation averages vary by feature.
+            seen = at_bats[f] > 0
+            corr = _mean_std(corrs[f, seen]) if seen.any() else (None, None)
+            rows.append(DomainRankingRow(name, *scores[f], *corr,
+                                         *seen_stats[f]))
         # A stable sort: equal scores keep column order.
         ranked[domain] = sorted(rows, key=lambda r: -r.rf_score_mean)
     return ranked
@@ -575,8 +611,9 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     # the rows of matrix (those with a P90), so one list of evaluation
     # runs per regime serves both.
     runs = _runs(matrix.y, base_seed, range(10_000, 10_000 + n_splits))
+    row_cases = [cases[i] for i in matrix.case_indices]
     eval_runs = [_runs(matrix.y, base_seed, range(n_splits),
-                       fixed_split=_fixed_split(cases, matrix, regime),
+                       fixed_split=_fixed_split(row_cases, regime),
                        check_test=True)
                  for regime in regimes]
     acc = {kind: np.zeros(len(IG_NAMES)) for kind in MODEL_KINDS}

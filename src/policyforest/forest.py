@@ -82,10 +82,11 @@ def _in_worker(fn, chunk) -> list:
 # against float noise on splits that are exactly neutral).
 GAIN_EPS = 1e-12
 
-# Trees grown at once, one depth level per pass, and the distinct rows one
-# sub-step of a pass may search. More of either spreads the per-call NumPy
-# cost over more nodes but holds more memory.
-TREES_IN_FLIGHT = 32
+# Distinct sample rows of the trees grown at once, one depth level per
+# pass (trees start while fewer are in flight; about 32 Set D eval trees),
+# and the distinct rows one sub-step of a pass may search. More of either
+# spreads the per-call NumPy cost over more nodes but holds more memory.
+ROWS_IN_FLIGHT = 23_000
 STEP_ROWS = 3072
 
 
@@ -171,16 +172,21 @@ class BinnedMatrix:
     def of(cls, X: np.ndarray) -> "BinnedMatrix":
         X = np.asarray(X, dtype=float)
         check_finite(X, ForestError)
-        # One stable sort of every column; a bin starts at each value that
-        # differs from the one before it in its column.
-        order = np.argsort(X, axis=0, kind="stable")
-        ranked = np.take_along_axis(X, order, axis=0)
-        new_bin = np.ones(X.shape, dtype=bool)
-        new_bin[1:] = ranked[1:] != ranked[:-1]
         codes = np.empty(X.shape, dtype=np.int32)
-        np.put_along_axis(codes, order, new_bin.cumsum(axis=0) - 1, axis=0)
-        bin_start = np.concatenate([[0], new_bin.sum(axis=0).cumsum()])
-        return cls(X, codes, bin_start, ranked.T[new_bin.T])
+        # Each column's bin values; the empty first entry starts bin_start
+        # at 0 and gives a matrix without columns something to concatenate.
+        values = [np.empty(0)]
+        # One stable sort per column; a bin starts at each value that
+        # differs from the one before it.
+        for j, column in enumerate(X.T):
+            order = np.argsort(column, kind="stable")
+            ranked = column[order]
+            new_bin = np.ones(len(ranked), dtype=bool)
+            new_bin[1:] = ranked[1:] != ranked[:-1]
+            codes[order, j] = new_bin.cumsum() - 1
+            values.append(ranked[new_bin])
+        bin_start = np.cumsum([len(v) for v in values])
+        return cls(X, codes, bin_start, np.concatenate(values))
 
     @property
     def n_features(self) -> int:
@@ -414,25 +420,28 @@ def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
     (key, tree, raw importance) as each tree completes.
 
     The tree's sample holds rows[i] of view counts[i] times; seed seeds
-    the candidate draws. Up to TREES_IN_FLIGHT trees grow together, each
-    by one depth level per pass. A tree draws the candidates of all its
-    splittable nodes of a level at once from its own generator, and each
-    node's cut depends on its own rows and candidates alone, so a tree is
-    the same however many trees grow beside it and however the passes are
-    cut into sub-steps. Importances are the per-feature sums of
-    sample-weighted impurity decreases, in level order.
+    the candidate draws. Trees grow together, each by one depth level per
+    pass, and the next tree starts while the samples in flight hold fewer
+    than ROWS_IN_FLIGHT distinct rows, so at least one grows. A tree draws
+    the candidates of all its splittable nodes of a level at once from its
+    own generator, and each node's cut depends on its own rows and
+    candidates alone, so a tree is the same however many trees grow beside
+    it and however the passes are cut into sub-steps. Importances are the
+    per-feature sums of sample-weighted impurity decreases, in level order.
     """
     labels = np.asarray(y) != 0
     n_features = view.n_features
     tasks = iter(tasks)
     growing: list[_Tree] = []
     changed = True
+    rows_in_flight = 0
     while True:
-        while len(growing) < TREES_IN_FLIGHT:
+        while rows_in_flight < ROWS_IN_FLIGHT:
             task = next(tasks, None)
             if task is None:
                 break
             growing.append(_Tree(*task, view, labels))
+            rows_in_flight += len(growing[-1].sample[0])
             changed = True
         if not growing:
             return
@@ -450,6 +459,7 @@ def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
         done = [g for g in growing if not g.front.size]
         growing = [g for g in growing if g.front.size]
         changed = bool(done)
+        rows_in_flight -= sum(len(g.sample[0]) for g in done)
         for g in done:
             yield (g.key, *g.tree(n_features))
 

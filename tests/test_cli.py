@@ -11,7 +11,7 @@ import policyforest
 
 from policyforest import forest
 from policyforest.cli import main
-from policyforest.dataset import IG_NAMES, PA_TO_PD, dump_cases
+from policyforest.dataset import IG_NAMES, PA_TO_PD, PD_LABELS, dump_cases
 from conftest import make_cases
 
 
@@ -268,11 +268,15 @@ class TestInputChecks:
         (["eval", "--train-fraction", "0.999"],
          "run 1 of 2: the 1 test cases are fewer than 2"),
         (["eval", "--train-fraction", "0.001"],
-         "run 1 of 2: the 0 training cases are fewer than 2")],
+         "run 1 of 2: the 0 training cases are fewer than 2"),
+        # Set C's evaluation runs are checked before its selection fits.
+        (["eval", "--set", "C", "--train-fraction", "0.999"],
+         "run 1 of 2: the 1 test cases are fewer than 2")],
         ids=["k0", "k44", "top0", "top-1", "min-test-cases0",
              "retrodiction-train-fraction", "retrodiction-logistic-runs",
              "train-fraction1.5", "train-fraction0", "train-fraction-nan",
-             "max-depth-3", "train-fraction0.999", "train-fraction0.001"])
+             "max-depth-3", "train-fraction0.999", "train-fraction0.001",
+             "set-c-train-fraction0.999"])
     def test_rejected_with_exit_1(self, cmd, message, data_file, tmp_path,
                                   capsys, monkeypatch):
         def no_fit(*args):
@@ -343,13 +347,57 @@ class TestJobs:
         assert bodies[0] and bodies[0] == bodies[1]
 
     def test_rank_all_domains_identical_serial_and_parallel(self, tmp_path):
-        # Every domain of these cases ranks; at --jobs 2 the first chunk
-        # holds the runs of three domains.
+        # Every domain of these cases ranks; at --jobs 2 each chunk holds
+        # runs of every domain, listed run j of every domain together.
         data = tmp_path / "cases.csv"
         data.write_text(dump_cases(make_cases(200, seed=7)))
         bodies = self._serial_and_parallel(["rank", "--runs", "3"],
                                            str(data), tmp_path)
         assert len(bodies[0]) == 6 and bodies[0] == bodies[1]
+
+    def test_rank_chunks_hold_every_domain(self, recording_pool, monkeypatch,
+                                           tmp_path):
+        """rank encodes one matrix for all domains, and each of its two
+        chunks fits runs of every domain in one fit_forests call."""
+        from policyforest import experiments
+        cases = make_cases(200, seed=7)
+        data = tmp_path / "cases.csv"
+        data.write_text(dump_cases(cases))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        encoded, chunk_domains, fits = [], [], []
+        encode = experiments.encode
+        series_chunk = experiments._series_chunk
+        fit_forests = forest.fit_forests
+
+        def encode_spy(*args):
+            encoded.append(args)
+            return encode(*args)
+
+        def chunk_spy(series, forest_config, score, n_jobs, items):
+            [(matrix, runs)] = series
+            items = list(items)
+            # Every run trains on the cases of one domain. All domains are
+            # ranked, so the matrix's case indices index cases.
+            run_domains = [{cases[i].policy_domain
+                            for i in matrix.case_indices[runs[j][0]]}
+                           for _, _, j in items]
+            assert all(len(d) == 1 for d in run_domains)
+            chunk_domains.append(set().union(*run_domains))
+            return series_chunk(series, forest_config, score, n_jobs, items)
+
+        def fit_spy(*args):
+            fits.append(args)
+            return fit_forests(*args)
+
+        monkeypatch.setattr(experiments, "encode", encode_spy)
+        monkeypatch.setattr(experiments, "_series_chunk", chunk_spy)
+        monkeypatch.setattr(forest, "fit_forests", fit_spy)
+        assert main(["rank", "--data", str(data), "--runs", "3",
+                     "--trees", "4", "--jobs", "2"]) == 0
+        assert recording_pool == [(2, 1)]
+        assert len(encoded) == 1
+        assert chunk_domains == [set(PD_LABELS)] * 2
+        assert len(fits) == 2
 
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_below_one_rejected(self, jobs, data_file, tmp_path, capsys):

@@ -7,7 +7,8 @@ from policyforest import experiments, forest
 from policyforest.cli import main
 from policyforest.dataset import (IG_NAMES, PD_LABELS, FeatureSetSpec,
                                   PolicyCase, dump_cases, encode,
-                                  random_split)
+                                  random_split, rescale_p90,
+                                  zero_noncommittal)
 from policyforest.experiments import (TRAIN_FRACTION, ExperimentError,
                                       build_set_c,
                                       compare_selectors, gain_per_ig,
@@ -143,6 +144,12 @@ class TestRunFeatureSetEval:
         for run, (_, test_idx) in zip(rep.runs, seen):
             assert run.tp + run.fp + run.tn + run.fn == len(test_idx)
 
+    def test_derived_spec_must_use_p90(self, cases_200):
+        no_p90 = FeatureSetSpec("custom", False, False, IG_NAMES[:5], "pd")
+        with pytest.raises(ExperimentError, match="does not use P90"):
+            run_feature_set_eval(cases_200, lambda: no_p90, "random_draw",
+                                 n_runs=2, forest_config=FAST_FOREST)
+
     def test_spec_without_p90_keeps_every_case(self):
         cases = make_cases(120, seed=7, missing_p90_every=4)
         spec = FeatureSetSpec("custom", False, False, IG_NAMES[:5], "pd")
@@ -201,6 +208,34 @@ class TestIgOutcomeCorrelation:
     def test_unknown_feature(self):
         with pytest.raises(ExperimentError):
             ig_outcome_correlation([], "Not A Group")
+
+
+class TestRankSummaries:
+    """rank's whole-array summaries equal their one-value-at-a-time
+    definitions exactly."""
+
+    def test_row_mean_std_equals_mean_std_per_row(self):
+        rng = np.random.default_rng(8)
+        for values in (rng.uniform(size=(44, 21)) ** 3,
+                       rng.integers(0, 300, size=(44, 21)),
+                       rng.normal(size=(5, 2)), rng.normal(size=(5, 1))):
+            for row, stats in zip(values, experiments._row_mean_std(values)):
+                assert stats == experiments._mean_std(row)
+
+    def test_p90_stances_are_the_dataset_rescale(self):
+        rng = np.random.default_rng(9)
+        p90 = np.concatenate([[0.0, 0.35, 0.4, 0.5, 0.6, 0.65, 1.0],
+                              rng.uniform(size=200)])
+        # Every case adopted: corr is 0.5 / at-bats times the row-order
+        # sum of the stances.
+        corr, at_bats = experiments._stance_correlations(
+            p90[:, None], np.ones(len(p90), dtype=int), ["P90"])
+        stances = [zero_noncommittal(rescale_p90(v)) for v in p90]
+        total = 0.0
+        for v in stances:
+            total += v
+        assert at_bats[0] == np.count_nonzero(stances)
+        assert corr[0] == 0.5 / at_bats[0] * (total - 0.0)
 
 
 class TestRankIgsByDomain:
@@ -540,7 +575,11 @@ class TestOneCoreHost:
         next(forest.fit_forests(matrix, forests(), n_jobs))
         return len(read)
 
-    def test_no_pool_and_lazy_forests(self, cases_200, recording_pool):
+    def test_no_pool_and_lazy_forests(self, cases_200, recording_pool,
+                                      monkeypatch):
+        # About 16 of these trees in flight (some 126 distinct rows each),
+        # fewer than the 6 forests' 120.
+        monkeypatch.setattr(forest, "ROWS_IN_FLIGHT", 2000)
         matrix = encode(cases_200, FeatureSetSpec.set_a())
         serial = self._forests_read_before_first_model(matrix, 1)
         assert serial < 6

@@ -615,32 +615,46 @@ class TestFitForests:
             forests.append((rows, ForestConfig(seed=i, **spec)))
         return forests
 
-    @pytest.mark.parametrize("in_flight", [1, 4, forest.TREES_IN_FLIGHT])
-    def test_equals_fitting_each_forest_alone(self, in_flight, monkeypatch):
+    # One row grows one tree at a time, 200 rows a few of these trees
+    # (13-90 distinct rows each), and the default all 25.
+    @pytest.mark.parametrize("budget", [1, 200, forest.ROWS_IN_FLIGHT])
+    def test_equals_fitting_each_forest_alone(self, budget, monkeypatch):
         m = TestModelIdentity._noisy_matrix()
         forests = self._forests(m.n_samples)
         alone = [fit_forest(m.subset(rows), cfg) for rows, cfg in forests]
         # The last forest draws more candidates than the others, so a
         # level of many trees in flight mixes candidate counts.
-        monkeypatch.setattr(forest, "TREES_IN_FLIGHT", in_flight)
-        searched = []
+        monkeypatch.setattr(forest, "ROWS_IN_FLIGHT", budget)
+        searched, in_flight = [], []
         best_cuts = forest._best_cuts
+        grow_level = forest._grow_level
 
         def spy(view, rows, labels, row_node, node_n, *rest):
             searched.append(len(node_n))
             return best_cuts(view, rows, labels, row_node, node_n, *rest)
 
+        def level_spy(view, labels, growing, *rest):
+            in_flight.append([len(g.sample[0]) for g in growing])
+            return grow_level(view, labels, growing, *rest)
+
         monkeypatch.setattr(forest, "_best_cuts", spy)
-        # A budget of one row searches one node per sub-step.
+        monkeypatch.setattr(forest, "_grow_level", level_spy)
+        # A sub-step of at most one row searches one node.
         for step_rows in (1, 50, forest.STEP_ROWS):
             monkeypatch.setattr(forest, "STEP_ROWS", step_rows)
             searched.clear()
+            in_flight.clear()
             together = list(fit_forests(m, iter(forests)))
             assert sorted(i for i, _ in together) == \
                 list(range(len(forests)))
             for i, model in together:
                 assert same_forest(model, alone[i]), (step_rows, i)
             assert (max(searched) == 1) == (step_rows == 1)
+            # The last tree to start did so while the rows of the others
+            # were under the budget.
+            assert all(sum(rows) - rows[-1] < budget for rows in in_flight)
+            most = max(map(len, in_flight))
+            assert {1: most == 1, 200: 1 < most < 25}.get(budget, most == 25)
 
     def test_parallel_equals_serial(self, recording_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)

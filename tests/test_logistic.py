@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import policyforest
 from policyforest import logistic
 from policyforest.dataset import EncodedMatrix
 from policyforest.logistic import (MAX_ITERS, TOLERANCE, LogisticError,
@@ -27,7 +33,8 @@ def reference_fit(matrix):
     """Damped Newton ascent that stops only when the gradient norm falls
     below TOLERANCE or at MAX_ITERS, recomputing each iteration's
     likelihood from theta. Reads the solver constants from the module at
-    call time, as fit does."""
+    call time, as fit does, and sums the Hessian over the same blocks of
+    rows in the same order."""
     l2 = logistic.L2
     X, y = matrix.X, matrix.y.astype(float)
     stds = X.std(axis=0)
@@ -46,7 +53,11 @@ def reference_fit(matrix):
             converged = True
             break
         w = np.maximum(p * (1 - p), 1e-10)
-        H = (A * w[:, None]).T @ A + np.diag(pen + 1e-12)
+        H = np.zeros((A.shape[1], A.shape[1]))
+        for b in range(0, len(y), logistic.HESSIAN_ROWS):
+            rows = slice(b, b + logistic.HESSIAN_ROWS)
+            H += (A[rows] * w[rows, None]).T @ A[rows]
+        H += np.diag(pen + 1e-12)
         step = np.linalg.solve(H, grad)
         scale = 1.0
         for _ in range(60):
@@ -204,6 +215,35 @@ class TestStallStop:
         assert model.ll_history == ref.ll_history
         assert np.array_equal(model.beta, ref.beta)
         assert model.intercept == ref.intercept
+
+
+class TestBlasThreads:
+    # A Set D-shaped design: P90, 43 ordinal IG columns and 19 one-hots.
+    FIT = """
+import numpy as np
+from policyforest.dataset import EncodedMatrix
+from policyforest.logistic import fit
+rng = np.random.default_rng(3)
+n = 1200
+X = np.column_stack([rng.uniform(size=n), rng.integers(-2, 3, size=(n, 43)),
+                     np.eye(19)[rng.integers(19, size=n)]]).astype(float)
+y = (4 * X[:, 0] - 2 + X[:, 1] + rng.normal(0, 1, n) > 0).astype(int)
+names = [f"c{i}" for i in range(X.shape[1])]
+print(fit(EncodedMatrix(X, y, names, np.arange(n))).beta.tobytes().hex())
+"""
+
+    def test_beta_bytes_do_not_depend_on_blas_threads(self):
+        """The same fit on one and on two OpenBLAS threads gives the same
+        bytes. Which bytes depends on the BLAS build, so only identity is
+        checked."""
+        src = str(Path(policyforest.__file__).resolve().parents[1])
+        betas = {subprocess.run(
+            [sys.executable, "-c", self.FIT], check=True,
+            capture_output=True, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": src,
+                 "OPENBLAS_NUM_THREADS": threads}).stdout
+                 for threads in ("1", "2")}
+        assert len(betas) == 1
 
 
 class TestValidation:
