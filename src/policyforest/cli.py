@@ -47,8 +47,8 @@ def _load(args: argparse.Namespace):
 
 def _forest_config(args: argparse.Namespace):
     # Every command that uses --jobs builds its forest config here, after
-    # any config-file override. No seed: each experiment seeds every
-    # forest from --seed and the forest's run.
+    # any config-file override. Each experiment seeds every forest from
+    # --seed and the forest's run.
     from .experiments import check_positive
     from .forest import ForestConfig
     check_positive("--jobs", args.jobs)

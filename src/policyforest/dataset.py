@@ -509,6 +509,9 @@ def load_cases(source: TextIO | str,
             parts.append(f"unknown columns {unknown}")
         if missing:
             parts.append(f"missing columns {missing}")
+        repeated = sorted({h for h in header if header.count(h) > 1})
+        if repeated:
+            parts.append(f"duplicate columns {repeated}")
         raise DatasetError("header mismatch: " + "; ".join(parts))
     pos = {name: header.index(name) for name in expected}
     ig_cells = itemgetter(*(pos[name] for name in IG_NAMES))

@@ -152,8 +152,8 @@ def _forest_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
     # map, not a loop, so that no frame holds the last model while the
     # next forests grow.
     return map(fit, rf.fit_forests(
-        matrix, ((train, replace(forest_config, seed=model_seed))
-                 for train, _, model_seed in runs), n_jobs))
+        matrix, forest_config,
+        ((train, model_seed) for train, _, model_seed in runs), n_jobs))
 
 
 def _logistic_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
@@ -712,13 +712,11 @@ def nonlinearity_case_study(cases: list[PolicyCase],
         raise ExperimentError(f"case-study subset is single-class "
                               f"({n_pos}/{len(sub)} positive)")
 
-    X = np.array([[c.p90, c.alignment(pivot_ig)] for c in sub], dtype=float)
-    y = np.array([c.outcome for c in sub], dtype=int)
-    matrix = EncodedMatrix(X, y, ["P90", pivot_ig],
-                           np.arange(len(sub)))
-
-    cfg = replace(forest_config, seed=mix_seed(base_seed, 1))
-    fmodel = rf.fit_forest(matrix, cfg, n_jobs=n_jobs)
+    matrix = encode(sub, FeatureSetSpec("custom", True, False, (pivot_ig,),
+                                        "none"))
+    X, y = matrix.X, matrix.y
+    fmodel = rf.fit_forest(matrix, forest_config, mix_seed(base_seed, 1),
+                           n_jobs)
     lmodel = lr.fit(matrix)
     f_scores = rf.predict_proba(fmodel, X)
     l_scores = lr.predict_proba(lmodel, X, matrix.column_names)

@@ -1,9 +1,10 @@
 """From-scratch CART trees and Random Forest ensemble for binary outcomes.
 
 Trees split on `value <= threshold` using Gini impurity; the forest
-averages leaf positive fractions. All randomness flows from per-tree seeds
-derived deterministically from the config seed, so serial and parallel
-fits produce identical models.
+averages leaf positive fractions. One ForestConfig holds the model
+settings of a fit; all randomness flows from per-tree seeds derived
+deterministically from each forest's seed, so serial and parallel fits
+produce identical models.
 """
 
 from __future__ import annotations
@@ -92,12 +93,14 @@ STEP_ROWS = 3072
 
 @dataclass(frozen=True)
 class ForestConfig:
+    """Model settings shared by every tree of a fit, whose forests each
+    bring a seed. features_per_split None means ceil(sqrt(F))."""
+
     n_trees: int = 500
     max_depth: int | None = None
     min_samples_leaf: int = 1
-    features_per_split: int | str = "sqrt"  # "sqrt" -> ceil(sqrt(F))
+    features_per_split: int | None = None
     bootstrap: bool = True
-    seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
@@ -107,38 +110,36 @@ class ForestConfig:
         if self.min_samples_leaf < 1:
             raise ForestError(f"min_samples_leaf must be >= 1, got "
                               f"{self.min_samples_leaf}")
-        if isinstance(self.features_per_split, str):
-            if self.features_per_split != "sqrt":
-                raise ForestError(f"features_per_split must be a count or "
-                                  f"'sqrt', got {self.features_per_split!r}")
-        elif self.features_per_split < 1:
+        if self.features_per_split is not None and self.features_per_split < 1:
             raise ForestError("features_per_split must be >= 1")
 
-    def resolve_features_per_split(self, n_features: int) -> int:
+    def resolve(self, n_features: int) -> tuple[int, int, float]:
+        """(candidate columns per node, min_samples_leaf, max_depth) of a
+        tree grown on n_features columns, max_depth inf for None."""
         if n_features < 1:
             raise ForestError("cannot fit a tree on a matrix without columns")
-        if self.features_per_split == "sqrt":
-            return min(n_features, math.ceil(math.sqrt(n_features)))
-        if self.features_per_split > n_features:
-            raise ForestError(f"features_per_split "
-                              f"{self.features_per_split} exceeds feature "
+        k = self.features_per_split or math.ceil(math.sqrt(n_features))
+        if k > n_features:
+            raise ForestError(f"features_per_split {k} exceeds feature "
                               f"count {n_features}")
-        return self.features_per_split
+        return (k, self.min_samples_leaf,
+                math.inf if self.max_depth is None else self.max_depth)
 
 
 @dataclass(frozen=True, eq=False)
 class Tree:
-    """A fitted tree as flat arrays over its nodes in preorder.
+    """A fitted tree as flat arrays over its nodes in the order they grew:
+    level by level, each level left to right.
 
     Node i sends a row with `row[feature[i]] <= threshold[i]` to node
-    i + 1 and any other row to node right[i]. A leaf has feature and
-    right -1. value is a node's positive fraction and n_samples its
+    left[i] and any other row to node left[i] + 1. A leaf has feature and
+    left -1. value is a node's positive fraction and n_samples its
     sample size, bootstrap repeats included.
     """
 
     feature: np.ndarray    # int32
     threshold: np.ndarray  # float64
-    right: np.ndarray      # int32
+    left: np.ndarray       # int32
     value: np.ndarray      # float64
     n_samples: np.ndarray  # int32
 
@@ -365,69 +366,56 @@ class _Tree:
     of slots, in widest-column order within it; front, the nodes of its
     current level left to right as a (4, nodes) array of first slot,
     slots, rows and positives, rows and positives counting repeats; and
-    its finished levels, each a (6, nodes) float array holding per node
-    its first slot, rows, positive fraction, feature (-1 for a leaf),
-    threshold and sample-weighted impurity decrease. Counts and features
-    are exact as floats."""
+    its finished levels, each a (5, nodes) float array holding per node
+    its rows, positive fraction, feature (-1 for a leaf), threshold and
+    sample-weighted impurity decrease. Counts and features are exact as
+    floats."""
 
-    __slots__ = ("key", "sample", "rng", "k", "min_leaf", "max_depth",
-                 "n_total", "depth", "front", "levels")
+    __slots__ = ("key", "sample", "rng", "n_total", "front", "levels")
 
-    def __init__(self, key, rows: np.ndarray, counts: np.ndarray,
-                 config: ForestConfig, seed: int, view: BinnedMatrix,
-                 labels: np.ndarray):
+    def __init__(self, key, rows: np.ndarray, counts: np.ndarray, seed: int,
+                 view: BinnedMatrix, labels: np.ndarray):
         self.key = key
-        self.k = config.resolve_features_per_split(view.n_features)
         self.sample = _sample(view, rows, counts)
         self.rng = np.random.default_rng(seed)
-        self.min_leaf = config.min_samples_leaf
-        self.max_depth = (math.inf if config.max_depth is None
-                          else config.max_depth)
         rows, counts = self.sample
         self.n_total = counts.sum()
-        self.depth = 0
         self.front = np.array([[0], [len(rows)], [self.n_total],
                                [counts[labels[rows]].sum()]])
         self.levels = []
 
     def tree(self, n_features: int) -> tuple[Tree, np.ndarray]:
-        """The finished tree in preorder, and its raw importances."""
-        start, n, value, feature, threshold, weighted = np.concatenate(
+        """The finished tree in level order, and its raw importances."""
+        n, value, feature, threshold, weighted = np.concatenate(
             self.levels, axis=1)
-        depth = np.repeat(np.arange(len(self.levels)),
-                          [level.shape[1] for level in self.levels])
         feature = feature.astype(np.int32)
         inner = feature >= 0
         importance = np.bincount(feature[inner], weights=weighted[inner],
                                  minlength=n_features)
         # Level order lists the children of each level's splits left to
         # right, so split s (in level order) has children 2s + 1, 2s + 2.
-        right = np.full(len(n), -1, dtype=np.int32)
-        right[inner] = 2 * np.arange(inner.sum()) + 2
-        # A left child's slots start where its parent's do, and a right
-        # child's after its left sibling's: (first slot, depth) order is
-        # preorder.
-        order = np.lexsort((depth, start))
-        preorder = np.empty_like(right)
-        preorder[order] = np.arange(len(order))
-        right = np.where(right >= 0, preorder[right], -1)
-        return Tree(feature[order], threshold[order], right[order],
-                    value[order], n[order].astype(np.int32)), importance
+        left = np.full(len(n), -1, dtype=np.int32)
+        left[inner] = 2 * np.arange(inner.sum()) + 1
+        return (Tree(feature, threshold, left, value, n.astype(np.int32)),
+                importance)
 
 
-def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
-    """Grow one tree per task (key, rows, counts, config, seed) and yield
-    (key, tree, raw importance) as each tree completes.
+def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks, k: int,
+                min_leaf: int, max_depth: float):
+    """Grow one tree per task (key, rows, counts, seed) and yield (key,
+    tree, raw importance) as each tree completes.
 
     The tree's sample holds rows[i] of view counts[i] times; seed seeds
-    the candidate draws. Trees grow together, each by one depth level per
-    pass, and the next tree starts while the samples in flight hold fewer
-    than ROWS_IN_FLIGHT distinct rows, so at least one grows. A tree draws
-    the candidates of all its splittable nodes of a level at once from its
-    own generator, and each node's cut depends on its own rows and
-    candidates alone, so a tree is the same however many trees grow beside
-    it and however the passes are cut into sub-steps. Importances are the
-    per-feature sums of sample-weighted impurity decreases, in level order.
+    the candidate draws; k, min_leaf and max_depth, from
+    ForestConfig.resolve, hold for every tree. Trees grow together, each
+    by one depth level per pass, and the next tree starts while the
+    samples in flight hold fewer than ROWS_IN_FLIGHT distinct rows, so at
+    least one grows. A tree draws the candidates of all its splittable
+    nodes of a level at once from its own generator, and each node's cut
+    depends on its own rows and candidates alone, so a tree is the same
+    however many trees grow beside it and however the passes are cut into
+    sub-steps. Importances are the per-feature sums of sample-weighted
+    impurity decreases, in level order.
     """
     labels = np.asarray(y) != 0
     n_features = view.n_features
@@ -455,7 +443,8 @@ def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
                       for part in zip(*(g.sample for g in growing))]
             for g, o, size in zip(growing, offsets.tolist(), sizes):
                 g.sample = [part[o:o + size] for part in buffer]
-        _grow_level(view, labels, growing, buffer, offsets)
+        _grow_level(view, labels, growing, buffer, offsets, k, min_leaf,
+                    max_depth)
         done = [g for g in growing if not g.front.size]
         growing = [g for g in growing if g.front.size]
         changed = bool(done)
@@ -465,28 +454,27 @@ def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks):
 
 
 def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
-                buffer: list, offsets: np.ndarray) -> None:
+                buffer: list, offsets: np.ndarray, k: int, min_leaf: int,
+                max_depth: float) -> None:
     """Split the current level of every tree in growing, whose samples lie
     in buffer at offsets, and make each tree's next level its children."""
-    n_features = view.n_features
     sizes = [g.front.shape[1] for g in growing]
     start, slots, n, n_pos = np.concatenate([g.front for g in growing],
                                             axis=1)
     node_offset = np.repeat(offsets, sizes)
     start += node_offset
-    min_leaf = np.repeat([g.min_leaf for g in growing], sizes)
-    k = np.repeat([g.k for g in growing], sizes)
     splittable = ((0 < n_pos) & (n_pos < n) & (n >= 2 * min_leaf)
-                  & np.repeat([g.depth < g.max_depth for g in growing], sizes))
+                  & np.repeat([len(g.levels) < max_depth for g in growing],
+                              sizes))
     bounds = np.cumsum(sizes) - sizes
     # One draw per tree for its m splittable nodes, left to right: a row
     # of uniform keys per node, whose k smallest name the node's k
     # candidate columns.
-    keys = {}
-    for g, m in zip(growing, np.add.reduceat(splittable, bounds,
-                                             dtype=int).tolist()):
-        if m:
-            keys.setdefault(g.k, []).append(g.rng.random((m, n_features)))
+    keys = np.concatenate([
+        g.rng.random((m, view.n_features)) for g, m in zip(
+            growing, np.add.reduceat(splittable, bounds, dtype=int).tolist())])
+    cands = np.argpartition(keys, k - 1, axis=1)[:, :k]
+    cands.sort(axis=1)
 
     feature = np.full(len(n), -1)
     threshold = np.zeros(len(n))
@@ -494,31 +482,26 @@ def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
     slots_left = np.zeros(len(n), dtype=int)
     n_left = np.zeros(len(n), dtype=int)
     pos_left = np.zeros(len(n), dtype=int)
-    # A sub-step searches nodes with equal candidate counts, at most
-    # STEP_ROWS distinct rows of them unless one node holds more.
-    for k_nodes, parts in keys.items():
-        nodes = np.flatnonzero(splittable & (k == k_nodes))
-        cands = np.argpartition(np.concatenate(parts), k_nodes - 1,
-                                axis=1)[:, :k_nodes]
-        cands.sort(axis=1)
-        ends = np.cumsum(slots[nodes])
-        first = 0
-        while first < len(nodes):
-            rows_before = ends[first - 1] if first else 0
-            last = max(first + 1, int(np.searchsorted(
-                ends, rows_before + STEP_ROWS, side="right")))
-            at = nodes[first:last]
-            (feature[at], threshold[at], gain[at], slots_left[at],
-             n_left[at], pos_left[at]) = _search(
-                view, labels, buffer, start[at], slots[at], n[at],
-                n_pos[at], cands[first:last])
-            first = last
+    # A sub-step searches at most STEP_ROWS distinct rows, unless one node
+    # holds more.
+    nodes = splittable.nonzero()[0]
+    ends = np.cumsum(slots[nodes])
+    first = 0
+    while first < len(nodes):
+        rows_before = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(
+            ends, rows_before + STEP_ROWS, side="right")))
+        at = nodes[first:last]
+        (feature[at], threshold[at], gain[at], slots_left[at], n_left[at],
+         pos_left[at]) = _search(view, labels, buffer, start[at], slots[at],
+                                 n[at], n_pos[at], cands[first:last])
+        first = last
 
     split = ((feature >= 0) & (n_left >= min_leaf)
              & (n - n_left >= min_leaf))
     start -= node_offset
     record = np.stack([
-        start, n, n_pos / n, np.where(split, feature, -1),
+        n, n_pos / n, np.where(split, feature, -1),
         np.where(split, threshold, 0.0),
         np.where(split, (n / np.repeat([g.n_total for g in growing], sizes))
                  * gain, 0.0)])
@@ -535,7 +518,6 @@ def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
     for i, g in enumerate(growing):
         g.levels.append(record[:, bounds[i]:bounds[i] + sizes[i]].copy())
         g.front = children[:, child_bounds[i]:child_bounds[i + 1]]
-        g.depth += 1
 
 
 def _search(view: BinnedMatrix, labels: np.ndarray, buffer: list,
@@ -572,13 +554,14 @@ def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
     per-feature sums of sample-weighted impurity decreases.
     """
     view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
+    growth = config.resolve(view.n_features)
     idx = np.asarray(sample_indices, dtype=int)
     if len(idx) == 0:
         raise ForestError("cannot fit a tree on an empty sample")
     _check_indices("row", idx, len(y))
     [(_, tree, importance)] = _grow_trees(
         view, y, [(None, np.arange(len(y)), np.bincount(idx, minlength=len(y)),
-                   config, tree_seed)])
+                   tree_seed)], *growth)
     return tree, importance
 
 
@@ -589,24 +572,27 @@ class ForestModel:
     gini_importance: np.ndarray  # normalized to sum 1 when any split exists
 
 
-def _tree_task(forest: int, i: int, rows: np.ndarray, config: ForestConfig):
-    """Growth task of tree i of a forest on rows: the tree draws its
-    bootstrap and its growth from seeds derived from (config.seed, i)
+def _tree_task(bootstrap: bool, forest: int, i: int, rows: np.ndarray,
+               seed: int):
+    """Growth task of tree i of a forest on rows seeded by seed: the tree
+    draws its bootstrap and its growth from seeds derived from (seed, i)
     alone."""
-    tree_seed = mix_seed(config.seed, i)
+    tree_seed = mix_seed(seed, i)
     counts = np.ones(len(rows), dtype=int)
-    if config.bootstrap:
+    if bootstrap:
         boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
         counts = np.bincount(boot_rng.integers(0, len(rows), size=len(rows)),
                              minlength=len(rows))
-    return (forest, i), rows, counts, config, mix_seed(tree_seed, 1)
+    return (forest, i), rows, counts, mix_seed(tree_seed, 1)
 
 
-def _grow_chunk(view: BinnedMatrix, y: np.ndarray, _jobs: int, trees):
-    """Grow each (forest, tree index, rows, config) in trees together;
-    yields ((forest, tree index), tree, raw importance) as each tree
-    completes."""
-    return _grow_trees(view, y, starmap(_tree_task, trees))
+def _grow_chunk(view: BinnedMatrix, y: np.ndarray, bootstrap: bool,
+                growth: tuple, _jobs: int, trees):
+    """Grow each (forest, tree index, rows, forest seed) in trees together
+    under growth, ForestConfig.resolve's (k, min_leaf, max_depth); yields
+    ((forest, tree index), tree, raw importance) as each tree completes."""
+    return _grow_trees(view, y, starmap(partial(_tree_task, bootstrap), trees),
+                       *growth)
 
 
 def _assemble(column_names,
@@ -617,22 +603,25 @@ def _assemble(column_names,
     return ForestModel([t for t, _ in grown], list(column_names), importance)
 
 
-def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
-    """Fit one forest per (rows, config) in forests, each the model that
-    fit_forest(matrix.subset(rows), config) fits; yields (index, model)
-    as each model's last tree completes.
+def fit_forests(matrix: EncodedMatrix, config: ForestConfig, forests,
+                n_jobs: int = 1):
+    """Fit one forest per (rows, seed) in forests, each the model that
+    fit_forest(matrix.subset(rows), config, seed) fits; yields (index,
+    model) as each model's last tree completes.
 
-    One BinnedMatrix serves all forests, and the trees of all of them
-    grow together, on up to n_jobs worker processes (map_chunks). When
-    map_chunks uses no pool, forests is read as trees start, so a long
-    series holds only the forests in flight.
+    One config serves every forest and is checked against the matrix
+    before any tree grows. One BinnedMatrix serves all forests, and the
+    trees of all of them grow together, on up to n_jobs worker processes
+    (map_chunks). When map_chunks uses no pool, forests is read as trees
+    start, so a long series holds only the forests in flight.
     """
     view = BinnedMatrix.of(matrix.X)
+    growth = config.resolve(view.n_features)
     y = matrix.y
     grown, missing = {}, {}
 
     def trees():
-        for f, (rows, config) in enumerate(forests):
+        for f, (rows, seed) in enumerate(forests):
             rows = np.asarray(rows, dtype=int)
             if len(rows) < 2:
                 raise ForestError(f"need at least 2 samples, got {len(rows)}")
@@ -643,10 +632,11 @@ def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
             grown[f] = [None] * config.n_trees
             missing[f] = config.n_trees
             for i in range(config.n_trees):
-                yield f, i, rows, config
+                yield f, i, rows, seed
 
     for (f, i), tree, importance in map_chunks(
-            partial(_grow_chunk, view, y), trees(), n_jobs):
+            partial(_grow_chunk, view, y, config.bootstrap, growth), trees(),
+            n_jobs):
         grown[f][i] = tree, importance
         missing[f] -= 1
         if not missing[f]:
@@ -654,14 +644,14 @@ def fit_forests(matrix: EncodedMatrix, forests, n_jobs: int = 1):
             yield f, _assemble(matrix.column_names, grown.pop(f))
 
 
-def fit_forest(matrix: EncodedMatrix, config: ForestConfig,
+def fit_forest(matrix: EncodedMatrix, config: ForestConfig, seed: int = 0,
                n_jobs: int = 1) -> ForestModel:
-    """Fit the ensemble; deterministic given config.seed, parallel or not.
+    """Fit the ensemble; deterministic given seed, parallel or not.
 
     With n_jobs > 1 the trees are grown in worker processes.
     """
     [(_, model)] = fit_forests(
-        matrix, [(np.arange(matrix.n_samples), config)], n_jobs)
+        matrix, config, [(np.arange(matrix.n_samples), seed)], n_jobs)
     return model
 
 
@@ -671,10 +661,10 @@ ROUTE_STEPS = 4
 
 def _leaf_values(trees: list[Tree], rows: np.ndarray) -> np.ndarray:
     """(len(trees), len(rows)) positive fraction of the leaf each finite
-    row reaches in each tree. A leaf sends every finite value right, to
-    itself (column 0, threshold -inf), so the live (tree, row) pairs step
-    together ROUTE_STEPS times; then each writes its node back, and only
-    the pairs not yet at a leaf go on."""
+    row reaches in each tree. A leaf's test (column 0, threshold -inf)
+    fails for every finite value and steps to the leaf itself, so the live
+    (tree, row) pairs step together ROUTE_STEPS times; then each writes
+    its node back, and only the pairs not yet at a leaf go on."""
     sizes = [len(t.feature) for t in trees]
     offset = np.cumsum(sizes) - sizes
     feature = np.concatenate([t.feature for t in trees])
@@ -684,9 +674,10 @@ def _leaf_values(trees: list[Tree], rows: np.ndarray) -> np.ndarray:
                          np.concatenate([t.threshold for t in trees]))
     # Node i steps to step[i] when its test fails, else to step[i + size].
     size = len(feature)
-    right = np.concatenate([t.right + o for t, o in zip(trees, offset)])
-    step = np.concatenate([np.where(leaf, np.arange(size), right),
-                           np.arange(1, size + 1)])
+    left = np.concatenate([t.left + o for t, o in zip(trees, offset)])
+    here = np.arange(size)
+    step = np.concatenate([np.where(leaf, here, left + 1),
+                           np.where(leaf, here, left)])
     n, n_columns = rows.shape
     node = np.repeat(offset, n)
     cell = np.tile(np.arange(n) * n_columns, len(trees))

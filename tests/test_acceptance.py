@@ -179,8 +179,7 @@ def test_planted_recovery():
         y = rng.integers(0, 2, size=n)
         X[:, 0] = y + rng.normal(0, 0.6, n)
         model = fit_forest(matrix_from(X, y),
-                           ForestConfig(n_trees=20, min_samples_leaf=5,
-                                        seed=seed))
+                           ForestConfig(n_trees=20, min_samples_leaf=5), seed)
         hits += int(np.argmax(model.gini_importance) == 0)
     assert hits >= 38  # 95% of 40
 

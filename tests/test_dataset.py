@@ -1,5 +1,6 @@
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from policyforest.dataset import (IG_NAMES, PA_LABELS, PA_TO_PD, PD_LABELS,
                                   parse_name_map, random_split, rescale_p90,
                                   retrodiction_split, tally_alignments,
                                   zero_noncommittal)
+from policyforest.cli import main
 from conftest import make_cases
 
 
@@ -112,6 +114,28 @@ class TestLoadCases:
         text = _csv(_row()).replace("AARP", "AARPX")
         with pytest.raises(DatasetError, match="unknown columns"):
             load_cases(text)
+
+    def test_repeated_column_named(self):
+        # AARP twice, and no canonical column missing.
+        text = (",".join(canonical_header() + ["AARP"]) + "\n"
+                + _row() + ",0\n")
+        with pytest.raises(DatasetError, match=re.escape(
+                "header mismatch: duplicate columns ['AARP']")):
+            load_cases(text)
+
+    def test_two_columns_mapped_onto_one_named(self, tmp_path, capsys):
+        text = _csv(_row()).replace("AFL-CIO", "unions")
+        expected = ("header mismatch: missing columns ['AFL-CIO']; "
+                    "duplicate columns ['AARP']")
+        with pytest.raises(DatasetError, match=re.escape(expected)):
+            load_cases(text, name_map={"unions": "AARP"})
+        data = tmp_path / "cases.csv"
+        data.write_text(text)
+        map_file = tmp_path / "map.txt"
+        map_file.write_text("unions=AARP\n")
+        assert main(["validate", "--data", str(data),
+                     "--map", str(map_file)]) == 1
+        assert expected in capsys.readouterr().err
 
     def test_round_trip(self):
         cases = make_cases(50, seed=3, missing_p90_every=7)

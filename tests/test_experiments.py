@@ -570,9 +570,10 @@ class TestOneCoreHost:
             for f in range(6):
                 read.append(f)
                 rows = np.arange(f, matrix.n_samples)
-                yield rows, ForestConfig(n_trees=20, seed=f)
+                yield rows, f
 
-        next(forest.fit_forests(matrix, forests(), n_jobs))
+        next(forest.fit_forests(matrix, ForestConfig(n_trees=20), forests(),
+                                n_jobs))
         return len(read)
 
     def test_no_pool_and_lazy_forests(self, cases_200, recording_pool,
