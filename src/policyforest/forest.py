@@ -469,7 +469,7 @@ def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
     bounds = np.cumsum(sizes) - sizes
     # One draw per tree for its m splittable nodes, left to right: a row
     # of uniform keys per node, whose k smallest name the node's k
-    # candidate columns.
+    # candidate columns. An empty draw leaves a generator as it was.
     keys = np.concatenate([
         g.rng.random((m, view.n_features)) for g, m in zip(
             growing, np.add.reduceat(splittable, bounds, dtype=int).tolist())])
