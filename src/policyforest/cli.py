@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict, is_dataclass
 from functools import partial
 from pathlib import Path
 
@@ -23,26 +24,49 @@ from .dataset import (CUTOFF_YEAR, IG_NAMES, MODEL_KINDS, PA_LABELS, PA_TO_PD,
 # commands that run them: schema, validate and summarize load none of them.
 
 
-def _provenance(args: argparse.Namespace, argv: list[str]) -> str:
-    seed = getattr(args, "seed", None)
-    return (f"# policyforest {__version__}\n"
-            f"# argv: {' '.join(argv)}\n"
-            f"# seed: {seed}\n")
-
-
-def _write(path: Path, text: str) -> None:
+def _save(args: argparse.Namespace, argv: list[str], name: str,
+          report) -> None:
+    """Write report to the file name under --out, if there is one: the
+    provenance lines (tool version, argv, seed), then a list as CSV lines,
+    or a dict or dataclass as sorted, indented JSON."""
+    if not args.out:
+        return
+    if not isinstance(report, list):
+        report = [json.dumps(asdict(report) if is_dataclass(report)
+                             else report, sort_keys=True, indent=2)]
+    path = Path(args.out) / name
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text, encoding="utf-8")
+    path.write_text(f"# policyforest {__version__}\n"
+                    f"# argv: {' '.join(argv)}\n"
+                    f"# seed: {args.seed}\n" + "\n".join(report) + "\n",
+                    encoding="utf-8")
     print(f"wrote {path}")
 
 
+def _read(path: str, parse, error=DatasetError):
+    """parse(fh) of the file at path, read as UTF-8 with or without a BOM.
+    A byte that is not UTF-8, or JSON that does not parse, is an error
+    naming the file and the line of the fault."""
+    try:
+        with open(path, encoding="utf-8-sig") as fh:
+            return parse(fh)
+    except json.JSONDecodeError as e:
+        raise error(f"{path}: line {e.lineno} column {e.colno}: invalid "
+                    f"JSON: {e.msg}") from None
+    except UnicodeDecodeError:
+        data = Path(path).read_bytes()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            line = data.count(b"\n", 0, e.start) + 1
+            raise error(f"{path}: line {line}: byte "
+                        f"0x{data[e.start]:02x} is not UTF-8") from None
+        raise
+
+
 def _load(args: argparse.Namespace):
-    name_map = None
-    if getattr(args, "map", None):
-        with open(args.map, encoding="utf-8-sig") as fh:
-            name_map = parse_name_map(fh)
-    with open(args.data, encoding="utf-8-sig") as fh:
-        return load_cases(fh, name_map)
+    name_map = _read(args.map, parse_name_map) if args.map else None
+    return _read(args.data, partial(load_cases, name_map=name_map))
 
 
 def _forest_config(args: argparse.Namespace):
@@ -58,10 +82,6 @@ def _forest_config(args: argparse.Namespace):
         min_samples_leaf=args.min_leaf,
         bootstrap=not args.no_bootstrap,
     )
-
-
-def _json_report(doc: dict, header: str) -> str:
-    return header + json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
 def _fmt(v: float) -> str:
@@ -111,9 +131,7 @@ def cmd_summarize(args, argv) -> int:
         lines.append(f"{r.domain},{r.pos},{r.neg},{r.pos_fraction!r},"
                      f"{r.pos_post_cutoff},{r.neg_post_cutoff},"
                      f"{r.pos_fraction_post_cutoff!r}")
-    if args.out:
-        _write(Path(args.out) / "summary_counts.csv",
-               _provenance(args, argv) + "\n".join(lines) + "\n")
+    _save(args, argv, "summary_counts.csv", lines)
     return 0
 
 
@@ -157,8 +175,11 @@ def _config_value(key: str, val, action: argparse.Action):
 def cmd_eval(parser, args, argv) -> int:
     from . import experiments as ex
     if args.config:
-        with open(args.config, encoding="utf-8") as fh:
-            cfg = json.load(fh)
+        cfg = _read(args.config, json.load, ex.ExperimentError)
+        if not isinstance(cfg, dict):
+            raise ex.ExperimentError(f"{args.config}: a config file holds "
+                                     f"a JSON object, not a "
+                                     f"{type(cfg).__name__}")
         flags = {a.dest: a for a in parser._actions
                  if a.dest not in ("help", "config")}
         for key, val in cfg.items():
@@ -187,19 +208,13 @@ def cmd_eval(parser, args, argv) -> int:
           f"{report.regime}]: balAcc {_fmt(ba)} +/- {_fmt(bs)} %, "
           f"AUC {_fmt(am)} +/- {_fmt(as_)} % "
           f"({len(report.runs)} runs)")
-    if args.out:
-        out = Path(args.out)
-        head = _provenance(args, argv)
-        _write(out / f"eval_{set_id}_{args.regime}_{args.model}.json",
-               _json_report(report.to_dict(), head))
-        csv_lines = [
-            "feature_set,regime,model,bal_acc_mean,bal_acc_std,"
-            "auc_mean,auc_std,n_runs",
-            f"{set_id},{args.regime},{args.model},{_fmt(ba)},{_fmt(bs)},"
-            f"{_fmt(am)},{_fmt(as_)},{len(report.runs)}",
-        ]
-        _write(out / f"eval_{set_id}_{args.regime}_{args.model}.csv",
-               head + "\n".join(csv_lines) + "\n")
+    name = f"eval_{set_id}_{args.regime}_{args.model}"
+    _save(args, argv, f"{name}.json", report)
+    _save(args, argv, f"{name}.csv", [
+        "feature_set,regime,model,bal_acc_mean,bal_acc_std,"
+        "auc_mean,auc_std,n_runs",
+        f"{set_id},{args.regime},{args.model},{_fmt(ba)},{_fmt(bs)},"
+        f"{_fmt(am)},{_fmt(as_)},{len(report.runs)}"])
     return 0
 
 
@@ -234,10 +249,8 @@ def cmd_rank(args, argv) -> int:
                   f"{100 * r.rf_score_std:.0f}"
                   f"{corr:>14}"
                   f"{r.at_bats_mean:>7.0f} +/- {r.at_bats_std:.0f}")
-        if args.out:
-            slug = domain.lower().replace(" ", "_")
-            _write(Path(args.out) / f"ranking_{slug}.csv",
-                   _provenance(args, argv) + "\n".join(lines) + "\n")
+        slug = domain.lower().replace(" ", "_")
+        _save(args, argv, f"ranking_{slug}.csv", lines)
     return 0
 
 
@@ -251,11 +264,9 @@ def cmd_set_c(args, argv) -> int:
     print(f"Top {args.k} IGs by averaged Gini importance:")
     for name in spec.ig_subset:
         print(f"  {name}")
-    if args.out:
-        doc = {"k": args.k, "ig_subset": list(spec.ig_subset),
-               "feature_set_id": spec.id}
-        _write(Path(args.out) / "set_c.json",
-               _json_report(doc, _provenance(args, argv)))
+    _save(args, argv, "set_c.json",
+          {"k": args.k, "ig_subset": list(spec.ig_subset),
+           "feature_set_id": spec.id})
     return 0
 
 
@@ -277,12 +288,8 @@ def cmd_gains(args, argv) -> int:
     if report.excluded:
         print(f"below {args.min_test_cases}-case threshold: "
               f"{', '.join(report.excluded)}")
-    if args.out:
-        head = _provenance(args, argv)
-        _write(Path(args.out) / "ig_gains.csv",
-               head + "\n".join(lines) + "\n")
-        _write(Path(args.out) / "ig_gains.json",
-               _json_report(report.to_dict(), head))
+    _save(args, argv, "ig_gains.csv", lines)
+    _save(args, argv, "ig_gains.json", report)
     return 0
 
 
@@ -309,9 +316,7 @@ def cmd_compare_selectors(args, argv) -> int:
               f"{_fmt(100 * g.balanced_accuracy_gain_std)}, "
               f"AUC {_fmt(100 * g.auc_gain_mean)} +/- "
               f"{_fmt(100 * g.auc_gain_std)}")
-    if args.out:
-        _write(Path(args.out) / "selector_comparison.json",
-               _json_report(comp.to_dict(), _provenance(args, argv)))
+    _save(args, argv, "selector_comparison.json", comp)
     return 0
 
 
@@ -331,18 +336,13 @@ def cmd_case_study(args, argv) -> int:
           f"{100 * report.forest_balanced_accuracy:.1f}%")
     print(f"logistic balanced accuracy: "
           f"{100 * report.logistic_balanced_accuracy:.1f}%")
-    if args.out:
-        head = _provenance(args, argv)
-        lines = ["case_id,p90,pivot_alignment,outcome,forest_proba,"
-                 "forest_pred,logistic_proba,logistic_pred"]
-        for p in report.points:
-            lines.append(f"{p.case_id},{p.p90!r},{p.pivot_alignment},"
-                         f"{p.outcome},{p.forest_proba!r},{p.forest_pred},"
-                         f"{p.logistic_proba!r},{p.logistic_pred}")
-        _write(Path(args.out) / "case_study_points.csv",
-               head + "\n".join(lines) + "\n")
-        _write(Path(args.out) / "case_study.json",
-               _json_report(report.to_dict(), head))
+    _save(args, argv, "case_study_points.csv", [
+        "case_id,p90,pivot_alignment,outcome,forest_proba,forest_pred,"
+        "logistic_proba,logistic_pred",
+        *(f"{p.case_id},{p.p90!r},{p.pivot_alignment},{p.outcome},"
+          f"{p.forest_proba!r},{p.forest_pred},{p.logistic_proba!r},"
+          f"{p.logistic_pred}" for p in report.points)])
+    _save(args, argv, "case_study.json", report)
     return 0
 
 

@@ -5,19 +5,21 @@ comparisons, and the nonlinearity case study.
 Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
-execution parallelism. Each seeded-split experiment draws and checks
-all its runs up front (_runs), each a (train rows, test rows, model
-seed) triple, and lists them as items (series, model kind, run) over its
-series, each an encoded matrix and its runs; one forest.map_chunks call
-hands the items out in contiguous chunks, which may span cells or specs
-(rank's domains are row sets of one series); _series_chunk fits a
-chunk's runs of one series and kind together (all their forests in one
-forest.fit_forests call); and callers reduce the results in item order.
+execution parallelism. Every experiment, the case study included, fits
+its models through _map_series. It draws and checks all its runs up
+front (_runs; the case study's one run trains and tests on all its
+rows), each a (train rows, test rows, model seed) triple, and lists them
+as items (series, model kind, run) over its series, each an encoded
+matrix and its runs; one forest.map_chunks call hands the items out in
+contiguous chunks, which may span cells or specs (rank's domains are row
+sets of one series); _series_chunk fits a chunk's runs of one series and
+kind together (all their forests in one forest.fit_forests call); and
+callers reduce the results in item order.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -37,19 +39,18 @@ class ExperimentError(PolicyforestError):
     """Raised for invalid experiment parameters or degenerate data."""
 
 
-def _mean_std(values) -> tuple[float, float]:
-    vals = list(values)
-    mean = float(np.mean(vals))
-    std = float(np.std(vals, ddof=1)) if len(vals) > 1 else 0.0
-    return mean, std
-
-
 def _row_mean_std(values: np.ndarray) -> list[tuple[float, float]]:
-    """_mean_std of each row of a C-contiguous 2-D array: a reduction
-    along contiguous rows sums them as _mean_std does."""
+    """(mean, sample std) of each row of a C-contiguous 2-D array, std 0.0
+    for rows of one value: a reduction along contiguous rows sums each as
+    np.mean and np.std sum the row alone."""
     std = (values.std(axis=1, ddof=1) if values.shape[1] > 1
            else np.zeros(len(values)))
     return list(zip(values.mean(axis=1).tolist(), std.tolist()))
+
+
+def _mean_std(values) -> tuple[float, float]:
+    """_row_mean_std of the values as one row."""
+    return _row_mean_std(np.array([list(values)]))[0]
 
 
 def check_positive(name: str, value: int) -> None:
@@ -236,9 +237,6 @@ class EvalReport:
             self.balanced_accuracy_mean, self.balanced_accuracy_std = \
                 _mean_std(r.balanced_accuracy for r in self.runs)
             self.auc_mean, self.auc_std = _mean_std(r.auc for r in self.runs)
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def _fixed_split(row_cases: list[PolicyCase], regime: str):
@@ -437,10 +435,12 @@ def rank_igs_by_domain(cases: list[PolicyCase],
 # Set C construction (top-k IGs by averaged Gini importance)
 
 
-def _top_k(scores, k: int) -> tuple[str, ...]:
-    """The k IGs with the highest scores, ties to the earlier IG, in IG
-    order."""
-    order = sorted(range(len(IG_NAMES)), key=lambda i: (-scores[i], i))
+def _top_k(matrix: EncodedMatrix, scores: np.ndarray,
+           k: int) -> tuple[str, ...]:
+    """The k IGs whose columns of matrix have the highest scores, ties to
+    the earlier IG, in IG order."""
+    ig = scores[[matrix.column_names.index(name) for name in IG_NAMES]]
+    order = sorted(range(len(IG_NAMES)), key=lambda i: (-ig[i], i))
     return tuple(IG_NAMES[i] for i in sorted(order[:k]))
 
 
@@ -452,15 +452,13 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     _check_k(k)
     check_positive("n_splits", n_splits)
     matrix = encode(cases, FeatureSetSpec.set_b())
-    ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
-
     runs = _runs(matrix.y, base_seed, range(n_splits))
     acc = np.zeros(matrix.n_features)
     for fit in _map_series([(matrix, runs)],
                            [(0, "forest", j) for j in range(n_splits)],
                            forest_config, n_jobs, score=False):
         acc += fit.importance
-    chosen = _top_k(acc[ig_cols], k)
+    chosen = _top_k(matrix, acc, k)
     if k == len(IG_NAMES):
         return FeatureSetSpec.set_b()
     spec_id = "C" if k == 14 else "custom"
@@ -485,9 +483,6 @@ class GainReport:
     rows: list[GainRow]
     excluded: list[str]  # IGs below the test-case threshold in some run
     base_seed: int = 0
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
 
 def gain_per_ig(cases: list[PolicyCase],
@@ -583,9 +578,6 @@ class SelectorComparison:
     gains: list[SelectorGain]  # mean of per-split differences
     base_seed: int = 0
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def compare_selectors(cases: list[PolicyCase], k: int = 14,
                       regimes: tuple[str, ...] = REGIMES,
@@ -606,7 +598,6 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     for regime in regimes:
         _check_choice("regime", regime, REGIMES)
     matrix = encode(cases, _RANKING_SPEC)
-    ig_cols = [matrix.column_names.index(name) for name in IG_NAMES]
     # Selection item j is run 10,000 + j. Both subsets' matrices keep
     # the rows of matrix (those with a P90), so one list of evaluation
     # runs per regime serves both.
@@ -616,13 +607,13 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
                        fixed_split=_fixed_split(row_cases, regime),
                        check_test=True)
                  for regime in regimes]
-    acc = {kind: np.zeros(len(IG_NAMES)) for kind in MODEL_KINDS}
+    acc = {kind: np.zeros(matrix.n_features) for kind in MODEL_KINDS}
     items = [(0, kind, j) for j in range(n_splits) for kind in MODEL_KINDS]
     for (_, kind, _), fit in zip(items, _map_series(
             [(matrix, runs)], items, forest_config, n_jobs, score=False)):
-        acc[kind] += fit.importance[ig_cols]
-    chosen = {"rf_gini": _top_k(acc["forest"], k),
-              "logistic_beta": _top_k(acc["logistic"], k)}
+        acc[kind] += fit.importance
+    chosen = {"rf_gini": _top_k(matrix, acc["forest"], k),
+              "logistic_beta": _top_k(matrix, acc["logistic"], k)}
 
     # Series 2r + i: selector i's matrix under regimes[r].
     matrices = [encode(cases, replace(_RANKING_SPEC, ig_subset=subset))
@@ -683,9 +674,6 @@ class CaseStudyReport:
     logistic_balanced_accuracy: float
     region_counts: dict[str, dict[str, int]]
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 def nonlinearity_case_study(cases: list[PolicyCase],
                             pivot_ig: str = "Defense Contractors",
@@ -696,8 +684,10 @@ def nonlinearity_case_study(cases: list[PolicyCase],
     where the pivot took a stance; report both balanced accuracies and the
     per-case point data behind the three-region picture.
 
-    Protocol: a single fit on all qualifying cases, evaluated in-sample
-    at each model's own best operating point.
+    Protocol: one run whose train and test rows are both all the
+    qualifying cases, its model seed mix_seed(base_seed, 1), with a
+    forest and a logistic item; each model is scored in-sample at its own
+    best operating point.
     """
     _check_choice("IG", pivot_ig, IG_NAMES)
     _check_choice("policy domain", domain, PD_LABELS)
@@ -714,16 +704,13 @@ def nonlinearity_case_study(cases: list[PolicyCase],
 
     matrix = encode(sub, FeatureSetSpec("custom", True, False, (pivot_ig,),
                                         "none"))
-    X, y = matrix.X, matrix.y
-    fmodel = rf.fit_forest(matrix, forest_config, mix_seed(base_seed, 1),
-                           n_jobs)
-    lmodel = lr.fit(matrix)
-    f_scores = rf.predict_proba(fmodel, X)
-    l_scores = lr.predict_proba(lmodel, X, matrix.column_names)
-    f_op = mx.select_operating_point(f_scores, y)
-    l_op = mx.select_operating_point(l_scores, y)
-    f_pred = (f_scores >= f_op.threshold).astype(int)
-    l_pred = (l_scores >= l_op.threshold).astype(int)
+    rows = np.arange(matrix.n_samples)
+    f_fit, l_fit = _map_series(
+        [(matrix, [(rows, rows, mix_seed(base_seed, 1))])],
+        [(0, "forest", 0), (0, "logistic", 0)], forest_config, n_jobs)
+    f_scores, l_scores = f_fit.test_scores, l_fit.test_scores
+    f_pred = (f_scores >= f_fit.op.threshold).astype(int)
+    l_pred = (l_scores >= l_fit.op.threshold).astype(int)
     points = [CaseStudyPoint(c.case_id, c.p90, c.alignment(pivot_ig),
                              c.outcome, float(f_scores[i]), int(f_pred[i]),
                              float(l_scores[i]), int(l_pred[i]))
@@ -744,6 +731,6 @@ def nonlinearity_case_study(cases: list[PolicyCase],
 
     return CaseStudyReport(
         domain=domain, pivot_ig=pivot_ig, points=points,
-        forest_balanced_accuracy=f_op.train_balanced_accuracy,
-        logistic_balanced_accuracy=l_op.train_balanced_accuracy,
+        forest_balanced_accuracy=f_fit.op.train_balanced_accuracy,
+        logistic_balanced_accuracy=l_fit.op.train_balanced_accuracy,
         region_counts=region_counts)

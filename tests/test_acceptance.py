@@ -10,6 +10,7 @@ import functools
 import json
 import math
 import os
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -227,7 +228,7 @@ def test_determinism(tmp_path):
                                    "random_draw", n_runs=3, base_seed=13,
                                    forest_config=cfg, n_jobs=jobs)
         p = tmp_path / f"report_{tag}.json"
-        p.write_text(json.dumps(rep.to_dict(), sort_keys=True, indent=2))
+        p.write_text(json.dumps(asdict(rep), sort_keys=True, indent=2))
         paths.append(p)
     blobs = [p.read_bytes() for p in paths]
     assert blobs[0] == blobs[1] == blobs[2]

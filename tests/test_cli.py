@@ -58,6 +58,23 @@ class TestValidate:
                      "--map", str(map_file)]) == 0
         assert "10 valid cases" in capsys.readouterr().out
 
+    def test_not_utf8_names_file_and_line(self, tmp_path, capsys):
+        rows = dump_cases(make_cases(10, seed=1)).encode("utf-8").split(b"\n")
+        rows[4] = rows[4].replace(b"case-3", b"case-\xe93")
+        bad = tmp_path / "latin1.csv"
+        bad.write_bytes(b"\n".join(rows))
+        assert main(["validate", "--data", str(bad)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {bad}: line 5: byte 0xe9 is not UTF-8\n"
+        good = tmp_path / "good.csv"
+        good.write_text(dump_cases(make_cases(10, seed=1)))
+        map_file = tmp_path / "map.txt"
+        map_file.write_bytes(b"# renames\nCAF\xc9=year\n")
+        assert main(["validate", "--data", str(good),
+                     "--map", str(map_file)]) == 1
+        assert capsys.readouterr().err == \
+            f"error: {map_file}: line 2: byte 0xc9 is not UTF-8\n"
+
     def test_bad_flag_exits_2(self, data_file):
         with pytest.raises(SystemExit) as e:
             main(["validate", "--data", data_file, "--frobnicate"])
@@ -128,6 +145,32 @@ class TestEval:
         assert main(["eval", "--data", data_file,
                      "--config", str(cfg)]) == 1
         assert "wibble" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("raw, message", [
+        (b'{"set": "A",}', ": invalid JSON: "),
+        (b'{\n  "set": "A"\n  "runs": 1\n}',
+         ": line 3 column 3: invalid JSON: "),
+        (b"[1, 2]", ": a config file holds a JSON object, not a list"),
+        (b'{"set": "A",\n "data": "caf\xe9.csv"}',
+         ": line 2: byte 0xe9 is not UTF-8")],
+        ids=["trailing-comma", "missing-comma", "array", "not-utf8"])
+    def test_malformed_config_file(self, raw, message, data_file, tmp_path,
+                                   capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(raw)
+        assert main(["eval", "--data", data_file, "--config",
+                     str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and message in err
+        assert "Traceback" not in err
+
+    def test_config_utf8_bom(self, data_file, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b"\xef\xbb\xbf" + json.dumps(
+            {"set": "A", "runs": 1, "trees": 4}).encode("utf-8"))
+        assert main(["eval", "--data", data_file, "--config",
+                     str(path)]) == 0
+        assert "Set A" in capsys.readouterr().out
 
     @pytest.mark.parametrize("cfg", [
         {"set": "Z"}, {"no_bootstrap": "no"}, {"no_bootstrap": 1},
@@ -222,6 +265,52 @@ class TestDerivedCommands:
         assert main(["case-study", "--data", data_file,
                      "--pivot", "Universities"]) == 1
         assert "error:" in capsys.readouterr().err
+
+
+class TestReportFiles:
+    """Every report command writes through one writer: nothing without
+    --out, and every file it writes opens with the provenance lines."""
+
+    COMMANDS = {
+        "summarize": ["summarize"],
+        "eval": ["eval", "--set", "A", "--runs", "2"],
+        "rank": ["rank", "--domain", "Economic", "--runs", "2"],
+        "set_c": ["set-c", "--k", "3", "--runs", "2"],
+        "gains": ["gains", "--runs", "2", "--min-test-cases", "1"],
+        "compare_selectors": ["compare-selectors", "--k", "3",
+                              "--runs", "2"],
+        "case_study": ["case-study", "--pivot", "AARP"],
+    }
+
+    @staticmethod
+    def _argv(name, data):
+        argv = TestReportFiles.COMMANDS[name] + ["--data", data, "--seed",
+                                                 "4"]
+        return argv if name == "summarize" else argv + ["--trees", "4"]
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_no_out_writes_nothing(self, name, data_file, tmp_path, capsys,
+                                   monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert main(self._argv(name, data_file)) == 0
+        assert "wrote" not in capsys.readouterr().out
+        assert [p.name for p in tmp_path.iterdir()] == ["cases.csv"]
+
+    @pytest.mark.parametrize("name", sorted(COMMANDS))
+    def test_every_file_opens_with_provenance(self, name, data_file,
+                                              tmp_path, capsys):
+        out = tmp_path / "reports"
+        argv = self._argv(name, data_file) + ["--out", str(out)]
+        assert main(argv) == 0
+        files = sorted(out.iterdir())
+        assert files
+        wrote = [l for l in capsys.readouterr().out.splitlines()
+                 if l.startswith("wrote ")]
+        assert sorted(wrote) == [f"wrote {p}" for p in files]
+        for path in files:
+            assert path.read_text().split("\n")[:3] == [
+                f"# policyforest {policyforest.__version__}",
+                f"# argv: {' '.join(argv)}", "# seed: 4"]
 
 
 class TestRunCounts:

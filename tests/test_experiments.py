@@ -1,4 +1,4 @@
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -9,7 +9,8 @@ from policyforest.dataset import (IG_NAMES, PD_LABELS, FeatureSetSpec,
                                   PolicyCase, dump_cases, encode,
                                   random_split, rescale_p90,
                                   zero_noncommittal)
-from policyforest.experiments import (TRAIN_FRACTION, ExperimentError,
+from policyforest.experiments import (TRAIN_FRACTION, CaseStudyPoint,
+                                      CaseStudyReport, ExperimentError,
                                       build_set_c,
                                       compare_selectors, gain_per_ig,
                                       ig_outcome_correlation,
@@ -94,7 +95,7 @@ class TestRunFeatureSetEval:
                   forest_config=FAST_FOREST)
         a = run_feature_set_eval(cases_200, FeatureSetSpec.set_b(), **kw)
         b = run_feature_set_eval(cases_200, FeatureSetSpec.set_b(), **kw)
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
     def test_aggregate_recomputable_from_runs(self, cases_200):
         rep = run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
@@ -213,6 +214,14 @@ class TestIgOutcomeCorrelation:
 class TestRankSummaries:
     """rank's whole-array summaries equal their one-value-at-a-time
     definitions exactly."""
+
+    def test_mean_std_is_numpys_bit_for_bit(self):
+        rng = np.random.default_rng(10)
+        for n in range(1, 41):
+            v = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4)
+            std = float(np.std(v, ddof=1)) if n > 1 else 0.0
+            assert experiments._mean_std(iter(v.tolist())) == \
+                (float(np.mean(v)), std)
 
     def test_row_mean_std_equals_mean_std_per_row(self):
         rng = np.random.default_rng(8)
@@ -339,7 +348,7 @@ class TestBuildSetC:
                   forest_config=FAST_FOREST)
         a = run_feature_set_eval(cases_200, spec, **kw)
         b = run_feature_set_eval(cases_200, FeatureSetSpec.set_b(), **kw)
-        assert a.to_dict() == b.to_dict()
+        assert asdict(a) == asdict(b)
 
     def test_k_out_of_range(self, cases_200):
         with pytest.raises(ExperimentError):
@@ -454,6 +463,44 @@ class TestNonlinearityCaseStudy:
         assert len(rep.points) == len(cases)
         assert rep.region_counts["pivot_favors"]["pos"] > \
             rep.region_counts["pivot_favors"]["neg"]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_in_sample_fits_at_the_model_seed(self, n_jobs, recording_pool,
+                                              monkeypatch):
+        """The report is that of a forest seeded mix_seed(seed, 1) and a
+        logistic model, each fit on every qualifying case and scored
+        there at the operating point its own scores choose."""
+        from policyforest import logistic, metrics
+        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        cases = three_region_cases(n=120, seed=3)
+        cfg, seed = ForestConfig(n_trees=20), 5
+        matrix = encode(cases, FeatureSetSpec("custom", True, False,
+                                              (DEFENSE,), "none"))
+        fmodel = forest.fit_forest(matrix, cfg, mix_seed(seed, 1))
+        lmodel = logistic.fit(matrix)
+        scores = [forest.predict_proba(fmodel, matrix.X),
+                  logistic.predict_proba(lmodel, matrix.X,
+                                         matrix.column_names)]
+        ops = [metrics.select_operating_point(s, matrix.y) for s in scores]
+        (f_scores, f_pred), (l_scores, l_pred) = [
+            (s, (s >= op.threshold).astype(int))
+            for s, op in zip(scores, ops)]
+
+        rep = nonlinearity_case_study(cases, base_seed=seed,
+                                      forest_config=cfg, n_jobs=n_jobs)
+        expected = CaseStudyReport(
+            domain="Foreign", pivot_ig=DEFENSE,
+            points=[CaseStudyPoint(c.case_id, c.p90, c.alignment(DEFENSE),
+                                   c.outcome, float(f_scores[i]),
+                                   int(f_pred[i]), float(l_scores[i]),
+                                   int(l_pred[i]))
+                    for i, c in enumerate(cases)],
+            forest_balanced_accuracy=ops[0].train_balanced_accuracy,
+            logistic_balanced_accuracy=ops[1].train_balanced_accuracy,
+            # The regions are counted from the cases, not the fits.
+            region_counts=rep.region_counts)
+        assert asdict(rep) == asdict(expected)
+        assert recording_pool == ([(2, 1)] if n_jobs == 2 else [])
 
     def test_constant_pivot_error(self):
         align = np.zeros(len(IG_NAMES), dtype=int)
