@@ -24,8 +24,7 @@ _EXPORTS = {
                 "retrodiction_split", "tally_alignments",
                 "zero_noncommittal"),
     "forest": ("ForestConfig", "ForestError", "ForestModel", "Tree",
-               "best_split", "fit_forest", "fit_forests", "fit_tree",
-               "gini_impurity", "mix_seed"),
+               "fit_forest", "fit_forests", "mix_seed"),
     "logistic": ("LogisticError", "LogisticModel", "sigmoid"),
     "metrics": ("ConfusionCounts", "MetricsError", "OperatingPoint",
                 "balanced_accuracy", "confusion_at_threshold", "roc_and_auc",

@@ -70,12 +70,17 @@ def _load(args: argparse.Namespace):
 
 
 def _forest_config(args: argparse.Namespace):
-    # Every command that uses --jobs builds its forest config here, after
-    # any config-file override. Each experiment seeds every forest from
+    # Every command that uses --jobs checks its count flags, by flag name,
+    # and builds its forest config here, after any config-file override
+    # and before the data loads. Each experiment seeds every forest from
     # --seed and the forest's run.
     from .experiments import check_positive
     from .forest import ForestConfig
-    check_positive("--jobs", args.jobs)
+    for flag in ("--jobs", "--runs", "--selection-splits", "--min-test-cases",
+                 "--top"):
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None:
+            check_positive(flag, value)
     return ForestConfig(
         n_trees=args.trees,
         max_depth=args.max_depth,
@@ -193,8 +198,8 @@ def cmd_eval(parser, args, argv) -> int:
     ex.check_regime_settings(args.regime, args.model, args.runs,
                              args.train_fraction,
                              ("--runs", "--train-fraction"))
-    cases = _load(args)
     fc = _forest_config(args)
+    cases = _load(args)
     report = ex.run_feature_set_eval(
         cases, _resolve_spec(args, cases, fc), args.regime,
         model_kind=args.model, n_runs=args.runs, base_seed=args.seed,
@@ -220,9 +225,8 @@ def cmd_eval(parser, args, argv) -> int:
 
 def cmd_rank(args, argv) -> int:
     from . import experiments as ex
-    ex.check_positive("--top", args.top)
-    cases = _load(args)
     fc = _forest_config(args)
+    cases = _load(args)
     ranked = ex.rank_igs_by_domain(
         cases, (args.domain,) if args.domain else PD_LABELS,
         n_splits=args.runs, base_seed=args.seed, forest_config=fc,
@@ -256,8 +260,8 @@ def cmd_rank(args, argv) -> int:
 
 def cmd_set_c(args, argv) -> int:
     from . import experiments as ex
-    cases = _load(args)
     fc = _forest_config(args)
+    cases = _load(args)
     spec = ex.build_set_c(cases, k=args.k, base_seed=args.seed,
                           n_splits=args.runs, forest_config=fc,
                           n_jobs=args.jobs)
@@ -272,8 +276,8 @@ def cmd_set_c(args, argv) -> int:
 
 def cmd_gains(args, argv) -> int:
     from . import experiments as ex
-    cases = _load(args)
     fc = _forest_config(args)
+    cases = _load(args)
     report = ex.gain_per_ig(cases, n_runs=args.runs,
                             base_seed=args.seed,
                             min_test_cases=args.min_test_cases,
@@ -295,8 +299,8 @@ def cmd_gains(args, argv) -> int:
 
 def cmd_compare_selectors(args, argv) -> int:
     from . import experiments as ex
-    cases = _load(args)
     fc = _forest_config(args)
+    cases = _load(args)
     comp = ex.compare_selectors(cases, k=args.k, n_splits=args.runs,
                                 base_seed=args.seed, forest_config=fc,
                                 n_jobs=args.jobs)
@@ -322,8 +326,8 @@ def cmd_compare_selectors(args, argv) -> int:
 
 def cmd_case_study(args, argv) -> int:
     from . import experiments as ex
-    cases = _load(args)
     fc = _forest_config(args)
+    cases = _load(args)
     report = ex.nonlinearity_case_study(cases, pivot_ig=args.pivot,
                                         domain=args.domain or "Foreign",
                                         base_seed=args.seed,

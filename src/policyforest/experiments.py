@@ -130,11 +130,15 @@ class _Fit(NamedTuple):
 def _scored(matrix: EncodedMatrix, train: np.ndarray, test: np.ndarray,
             importance: np.ndarray, predict) -> _Fit:
     """The _Fit of a model whose scores on rows of matrix.X are
-    predict(rows), or unscored when predict is None."""
+    predict(rows), or unscored when predict is None. A run that tests on
+    its train rows scores them once."""
     if predict is None:
         return _Fit(test, importance)
-    op = mx.select_operating_point(predict(matrix.X[train]), matrix.y[train])
-    return _Fit(test, importance, op, predict(matrix.X[test]))
+    scores = predict(matrix.X[train])
+    op = mx.select_operating_point(scores, matrix.y[train])
+    if not np.array_equal(train, test):
+        scores = predict(matrix.X[test])
+    return _Fit(test, importance, op, scores)
 
 
 def _forest_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,

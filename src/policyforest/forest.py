@@ -1,10 +1,12 @@
 """From-scratch CART trees and Random Forest ensemble for binary outcomes.
 
 Trees split on `value <= threshold` using Gini impurity; the forest
-averages leaf positive fractions. One ForestConfig holds the model
-settings of a fit; all randomness flows from per-tree seeds derived
-deterministically from each forest's seed, so serial and parallel fits
-produce identical models.
+averages leaf positive fractions. Every tree grows through fit_forests,
+and fit_forest is its one-forest form. One ForestConfig holds the model
+settings of a fit and each forest brings its rows and its seed; a tree
+draws its bootstrap and its candidates from seeds derived from (forest
+seed, tree index) alone, so serial and parallel fits produce identical
+models.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ import math
 import os
 from dataclasses import dataclass
 from functools import cached_property, partial
-from itertools import starmap
 
 import numpy as np
 
@@ -144,15 +145,6 @@ class Tree:
     n_samples: np.ndarray  # int32
 
 
-def gini_impurity(n_pos: int, n_neg: int) -> float:
-    """Binary Gini impurity 1 - p^2 - (1-p)^2 = 2p(1-p)."""
-    n = n_pos + n_neg
-    if n < 1:
-        raise ForestError("gini impurity of an empty node is undefined")
-    p = n_pos / n
-    return 2.0 * p * (1.0 - p)
-
-
 @dataclass(frozen=True)
 class BinnedMatrix:
     """A float matrix with each cell replaced by the rank of its value
@@ -197,15 +189,6 @@ class BinnedMatrix:
     def widest(self) -> int:
         """The column with the most bins, the lowest of equals."""
         return int(np.argmax(np.diff(self.bin_start)))
-
-
-def _sample(view: BinnedMatrix, rows: np.ndarray, counts: np.ndarray):
-    """A sample as its distinct rows and their repeat counts, two arrays
-    over its slots, in the order of view's widest column, stable by slot."""
-    keep = counts.nonzero()[0]
-    keep = keep[np.argsort(view.codes[rows[keep], view.widest],
-                           kind="stable")]
-    return rows[keep], counts[keep]
 
 
 def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
@@ -323,62 +306,39 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     return feature, threshold, gain_out
 
 
-def _check_indices(kind: str, idx: np.ndarray, n: int) -> None:
-    """Raise a ForestError naming the first of idx outside [0, n)."""
-    outside = (idx < 0) | (idx >= n)
-    if outside.any():
-        raise ForestError(f"{kind} {idx[outside.argmax()]} outside the "
-                          f"matrix's {n} {kind}s")
-
-
-def best_split(X: np.ndarray | BinnedMatrix, y: np.ndarray,
-               candidate_features) -> tuple[int, float, float] | None:
-    """Greedy search over candidate features and midpoint thresholds.
-
-    X is a float matrix, or a BinnedMatrix whose rows match y. Returns
-    (feature, threshold, impurity_decrease) maximizing the weighted Gini
-    decrease, or None when no split has positive gain. Ties break toward
-    the lowest feature index, then lowest threshold. This is one node of
-    the search that grows trees.
-    """
-    view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
-    cands = np.array(sorted(set(candidate_features)), dtype=int)
-    _check_indices("column", cands, view.n_features)
-    y = np.asarray(y)
-    n = len(y)
-    if n < 2:
-        return None
-    n_pos = int(y.sum())
-    if n_pos == 0 or n_pos == n or cands.size == 0:
-        return None
-    f, thr, gain = _search(view, y != 0, _sample(view, np.arange(n),
-                                                 np.ones(n, dtype=int)),
-                           np.array([0]), np.array([n]), np.array([n]),
-                           np.array([n_pos]), cands[None, :])[:3]
-    if gain[0] <= GAIN_EPS:
-        return None
-    return int(f[0]), float(thr[0]), float(gain[0])
-
-
 class _Tree:
-    """One tree being grown level by level: its sample (see _sample),
-    permuted in place so that every node's rows are one contiguous range
-    of slots, in widest-column order within it; front, the nodes of its
-    current level left to right as a (4, nodes) array of first slot,
-    slots, rows and positives, rows and positives counting repeats; and
-    its finished levels, each a (5, nodes) float array holding per node
-    its rows, positive fraction, feature (-1 for a leaf), threshold and
+    """One tree being grown level by level: its sample, the distinct rows
+    it holds and their repeat counts as two arrays over its slots, first
+    in the order of view's widest column, stable by slot, then permuted in
+    place so that every node's rows are one contiguous range of slots,
+    still in that order within it; front, the nodes of its current level
+    left to right as a (4, nodes) array of first slot, slots, rows and
+    positives, rows and positives counting repeats; and its finished
+    levels, each a (5, nodes) float array holding per node its rows,
+    positive fraction, feature (-1 for a leaf), threshold and
     sample-weighted impurity decrease. Counts and features are exact as
-    floats."""
+    floats.
+
+    Tree i of the forest on rows seeded by seed draws its bootstrap
+    counts (all ones without bootstrap) and its candidate generator from
+    seeds derived from (seed, i) alone, here and nowhere else."""
 
     __slots__ = ("key", "sample", "rng", "n_total", "front", "levels")
 
-    def __init__(self, key, rows: np.ndarray, counts: np.ndarray, seed: int,
-                 view: BinnedMatrix, labels: np.ndarray):
-        self.key = key
-        self.sample = _sample(view, rows, counts)
-        self.rng = np.random.default_rng(seed)
-        rows, counts = self.sample
+    def __init__(self, forest: int, i: int, rows: np.ndarray, seed: int,
+                 bootstrap: bool, view: BinnedMatrix, labels: np.ndarray):
+        self.key = forest, i
+        tree_seed = mix_seed(seed, i)
+        counts = np.ones(len(rows), dtype=int)
+        if bootstrap:
+            draw = np.random.default_rng(mix_seed(tree_seed, 0)).integers(
+                0, len(rows), size=len(rows))
+            counts = np.bincount(draw, minlength=len(rows))
+        keep = counts.nonzero()[0]
+        keep = keep[np.argsort(view.codes[rows[keep], view.widest],
+                               kind="stable")]
+        rows, counts = self.sample = rows[keep], counts[keep]
+        self.rng = np.random.default_rng(mix_seed(tree_seed, 1))
         self.n_total = counts.sum()
         self.front = np.array([[0], [len(rows)], [self.n_total],
                                [counts[labels[rows]].sum()]])
@@ -400,24 +360,25 @@ class _Tree:
                 importance)
 
 
-def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks, k: int,
-                min_leaf: int, max_depth: float):
-    """Grow one tree per task (key, rows, counts, seed) and yield (key,
-    tree, raw importance) as each tree completes.
+def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
+                growth: tuple, _jobs: int, tasks):
+    """map_chunks's function over tasks: grow one tree per task (forest,
+    tree index, rows, forest seed), each drawing its own sample (_Tree),
+    and yield ((forest, tree index), tree, raw importance) as each tree
+    completes.
 
-    The tree's sample holds rows[i] of view counts[i] times; seed seeds
-    the candidate draws; k, min_leaf and max_depth, from
-    ForestConfig.resolve, hold for every tree. Trees grow together, each
-    by one depth level per pass, and the next tree starts while the
-    samples in flight hold fewer than ROWS_IN_FLIGHT distinct rows, so at
-    least one grows. A tree draws the candidates of all its splittable
-    nodes of a level at once from its own generator, and each node's cut
-    depends on its own rows and candidates alone, so a tree is the same
-    however many trees grow beside it and however the passes are cut into
-    sub-steps. Importances are the per-feature sums of sample-weighted
-    impurity decreases, in level order.
+    labels holds the label of each row of view as booleans. growth,
+    ForestConfig.resolve's (k, min_leaf, max_depth), holds for every
+    tree. Trees grow together, each by one depth level per pass, and the
+    next tree starts while the samples in flight hold fewer than
+    ROWS_IN_FLIGHT distinct rows, so at least one grows. A tree draws the
+    candidates of all its splittable nodes of a level at once from its
+    own generator, and each node's cut depends on its own rows and
+    candidates alone, so a tree is the same however many trees grow
+    beside it and however the passes are cut into sub-steps. Importances
+    are the per-feature sums of sample-weighted impurity decreases, in
+    level order.
     """
-    labels = np.asarray(y) != 0
     n_features = view.n_features
     tasks = iter(tasks)
     growing: list[_Tree] = []
@@ -428,7 +389,7 @@ def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks, k: int,
             task = next(tasks, None)
             if task is None:
                 break
-            growing.append(_Tree(*task, view, labels))
+            growing.append(_Tree(*task, bootstrap, view, labels))
             rows_in_flight += len(growing[-1].sample[0])
             changed = True
         if not growing:
@@ -443,8 +404,7 @@ def _grow_trees(view: BinnedMatrix, y: np.ndarray, tasks, k: int,
                       for part in zip(*(g.sample for g in growing))]
             for g, o, size in zip(growing, offsets.tolist(), sizes):
                 g.sample = [part[o:o + size] for part in buffer]
-        _grow_level(view, labels, growing, buffer, offsets, k, min_leaf,
-                    max_depth)
+        _grow_level(view, labels, growing, buffer, offsets, *growth)
         done = [g for g in growing if not g.front.size]
         growing = [g for g in growing if g.front.size]
         changed = bool(done)
@@ -545,54 +505,11 @@ def _search(view: BinnedMatrix, labels: np.ndarray, buffer: list,
               for v in (go_left, left, left * row_labels)))
 
 
-def fit_tree(X: np.ndarray | BinnedMatrix, y: np.ndarray,
-             sample_indices: np.ndarray, config: ForestConfig,
-             tree_seed: int) -> tuple[Tree, np.ndarray]:
-    """Grow one CART tree on the given sample; returns (tree, importances).
-
-    X is a float matrix or its BinnedMatrix. Importances are unnormalized
-    per-feature sums of sample-weighted impurity decreases.
-    """
-    view = X if isinstance(X, BinnedMatrix) else BinnedMatrix.of(X)
-    growth = config.resolve(view.n_features)
-    idx = np.asarray(sample_indices, dtype=int)
-    if len(idx) == 0:
-        raise ForestError("cannot fit a tree on an empty sample")
-    _check_indices("row", idx, len(y))
-    [(_, tree, importance)] = _grow_trees(
-        view, y, [(None, np.arange(len(y)), np.bincount(idx, minlength=len(y)),
-                   tree_seed)], *growth)
-    return tree, importance
-
-
 @dataclass
 class ForestModel:
     trees: list[Tree]
     column_names: list[str]
     gini_importance: np.ndarray  # normalized to sum 1 when any split exists
-
-
-def _tree_task(bootstrap: bool, forest: int, i: int, rows: np.ndarray,
-               seed: int):
-    """Growth task of tree i of a forest on rows seeded by seed: the tree
-    draws its bootstrap and its growth from seeds derived from (seed, i)
-    alone."""
-    tree_seed = mix_seed(seed, i)
-    counts = np.ones(len(rows), dtype=int)
-    if bootstrap:
-        boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
-        counts = np.bincount(boot_rng.integers(0, len(rows), size=len(rows)),
-                             minlength=len(rows))
-    return (forest, i), rows, counts, mix_seed(tree_seed, 1)
-
-
-def _grow_chunk(view: BinnedMatrix, y: np.ndarray, bootstrap: bool,
-                growth: tuple, _jobs: int, trees):
-    """Grow each (forest, tree index, rows, forest seed) in trees together
-    under growth, ForestConfig.resolve's (k, min_leaf, max_depth); yields
-    ((forest, tree index), tree, raw importance) as each tree completes."""
-    return _grow_trees(view, y, starmap(partial(_tree_task, bootstrap), trees),
-                       *growth)
 
 
 def _assemble(column_names,
@@ -625,7 +542,10 @@ def fit_forests(matrix: EncodedMatrix, config: ForestConfig, forests,
             rows = np.asarray(rows, dtype=int)
             if len(rows) < 2:
                 raise ForestError(f"need at least 2 samples, got {len(rows)}")
-            _check_indices("row", rows, len(y))
+            outside = (rows < 0) | (rows >= len(y))
+            if outside.any():
+                raise ForestError(f"row {rows[outside.argmax()]} outside "
+                                  f"the matrix's {len(y)} rows")
             n_pos = y[rows].sum()
             if n_pos == 0 or n_pos == len(rows):
                 raise ForestError("training labels contain a single class")
@@ -635,8 +555,8 @@ def fit_forests(matrix: EncodedMatrix, config: ForestConfig, forests,
                 yield f, i, rows, seed
 
     for (f, i), tree, importance in map_chunks(
-            partial(_grow_chunk, view, y, config.bootstrap, growth), trees(),
-            n_jobs):
+            partial(_grow_trees, view, y != 0, config.bootstrap, growth),
+            trees(), n_jobs):
         grown[f][i] = tree, importance
         missing[f] -= 1
         if not missing[f]:

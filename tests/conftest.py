@@ -3,8 +3,9 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from policyforest.dataset import IG_NAMES, PA_LABELS, PA_TO_PD, PolicyCase
-from policyforest.forest import Tree
+from policyforest.dataset import (IG_NAMES, PA_LABELS, PA_TO_PD,
+                                  EncodedMatrix, PolicyCase)
+from policyforest.forest import GAIN_EPS, ForestConfig, Tree, fit_forest
 
 
 def make_cases(n, seed=0, signal=True, driver_ig=0, missing_p90_every=0):
@@ -48,6 +49,61 @@ def same_forest(a, b):
                     for s, t in zip(a.trees, b.trees) for f in fields(Tree))
             and np.array_equal(a.gini_importance, b.gini_importance)
             and a.column_names == b.column_names)
+
+
+def brute_force_best_split(X, y, features):
+    """Enumerate every (feature, midpoint) pair; mirror of the production
+    gain formula so float results are comparable exactly."""
+    n = len(y)
+    n_pos = int(y.sum())
+    if n < 2 or n_pos in (0, n):
+        return None
+    p = n_pos / n
+    parent = 2 * p * (1 - p)
+    best = None
+    for f in sorted(features):
+        xs = np.sort(np.unique(X[:, f]))
+        for a, b in zip(xs[:-1], xs[1:]):
+            thr = 0.5 * (a + b)
+            left = X[:, f] <= thr
+            n_l = int(left.sum())
+            n_r = n - n_l
+            pos_l = int(y[left].sum())
+            pos_r = n_pos - pos_l
+            p_l = pos_l / n_l
+            p_r = pos_r / n_r
+            gain = parent - (n_l / n) * 2 * p_l * (1 - p_l) \
+                - (n_r / n) * 2 * p_r * (1 - p_r)
+            if gain > GAIN_EPS and (best is None or gain > best[2]):
+                best = (f, float(thr), float(gain))
+    return best
+
+
+def stump_split(X, y, features):
+    """The root split of a one-tree forest fit over the candidate columns
+    features of X (depth 1, no bootstrap, every candidate searched), as
+    (feature, threshold, gain) with the gain recomputed by the production
+    formula from the root and its children. None when that gain is at most
+    GAIN_EPS, or when y has one class, which fit_forest rejects."""
+    cands = sorted(set(features))
+    y = np.asarray(y, dtype=int)
+    if y.min() == y.max():
+        return None
+    matrix = EncodedMatrix(np.asarray(X, dtype=float)[:, cands], y,
+                           [f"f{c}" for c in cands], np.arange(len(y)))
+    tree = fit_forest(matrix, ForestConfig(
+        n_trees=1, max_depth=1, bootstrap=False,
+        features_per_split=len(cands))).trees[0]
+    if tree.feature[0] < 0:
+        return None
+    n, p = tree.n_samples[0], tree.value[0]
+    gain = 2 * p * (1 - p)
+    for child in (tree.left[0], tree.left[0] + 1):
+        p_c = tree.value[child]
+        gain -= (tree.n_samples[child] / n) * 2 * p_c * (1 - p_c)
+    if gain <= GAIN_EPS:
+        return None
+    return cands[tree.feature[0]], float(tree.threshold[0]), float(gain)
 
 
 @pytest.fixture(scope="session")

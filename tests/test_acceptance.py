@@ -23,13 +23,13 @@ from policyforest.experiments import (build_set_c, compare_selectors,
                                       nonlinearity_case_study,
                                       rank_igs_by_domain,
                                       run_feature_set_eval)
-from policyforest.forest import (GAIN_EPS, ForestConfig, best_split,
-                                 fit_forest, gini_impurity, mix_seed)
+from policyforest.forest import ForestConfig, fit_forest
 from policyforest.logistic import (fit, log_likelihood_gradient,
                                    penalized_log_likelihood)
 from policyforest.metrics import (balanced_accuracy, confusion_at_threshold,
                                   roc_and_auc, select_operating_point)
-from conftest import make_cases, same_forest
+from conftest import (brute_force_best_split, make_cases, same_forest,
+                      stump_split)
 from test_experiments import three_region_cases
 
 DATA_ENV = "POLICY_CASES_CSV"
@@ -67,29 +67,6 @@ def pairwise_auc(scores, labels):
     return total / (len(pos) * len(neg))
 
 
-def enumerate_best_split(X, y, features):
-    n = len(y)
-    n_pos = int(y.sum())
-    if n < 2 or n_pos in (0, n):
-        return None
-    parent = gini_impurity(n_pos, n - n_pos)
-    best = None
-    for f in sorted(features):
-        xs = np.sort(np.unique(X[:, f]))
-        for a, b in zip(xs[:-1], xs[1:]):
-            thr = 0.5 * (a + b)
-            left = X[:, f] <= thr
-            n_l = int(left.sum())
-            n_r = n - n_l
-            p_l = int(y[left].sum()) / n_l
-            p_r = (n_pos - int(y[left].sum())) / n_r
-            gain = parent - (n_l / n) * 2 * p_l * (1 - p_l) \
-                - (n_r / n) * 2 * p_r * (1 - p_r)
-            if gain > GAIN_EPS and (best is None or gain > best[2]):
-                best = (f, float(thr), float(gain))
-    return best
-
-
 @criterion(1, "trapezoidal AUC equals pairwise oracle")
 def test_auc_oracle():
     rng = np.random.default_rng(101)
@@ -113,7 +90,7 @@ def test_split_oracle():
         d = int(rng.integers(1, 6))
         X = rng.integers(0, 5, size=(n, d)).astype(float)
         y = rng.integers(0, 2, size=n)
-        assert best_split(X, y, range(d)) == enumerate_best_split(
+        assert stump_split(X, y, range(d)) == brute_force_best_split(
             X, y, range(d))
 
 

@@ -314,6 +314,9 @@ class TestReportFiles:
 
 
 class TestRunCounts:
+    """Each count flag is checked by the CLI under its own name, for every
+    --set, not under the name of the library setting it feeds."""
+
     @pytest.mark.parametrize("cmd, name", [
         (["eval", "--runs", "0"], "n_runs"),
         (["eval", "--runs", "-3"], "n_runs"),
@@ -323,15 +326,17 @@ class TestRunCounts:
         (["set-c", "--runs", "0"], "n_splits"),
         (["gains", "--runs", "0"], "n_runs"),
         (["gains", "--runs", "-2"], "n_runs"),
-        (["compare-selectors", "--runs", "0"], "n_splits")])
+        (["compare-selectors", "--runs", "0"], "n_splits"),
+        (["eval", "--set", "D", "--selection-splits", "0"], "n_splits")])
     def test_below_one_rejected(self, cmd, name, data_file, tmp_path,
                                 capsys):
         out = tmp_path / "o"
         assert main(cmd + ["--data", data_file, "--trees", "4",
                            "--out", str(out)]) == 1
-        value = cmd[-1]
-        assert f"{name} must be >= 1, got {value}" in \
-            capsys.readouterr().err
+        flag, value = cmd[-2:]
+        err = capsys.readouterr().err
+        assert f"error: {flag} must be >= 1, got {value}" in err
+        assert name not in err
         assert not out.exists()
 
 
@@ -342,7 +347,7 @@ class TestInputChecks:
         (["rank", "--top", "0"], "--top must be >= 1, got 0"),
         (["rank", "--top", "-1"], "--top must be >= 1, got -1"),
         (["gains", "--min-test-cases", "0"],
-         "min_test_cases must be >= 1, got 0"),
+         "--min-test-cases must be >= 1, got 0"),
         (["eval", "--regime", "retrodiction", "--train-fraction", "0.3"],
          "--train-fraction applies to random_draw splits only"),
         (["eval", "--regime", "retrodiction", "--model", "logistic"],

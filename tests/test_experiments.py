@@ -502,6 +502,22 @@ class TestNonlinearityCaseStudy:
         assert asdict(rep) == asdict(expected)
         assert recording_pool == ([(2, 1)] if n_jobs == 2 else [])
 
+    def test_each_model_scores_the_rows_once(self, monkeypatch):
+        """The run tests on its train rows, so each model scores them in
+        one predict_proba call."""
+        from policyforest import logistic
+        calls = []
+        for module in (forest, logistic):
+            def spy(*args, predict=module.predict_proba,
+                    name=module.__name__, **kwargs):
+                calls.append(name)
+                return predict(*args, **kwargs)
+            monkeypatch.setattr(module, "predict_proba", spy)
+        nonlinearity_case_study(three_region_cases(n=60, seed=4),
+                                forest_config=ForestConfig(n_trees=5))
+        assert sorted(calls) == ["policyforest.forest",
+                                 "policyforest.logistic"]
+
     def test_constant_pivot_error(self):
         align = np.zeros(len(IG_NAMES), dtype=int)
         cases = [_case(i, i % 2, 0.5, align, pa="Foreign Policy")

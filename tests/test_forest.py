@@ -1,4 +1,3 @@
-import json
 import os
 from dataclasses import dataclass
 
@@ -8,11 +7,9 @@ import pytest
 from policyforest import forest
 from policyforest.dataset import EncodedMatrix
 from policyforest.forest import (ForestConfig, ForestError, ForestModel,
-                                 GAIN_EPS, BinnedMatrix, Tree, best_split,
-                                 fit_forest, fit_forests, fit_tree,
-                                 gini_impurity, map_chunks, mix_seed,
-                                 predict_proba)
-from conftest import same_forest
+                                 BinnedMatrix, Tree, fit_forest, fit_forests,
+                                 map_chunks, mix_seed, predict_proba)
+from conftest import brute_force_best_split, same_forest, stump_split
 
 
 def matrix_from(X, y):
@@ -20,33 +17,6 @@ def matrix_from(X, y):
     y = np.asarray(y, dtype=int)
     names = [f"f{i}" for i in range(X.shape[1])]
     return EncodedMatrix(X, y, names, np.arange(len(y)))
-
-
-def brute_force_best_split(X, y, features):
-    """Enumerate every (feature, midpoint) pair; mirror of the production
-    gain formula so float results are comparable exactly."""
-    n = len(y)
-    n_pos = int(y.sum())
-    if n < 2 or n_pos in (0, n):
-        return None
-    parent = gini_impurity(n_pos, n - n_pos)
-    best = None
-    for f in sorted(features):
-        xs = np.sort(np.unique(X[:, f]))
-        for a, b in zip(xs[:-1], xs[1:]):
-            thr = 0.5 * (a + b)
-            left = X[:, f] <= thr
-            n_l = int(left.sum())
-            n_r = n - n_l
-            pos_l = int(y[left].sum())
-            pos_r = n_pos - pos_l
-            p_l = pos_l / n_l
-            p_r = pos_r / n_r
-            gain = parent - (n_l / n) * 2 * p_l * (1 - p_l) \
-                - (n_r / n) * 2 * p_r * (1 - p_r)
-            if gain > GAIN_EPS and (best is None or gain > best[2]):
-                best = (f, float(thr), float(gain))
-    return best
 
 
 def first_midpoint(X, features):
@@ -109,11 +79,6 @@ def tree_depth(tree):
     for i in np.flatnonzero(tree.feature >= 0):
         depth[[tree.left[i], tree.left[i] + 1]] = depth[i] + 1
     return depth.max()
-
-
-def tree_arrays(tree):
-    return {name: getattr(tree, name).tolist() for name in
-            ("feature", "threshold", "left", "value", "n_samples")}
 
 
 def reference_grow(X, y, idx, config, k, rng, importance, n_total,
@@ -181,43 +146,32 @@ def reference_fit_forest(matrix, config, seed, fallbacks):
                        raw / total if total > 0 else raw)
 
 
-class TestGiniImpurity:
-    def test_pure_node(self):
-        assert gini_impurity(5, 0) == 0.0
-
-    def test_balanced_node(self):
-        assert gini_impurity(5, 5) == 0.5
-
-    def test_hand_value(self):
-        assert gini_impurity(3, 1) == pytest.approx(0.375, abs=1e-15)
-
-    def test_empty_node_error(self):
-        with pytest.raises(ForestError):
-            gini_impurity(0, 0)
-
-
 class TestBestSplit:
+    """The root split of a one-tree forest, as stump_split reads it."""
+
     def test_perfect_single_feature(self):
         X = np.array([[0.0], [0.0], [1.0], [1.0]])
         y = np.array([0, 0, 1, 1])
-        f, thr, gain = best_split(X, y, [0])
+        f, thr, gain = stump_split(X, y, [0])
         assert f == 0
         assert thr == 0.5
         assert gain == pytest.approx(0.5, abs=1e-15)
 
     def test_pure_labels(self):
-        X = np.array([[0.0], [1.0]])
-        assert best_split(X, np.array([1, 1]), [0]) is None
+        with pytest.raises(ForestError, match="single class"):
+            fit_forest(matrix_from([[0.0], [1.0]], [1, 1]),
+                       ForestConfig(n_trees=1))
 
     def test_constant_feature(self):
         X = np.array([[2.0], [2.0], [2.0], [2.0]])
         y = np.array([0, 1, 0, 1])
-        assert best_split(X, y, [0]) is None
+        assert stump_split(X, y, [0]) is None
 
     def test_no_candidates(self):
-        y = np.array([0, 1, 0, 1])
-        assert best_split(np.zeros((4, 2)), y, []) is None
-        assert best_split(np.zeros((4, 0)), y, []) is None
+        # A split searches at least one candidate column.
+        with pytest.raises(ForestError,
+                           match="features_per_split must be >= 1"):
+            stump_split(np.zeros((4, 2)), np.array([0, 1, 0, 1]), [])
 
     def test_matches_brute_force_oracle(self):
         rng = np.random.default_rng(17)
@@ -227,57 +181,45 @@ class TestBestSplit:
             X = rng.integers(0, 5, size=(n, d)).astype(float)
             y = rng.integers(0, 2, size=n)
             feats = range(d)
-            assert best_split(X, y, feats) == brute_force_best_split(
+            assert stump_split(X, y, feats) == brute_force_best_split(
                 X, y, feats)
 
     def test_tie_breaks_to_lowest_feature(self):
         # duplicated feature gives identical gains; lowest index must win
         X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
         y = np.array([0, 0, 1, 1])
-        f, thr, _ = best_split(X, y, [1, 0])
+        f, thr, _ = stump_split(X, y, [1, 0])
         assert f == 0
-
-    @pytest.mark.parametrize("bad", [5, -1])
-    def test_candidate_outside_matrix_rejected(self, bad):
-        with pytest.raises(ForestError,
-                           match=f"column {bad} outside the matrix's 3 "
-                                 f"columns"):
-            best_split(np.zeros((4, 3)), np.array([0, 1, 0, 1]), [bad])
 
 
 class TestFitTree:
+    """Single trees, grown as one-tree forests."""
+
     def test_pure_sample_single_leaf(self):
-        X = np.array([[0.0], [1.0], [2.0]])
-        y = np.array([1, 1, 1])
-        tree, imp = fit_tree(X, y, np.arange(3), ForestConfig(n_trees=1), 0)
-        assert tree.feature.tolist() == [-1]
-        assert tree.value[0] == 1.0
-        assert imp.sum() == 0.0
+        # A bootstrap that draws one class alone grows a single leaf.
+        m = matrix_from([[0.0], [1.0], [2.0]], [1, 1, 0])
+        model = fit_forest(m, ForestConfig(n_trees=20))
+        pure = [t for t in model.trees if t.value[0] in (0.0, 1.0)]
+        assert pure and all(t.feature.tolist() == [-1] for t in pure)
 
     def test_xor_memorized(self):
         X = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 1, 0])
         cfg = ForestConfig(n_trees=1, features_per_split=2, bootstrap=False)
-        tree, _ = fit_tree(X, y, np.arange(4), cfg, 3)
-        preds = tree_predict(tree, X)
-        assert np.array_equal(preds, y.astype(float))
+        tree = fit_forest(matrix_from(X, y), cfg, 3).trees[0]
+        assert np.array_equal(tree_predict(tree, X), y.astype(float))
 
     def test_same_seed_same_tree(self):
         rng = np.random.default_rng(0)
-        X = rng.normal(size=(40, 5))
-        y = rng.integers(0, 2, size=40)
+        m = matrix_from(rng.normal(size=(40, 5)), rng.integers(0, 2, size=40))
         cfg = ForestConfig(n_trees=1)
-        r1, i1 = fit_tree(X, y, np.arange(40), cfg, 99)
-        r2, i2 = fit_tree(X, y, np.arange(40), cfg, 99)
-        assert json.dumps(tree_arrays(r1)) == json.dumps(tree_arrays(r2))
-        assert np.array_equal(i1, i2)
+        assert same_forest(fit_forest(m, cfg, 99), fit_forest(m, cfg, 99))
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(1)
-        X = rng.normal(size=(60, 3))
-        y = rng.integers(0, 2, size=60)
+        m = matrix_from(rng.normal(size=(60, 3)), rng.integers(0, 2, size=60))
         cfg = ForestConfig(n_trees=1, min_samples_leaf=5, features_per_split=3)
-        tree, _ = fit_tree(X, y, np.arange(60), cfg, 0)
+        tree = fit_forest(m, cfg).trees[0]
         leaves = tree.feature == -1
         assert leaves.sum() > 1
         assert np.all(tree.n_samples[leaves] >= 5)
@@ -286,25 +228,27 @@ class TestFitTree:
     @pytest.mark.parametrize("max_depth", [None, 3])
     @pytest.mark.parametrize("fps", [2, 7])
     def test_repeats_count_like_rows(self, min_leaf, max_depth, fps):
+        # A bootstrap tree equals the tree grown without bootstrap on
+        # copies of the rows its bootstrap drew.
         m = TestModelIdentity._noisy_matrix()
-        cfg = ForestConfig(n_trees=1, min_samples_leaf=min_leaf,
-                           max_depth=max_depth, features_per_split=fps)
-        rng = np.random.default_rng(min_leaf + fps)
+        settings = dict(n_trees=1, min_samples_leaf=min_leaf,
+                        max_depth=max_depth, features_per_split=fps)
         for seed in range(3):
-            sample = rng.integers(0, m.n_samples, m.n_samples)
-            repeated, i_repeated = fit_tree(m.X, m.y, sample, cfg, seed)
-            copied, i_copied = fit_tree(m.X[sample], m.y[sample],
-                                        np.arange(len(sample)), cfg, seed)
-            assert tree_arrays(repeated) == tree_arrays(copied)
-            assert np.array_equal(i_repeated, i_copied)
+            drawn = np.random.default_rng(mix_seed(mix_seed(seed, 0), 0)) \
+                .integers(0, m.n_samples, m.n_samples)
+            repeated = fit_forest(m, ForestConfig(**settings), seed)
+            copied = fit_forest(m.subset(drawn),
+                                ForestConfig(bootstrap=False, **settings),
+                                seed)
+            assert same_forest(repeated, copied)
 
     @pytest.mark.parametrize("bad", [-1, 6])
     def test_row_outside_matrix_rejected(self, bad):
-        X = np.arange(6.0)[:, None]
+        m = matrix_from(np.arange(6.0)[:, None], [0, 1, 0, 1, 0, 1])
         with pytest.raises(ForestError,
                            match=f"row {bad} outside the matrix's 6 rows"):
-            fit_tree(X, np.array([0, 1, 0, 1, 0, 1]), [bad, 0, 1, 2],
-                     ForestConfig(n_trees=1), 0)
+            list(fit_forests(m, ForestConfig(n_trees=1),
+                             [([bad, 0, 1, 2], 0)]))
 
 
 def _separable_matrix(n=80, seed=0):
@@ -330,9 +274,8 @@ class TestFitForest:
         m = matrix_from(X, y)
         cfg = ForestConfig(n_trees=1, bootstrap=False)
         model = fit_forest(m, cfg, 7)
-        tree_seed = mix_seed(mix_seed(7, 0), 1)
-        tree, _ = fit_tree(X, y, np.arange(50), cfg, tree_seed)
-        assert np.array_equal(predict_proba(model, X), tree_predict(tree, X))
+        assert np.array_equal(predict_proba(model, X),
+                              tree_predict(model.trees[0], X))
 
     def test_single_class_error(self):
         m = matrix_from(np.zeros((5, 1)), np.ones(5, dtype=int))
@@ -350,8 +293,6 @@ class TestFitForest:
         with pytest.raises(ForestError, match="without columns"):
             fit_forest(matrix_from(np.zeros((6, 0)), y),
                        ForestConfig(n_trees=2))
-        with pytest.raises(ForestError, match="without columns"):
-            fit_tree(np.zeros((6, 0)), y, np.arange(6), ForestConfig(), 0)
 
     def test_memorization_limit(self):
         rng = np.random.default_rng(3)
@@ -573,7 +514,7 @@ class TestModelIdentity:
                                    int(rng.integers(1, m.n_features + 1)),
                                    replace=False)
                 X, y = m.X[rows], m.y[rows]
-                assert best_split(X, y, feats) == \
+                assert stump_split(X, y, feats) == \
                     brute_force_best_split(X, y, feats)
 
     def test_matches_reference_grower(self):
@@ -707,8 +648,8 @@ class TestFitForests:
         assert empty.bin_start.tolist() == [0] and empty.bin_values.size == 0
 
     def test_binning_all_rows_equals_binning_the_rows(self):
-        """Trees grown on rows R of a matrix binned over all rows equal
-        trees grown on the matrix of R alone."""
+        """A forest on rows R of a matrix binned over all rows equals the
+        forest on the matrix of R alone."""
         rng = np.random.default_rng(43)
         n = 120
         inside = np.arange(n) % 3 != 0           # R: two rows in three
@@ -724,17 +665,13 @@ class TestFitForests:
         # The midpoint of 1.0 and the next float rounds back to 1.0.
         assert 0.5 * (1.0 + np.nextafter(1.0, 2.0)) == 1.0
         rows = np.flatnonzero(inside)
-        whole = BinnedMatrix.of(X)
-        part = BinnedMatrix.of(X[rows])
+        whole = matrix_from(X, y)
         for seed in range(4):
             for fps in (1, 2, 4):
-                cfg = ForestConfig(n_trees=1, features_per_split=fps)
-                boot = np.random.default_rng(seed).integers(0, len(rows),
-                                                            len(rows))
-                t_whole, i_whole = fit_tree(whole, y, rows[boot], cfg, seed)
-                t_part, i_part = fit_tree(part, y[rows], boot, cfg, seed)
-                assert tree_arrays(t_whole) == tree_arrays(t_part)
-                assert np.array_equal(i_whole, i_part)
+                cfg = ForestConfig(n_trees=3, features_per_split=fps)
+                [(_, together)] = fit_forests(whole, cfg, [(rows, seed)])
+                assert same_forest(together,
+                                   fit_forest(whole.subset(rows), cfg, seed))
 
 
 class TestNonFiniteInput:
@@ -749,8 +686,6 @@ class TestNonFiniteInput:
         X[4, 2] = bad
         with pytest.raises(ForestError, match="row 4, column 2"):
             fit_forest(matrix_from(X, y), cfg)
-        with pytest.raises(ForestError, match="row 4, column 2"):
-            fit_tree(X, y, np.arange(12), cfg, 0)
         with pytest.raises(ForestError, match="row 0, column 1"):
             predict_proba(model, np.array([0.0, bad, 0.0]))
         with pytest.raises(ForestError, match="row 4, column 2"):
