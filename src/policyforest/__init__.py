@@ -20,11 +20,11 @@ _EXPORTS = {
     "dataset": ("IG_NAMES", "PA_LABELS", "PA_TO_PD", "PD_LABELS",
                 "AlignmentTally", "DatasetError", "EncodedMatrix",
                 "FeatureSetSpec", "PolicyCase", "domain_counts", "encode",
-                "load_cases", "net_iga", "random_split", "rescale_p90",
-                "retrodiction_split", "tally_alignments",
+                "load_cases", "mix_seed", "net_iga", "random_split",
+                "rescale_p90", "retrodiction_split", "tally_alignments",
                 "zero_noncommittal"),
     "forest": ("ForestConfig", "ForestError", "ForestModel", "Tree",
-               "fit_forest", "fit_forests", "mix_seed"),
+               "fit_forest", "fit_forests"),
     "logistic": ("LogisticError", "LogisticModel", "sigmoid"),
     "metrics": ("ConfusionCounts", "MetricsError", "OperatingPoint",
                 "balanced_accuracy", "confusion_at_threshold", "roc_and_auc",

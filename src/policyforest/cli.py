@@ -74,13 +74,15 @@ def _forest_config(args: argparse.Namespace):
     # and builds its forest config here, after any config-file override
     # and before the data loads. Each experiment seeds every forest from
     # --seed and the forest's run.
-    from .experiments import check_positive
+    from .experiments import check_k, check_positive
     from .forest import ForestConfig
     for flag in ("--jobs", "--runs", "--selection-splits", "--min-test-cases",
                  "--top"):
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
             check_positive(flag, value)
+    if getattr(args, "k", None) is not None:
+        check_k("--k", args.k)
     return ForestConfig(
         n_trees=args.trees,
         max_depth=args.max_depth,

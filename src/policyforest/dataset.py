@@ -1,4 +1,5 @@
-"""Policy-case table: loading, validation, feature encoding, and splits.
+"""Policy-case table: loading, validation, feature encoding, seeded
+draws, and splits.
 
 The canonical CSV schema is one row per policy case:
 
@@ -345,6 +346,53 @@ def encode(cases: list[PolicyCase], spec: FeatureSetSpec) -> EncodedMatrix:
 
 
 # ---------------------------------------------------------------------------
+# Seeded draws
+
+_MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+
+
+def mix_seed(seed: int, index: int) -> int:
+    """Derive a stream seed from (seed, index) via a splitmix64 round.
+
+    Stable by construction: adding trees or runs never reshuffles the
+    seeds of earlier ones.
+    """
+    z = (seed * _GOLDEN + index + 1) & _MASK64
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
+    return (z ^ (z >> 31)) & _MASK64
+
+
+def splitmix64(seed, counter):
+    """Draw counter of the SplitMix64 stream seeded by seed, as uint64:
+    mix(seed + (counter + 1) * golden), mix being the three steps that
+    end mix_seed.
+
+    Every seeded draw of the package is a value of such a stream. seed is
+    an integer, reduced mod 2**64, or a uint64 array; counter an array of
+    non-negative ints whose shape, seed broadcast against it, is the
+    result's. Distinct counters of one seed give distinct values, since
+    both the step and the mix are bijections of the uint64s, so the values
+    serve as sort keys without ties. The ops are in place on uint64, whose
+    arrays wrap without a warning.
+    """
+    import numpy as np
+    if not isinstance(seed, np.ndarray):
+        seed = np.uint64(int(seed) & _MASK64)
+    z = np.array(counter, dtype=np.uint64)
+    z += np.uint64(1)
+    z *= np.uint64(_GOLDEN)
+    z += seed
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+# ---------------------------------------------------------------------------
 # Train/test splits
 
 
@@ -359,14 +407,15 @@ TRAIN_FRACTION = 0.67
 
 def random_split(n_cases: int, train_fraction: float, seed: int):
     """Seeded uniform split of range(n_cases) into disjoint (train, test)
-    int arrays; train size is floor(train_fraction * n)."""
+    int arrays; train size is floor(train_fraction * n). The cases come
+    in the order of draws 0..n_cases-1 of seed's stream."""
     if n_cases < 2:
         raise DatasetError(f"need at least 2 cases to split, got {n_cases}")
     if not (0.0 < train_fraction < 1.0):
         raise DatasetError(f"train_fraction must be in (0,1), got "
                            f"{train_fraction}")
     import numpy as np
-    perm = np.random.default_rng(seed).permutation(n_cases)
+    perm = np.argsort(splitmix64(seed, np.arange(n_cases)))
     n_train = int(math.floor(train_fraction * n_cases))
     return perm[:n_train], perm[n_train:]
 

@@ -31,8 +31,9 @@ from . import metrics as mx
 from . import PolicyforestError
 from .dataset import (CUTOFF_YEAR, IG_NAMES, MODEL_KINDS, PD_LABELS, REGIMES,
                       TRAIN_FRACTION, EncodedMatrix, FeatureSetSpec,
-                      PolicyCase, encode, random_split, retrodiction_split)
-from .forest import ForestConfig, map_chunks, mix_seed
+                      PolicyCase, encode, mix_seed, random_split,
+                      retrodiction_split)
+from .forest import ForestConfig, map_chunks
 
 
 class ExperimentError(PolicyforestError):
@@ -86,9 +87,12 @@ def _check_choice(kind: str, value: str, choices) -> None:
         raise ExperimentError(f"unknown {kind} {value!r}")
 
 
-def _check_k(k: int) -> None:
+def check_k(name: str, k: int) -> None:
+    """Raise an ExperimentError naming the setting if k is not an IG
+    count in [1, len(IG_NAMES)]."""
     if not (1 <= k <= len(IG_NAMES)):
-        raise ExperimentError(f"k must be in [1, {len(IG_NAMES)}], got {k}")
+        raise ExperimentError(f"{name} must be in [1, {len(IG_NAMES)}], "
+                              f"got {k}")
 
 
 def _runs(y: np.ndarray, base_seed: int, js,
@@ -453,7 +457,7 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
                 forest_config: ForestConfig = ForestConfig(),
                 n_jobs: int = 1) -> FeatureSetSpec:
     """Derive the reduced IG subset from Set-B forests over random draws."""
-    _check_k(k)
+    check_k("k", k)
     check_positive("n_splits", n_splits)
     matrix = encode(cases, FeatureSetSpec.set_b())
     runs = _runs(matrix.y, base_seed, range(n_splits))
@@ -597,7 +601,7 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     split seeds, every cell's runs in one map; gain rows are the mean of
     per-split differences, not the difference of means.
     """
-    _check_k(k)
+    check_k("k", k)
     check_positive("n_splits", n_splits)
     for regime in regimes:
         _check_choice("regime", regime, REGIMES)

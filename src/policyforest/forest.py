@@ -19,21 +19,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import PolicyforestError
-from .dataset import EncodedMatrix, check_finite
-
-_MASK64 = (1 << 64) - 1
-
-
-def mix_seed(seed: int, index: int) -> int:
-    """Derive a stream seed from (seed, index) via a splitmix64 round.
-
-    Stable by construction: adding trees or runs never reshuffles the
-    seeds of earlier ones.
-    """
-    z = (seed * 0x9E3779B97F4A7C15 + index + 1) & _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return (z ^ (z >> 31)) & _MASK64
+from .dataset import EncodedMatrix, check_finite, mix_seed, splitmix64
 
 
 class ForestError(PolicyforestError):
@@ -319,26 +305,34 @@ class _Tree:
     sample-weighted impurity decrease. Counts and features are exact as
     floats.
 
-    Tree i of the forest on rows seeded by seed draws its bootstrap
-    counts (all ones without bootstrap) and its candidate generator from
-    seeds derived from (seed, i) alone, here and nowhere else."""
+    Tree i of the forest on rows seeded by seed draws from two streams
+    (dataset.splitmix64) whose seeds derive from (seed, i) alone, here
+    and nowhere else: its bootstrap counts (all ones without bootstrap),
+    and its candidate keys; drawn counts the keys drawn so far."""
 
-    __slots__ = ("key", "sample", "rng", "n_total", "front", "levels")
+    __slots__ = ("key", "sample", "draw_seed", "drawn", "n_total", "front",
+                 "levels")
 
     def __init__(self, forest: int, i: int, rows: np.ndarray, seed: int,
                  bootstrap: bool, view: BinnedMatrix, labels: np.ndarray):
         self.key = forest, i
         tree_seed = mix_seed(seed, i)
-        counts = np.ones(len(rows), dtype=int)
+        n = len(rows)
+        counts = np.ones(n, dtype=int)
         if bootstrap:
-            draw = np.random.default_rng(mix_seed(tree_seed, 0)).integers(
-                0, len(rows), size=len(rows))
-            counts = np.bincount(draw, minlength=len(rows))
+            # Draw j, u, picks row ((u >> 32) * n) >> 32 of the n: exact
+            # in uint64, since n < 2**32.
+            draw = splitmix64(mix_seed(tree_seed, 0), np.arange(n))
+            draw >>= np.uint64(32)
+            draw *= np.uint64(n)
+            draw >>= np.uint64(32)
+            counts = np.bincount(draw.astype(int), minlength=n)
         keep = counts.nonzero()[0]
         keep = keep[np.argsort(view.codes[rows[keep], view.widest],
                                kind="stable")]
         rows, counts = self.sample = rows[keep], counts[keep]
-        self.rng = np.random.default_rng(mix_seed(tree_seed, 1))
+        self.draw_seed = mix_seed(tree_seed, 1)
+        self.drawn = 0
         self.n_total = counts.sum()
         self.front = np.array([[0], [len(rows)], [self.n_total],
                                [counts[labels[rows]].sum()]])
@@ -373,7 +367,7 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
     next tree starts while the samples in flight hold fewer than
     ROWS_IN_FLIGHT distinct rows, so at least one grows. A tree draws the
     candidates of all its splittable nodes of a level at once from its
-    own generator, and each node's cut depends on its own rows and
+    own stream, and each node's cut depends on its own rows and
     candidates alone, so a tree is the same however many trees grow
     beside it and however the passes are cut into sub-steps. Importances
     are the per-feature sums of sample-weighted impurity decreases, in
@@ -427,12 +421,18 @@ def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
                   & np.repeat([len(g.levels) < max_depth for g in growing],
                               sizes))
     bounds = np.cumsum(sizes) - sizes
-    # One draw per tree for its m splittable nodes, left to right: a row
-    # of uniform keys per node, whose k smallest name the node's k
-    # candidate columns. An empty draw leaves a generator as it was.
-    keys = np.concatenate([
-        g.rng.random((m, view.n_features)) for g, m in zip(
-            growing, np.add.reduceat(splittable, bounds, dtype=int).tolist())])
+    # Each tree draws a row of keys, one per column, for each of its m
+    # splittable nodes, left to right, from the next m * width values of
+    # its stream; the k smallest keys of a row name the node's k
+    # candidate columns. One call draws the keys of every tree.
+    width = view.n_features
+    m = np.add.reduceat(splittable, bounds, dtype=int)
+    first = np.repeat([g.drawn for g in growing] - width * (np.cumsum(m) - m),
+                      m) + width * np.arange(m.sum())
+    seeds = np.repeat(np.array([g.draw_seed for g in growing], np.uint64), m)
+    keys = splitmix64(seeds[:, None], first[:, None] + np.arange(width))
+    for g, nodes in zip(growing, m.tolist()):
+        g.drawn += nodes * width
     cands = np.argpartition(keys, k - 1, axis=1)[:, :k]
     cands.sort(axis=1)
 

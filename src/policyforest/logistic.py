@@ -99,7 +99,9 @@ def _hessian(A: np.ndarray, w: np.ndarray) -> np.ndarray:
 def fit(matrix: EncodedMatrix) -> LogisticModel:
     """Maximum-likelihood fit with standardization; deterministic
     (zero initialization)."""
-    X, y = matrix.X, matrix.y.astype(float)
+    # One layout for every input: column means and stds sum in an order
+    # that depends on it.
+    X, y = np.ascontiguousarray(matrix.X), matrix.y.astype(float)
     n = X.shape[0]
     if n < 2:
         raise LogisticError(f"need at least 2 samples, got {n}")
@@ -118,7 +120,9 @@ def fit(matrix: EncodedMatrix) -> LogisticModel:
     m = Z.shape[1]
     theta = np.zeros(m + 1)  # [intercept, beta]
     pen = np.concatenate(([0.0], np.full(m, L2)))
-    A = np.hstack([np.ones((n, 1)), Z])
+    # C order, so that _hessian's row blocks are contiguous: hstack alone
+    # gives F order, as Z has.
+    A = np.ascontiguousarray(np.hstack([np.ones((n, 1)), Z]))
 
     # p and ll always belong to the current theta: the line search
     # computes them for the step it accepts.

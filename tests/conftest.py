@@ -8,6 +8,22 @@ from policyforest.dataset import (IG_NAMES, PA_LABELS, PA_TO_PD,
 from policyforest.forest import GAIN_EPS, ForestConfig, Tree, fit_forest
 
 
+def splitmix64_draw(seed, i):
+    """Draw i of the SplitMix64 stream seeded by seed, in Python ints: the
+    reference for the package's vectorized stream."""
+    mask = (1 << 64) - 1
+    z = (seed + (i + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+def bootstrap_draw(seed, n):
+    """The rows 0..n-1 a tree's bootstrap stream seeded by seed draws:
+    draw j, u, picks row ((u >> 32) * n) >> 32."""
+    return [((splitmix64_draw(seed, j) >> 32) * n) >> 32 for j in range(n)]
+
+
 def make_cases(n, seed=0, signal=True, driver_ig=0, missing_p90_every=0):
     """Synthetic policy cases: outcome driven by p90 and one IG when
     signal is set, pure coin flips otherwise."""

@@ -11,7 +11,9 @@ import policyforest
 
 from policyforest import forest
 from policyforest.cli import main
-from policyforest.dataset import IG_NAMES, PA_TO_PD, PD_LABELS, dump_cases
+from policyforest.dataset import (IG_NAMES, PA_TO_PD, PD_LABELS,
+                                  TRAIN_FRACTION, dump_cases, mix_seed,
+                                  random_split)
 from conftest import make_cases
 
 
@@ -244,12 +246,19 @@ class TestDerivedCommands:
     def test_rank_names_the_run_whose_training_split_has_one_class(
             self, data_file, tmp_path, capsys):
         # Guns has 4 usable cases here, 3 positive: it passes the domain
-        # check, but run 2's 2-case training split is all positive.
+        # check, but a run's 2-case training split is all positive. Run j
+        # of every domain splits it with seed mix_seed(--seed, j).
+        y = [c.outcome for c in make_cases(120, seed=3)
+             if c.policy_domain == "Guns"]
+        one_class = [j for j in range(3) if len({
+            y[i] for i in random_split(len(y), TRAIN_FRACTION,
+                                       mix_seed(0, j))[0]}) == 1]
+        assert one_class
         out = tmp_path / "o"
         assert main(["rank", "--data", data_file, "--runs", "3",
                      "--trees", "4", "--out", str(out)]) == 1
         err = capsys.readouterr().err
-        assert "domain 'Guns', run 2 of 3" in err
+        assert f"domain 'Guns', run {one_class[0] + 1} of 3" in err
         assert not list(out.glob("ranking_*.csv"))
 
     def test_gains(self, data_file, tmp_path, capsys):
@@ -342,8 +351,9 @@ class TestRunCounts:
 
 class TestInputChecks:
     @pytest.mark.parametrize("cmd, message", [
-        (["compare-selectors", "--k", "0"], "k must be in [1, 43], got 0"),
-        (["compare-selectors", "--k", "44"], "k must be in [1, 43], got 44"),
+        (["compare-selectors", "--k", "0"], "--k must be in [1, 43], got 0"),
+        (["compare-selectors", "--k", "44"],
+         "--k must be in [1, 43], got 44"),
         (["rank", "--top", "0"], "--top must be >= 1, got 0"),
         (["rank", "--top", "-1"], "--top must be >= 1, got -1"),
         (["gains", "--min-test-cases", "0"],
@@ -382,6 +392,13 @@ class TestInputChecks:
                            "4", "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["set-c", "compare-selectors"])
+    def test_k_checked_before_the_data_loads(self, command, tmp_path,
+                                             capsys):
+        assert main([command, "--k", "44", "--data",
+                     str(tmp_path / "missing.csv")]) == 1
+        assert "--k must be in [1, 43], got 44" in capsys.readouterr().err
 
 
 class TestNameMap:
@@ -523,7 +540,8 @@ class TestImports:
                 f"assert main({argv!r}) == 0; "
                 "print(*(m for m in ('policyforest.forest', "
                 "'policyforest.experiments', 'policyforest.logistic', "
-                "'policyforest.metrics', 'numpy', 'numpy.ma') "
+                "'policyforest.metrics', 'numpy', 'numpy.ma', "
+                "'numpy.random') "
                 "if m in sys.modules))")
         src = str(Path(policyforest.__file__).resolve().parents[1])
         out = subprocess.run([sys.executable, "-c", code], check=True,
@@ -546,6 +564,24 @@ class TestImports:
         loaded = self._loaded_after(["eval", "--data", data_file, "--trees",
                                      "2", "--runs", "2"], tmp_path)
         assert "policyforest.forest" in loaded and "numpy.ma" not in loaded
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--trees", "2", "--runs", "2"],
+        ["rank", "--domain", "Economic", "--trees", "2", "--runs", "2",
+         "--jobs", "2"]], ids=["eval", "rank-jobs2"])
+    def test_model_commands_load_no_numpy_random(self, argv, data_file,
+                                                 tmp_path):
+        # Every seeded draw is a dataset.splitmix64 value: numpy.random,
+        # and the hashlib its bit generators load, stay out of a command.
+        bare = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, numpy; print('numpy.random' in sys.modules)"],
+            check=True, capture_output=True, text=True, timeout=120)
+        if bare.stdout.split() == ["True"]:
+            pytest.skip("a bare import of numpy loads numpy.random")
+        loaded = self._loaded_after(argv + ["--data", data_file], tmp_path)
+        assert "policyforest.forest" in loaded
+        assert "numpy.random" not in loaded
 
     def test_package_names_resolve_on_use(self):
         from policyforest import fit_forest, load_cases, run_feature_set_eval

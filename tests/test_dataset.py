@@ -11,10 +11,10 @@ from policyforest.dataset import (IG_NAMES, PA_LABELS, PA_TO_PD, PD_LABELS,
                                   PolicyCase, canonical_header, domain_counts,
                                   dump_cases, encode, load_cases, net_iga,
                                   parse_name_map, random_split, rescale_p90,
-                                  retrodiction_split, tally_alignments,
-                                  zero_noncommittal)
+                                  retrodiction_split, splitmix64,
+                                  tally_alignments, zero_noncommittal)
 from policyforest.cli import main
-from conftest import make_cases
+from conftest import make_cases, splitmix64_draw
 
 
 def _row(case_id="c1", year=1983, outcome=1, p90="0.6", p50="", p10="",
@@ -316,8 +316,13 @@ class TestSplits:
 
     @pytest.mark.parametrize("n,f", [(10, 0.5), (17, 0.67), (101, 0.9)])
     def test_partition_property(self, n, f):
+        # The cases in the order of their draws from the seed's stream,
+        # the first floor(f * n) of them trained on.
         train, test = random_split(n, f, seed=3)
         assert sorted([*train, *test]) == list(range(n))
+        assert len(train) == math.floor(f * n)
+        order = sorted(range(n), key=lambda i: splitmix64_draw(3, i))
+        assert [*train, *test] == order
 
     def test_retrodiction_inclusive_cutoff(self):
         cases = make_cases(30, seed=2)
@@ -338,6 +343,38 @@ class TestSplits:
                  for i in range(4)]
         with pytest.raises(DatasetError, match="empty test"):
             retrodiction_split(cases)
+
+
+class TestSplitMix64:
+    SEEDS = [0, 1, 2**63, 2**64 - 1]
+    COUNTERS = [0, 1, 2, 2**32 - 1, 2**32, 2**32 + 1, 2**40 + 12345,
+                2**63, 2**64 - 1]
+
+    def test_oracle_gives_the_published_stream(self):
+        # The first outputs of SplitMix64 seeded with 0.
+        assert [splitmix64_draw(0, i) for i in range(3)] == [
+            0xE220A8397B1DCDAF, 0x6E789E6AA1B965F4, 0x06C45D188009454F]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_matches_oracle(self, seed):
+        counters = np.array(self.COUNTERS, dtype=np.uint64)
+        assert splitmix64(seed, counters).tolist() == [
+            splitmix64_draw(seed, i) for i in self.COUNTERS]
+
+    def test_seed_array_broadcasts(self):
+        seeds = np.array(self.SEEDS, dtype=np.uint64)[:, None]
+        counters = np.add.outer(np.arange(len(self.SEEDS)) * 2**33,
+                                np.arange(5))
+        assert splitmix64(seeds, counters).tolist() == [
+            [splitmix64_draw(s, int(i)) for i in row]
+            for s, row in zip(self.SEEDS, counters)]
+
+    def test_seed_reduced_mod_2_64(self):
+        counters = np.arange(4)
+        assert np.array_equal(splitmix64(-1, counters),
+                              splitmix64(2**64 - 1, counters))
+        assert np.array_equal(splitmix64(2**64 + 5, counters),
+                              splitmix64(5, counters))
 
 
 class TestDomainCounts:

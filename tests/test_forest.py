@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 from policyforest import forest
-from policyforest.dataset import EncodedMatrix
+from policyforest.dataset import EncodedMatrix, mix_seed
 from policyforest.forest import (ForestConfig, ForestError, ForestModel,
                                  BinnedMatrix, Tree, fit_forest, fit_forests,
-                                 map_chunks, mix_seed, predict_proba)
-from conftest import brute_force_best_split, same_forest, stump_split
+                                 map_chunks, predict_proba)
+from conftest import (bootstrap_draw, brute_force_best_split, same_forest,
+                      splitmix64_draw, stump_split)
 
 
 def matrix_from(X, y):
@@ -61,16 +62,21 @@ def to_tree(root):
         np.array([n.n_samples for n in nodes]))
 
 
-def tree_predict(tree, X):
-    """Predictions of a single tree, walking it node by node for each row
-    of X."""
+def tree_leaves(tree, X):
+    """The leaf of a single tree each row of X reaches, walking the tree
+    node by node."""
     def walk(row):
         i = 0
         while tree.feature[i] >= 0:
             i = tree.left[i] + (row[tree.feature[i]] > tree.threshold[i])
-        return tree.value[i]
+        return i
 
-    return np.array([walk(row) for row in X])
+    return np.array([walk(row) for row in X], dtype=int)
+
+
+def tree_predict(tree, X):
+    """Predictions of a single tree, walking it for each row of X."""
+    return tree.value[tree_leaves(tree, X)]
 
 
 def tree_depth(tree):
@@ -81,14 +87,16 @@ def tree_depth(tree):
     return depth.max()
 
 
-def reference_grow(X, y, idx, config, k, rng, importance, n_total,
+def reference_grow(X, y, idx, config, k, draw_seed, importance, n_total,
                    fallbacks):
-    """Level-order growth with brute-force split search. Each level makes
-    one draw for its splittable nodes, left to right: a row of uniform
-    keys per node, whose k smallest name the node's candidate columns."""
+    """Level-order growth with brute-force split search. Each level draws
+    for its splittable nodes, left to right, a row of X.shape[1] keys per
+    node from the next values of the stream seeded by draw_seed; the k
+    smallest keys of a row name the node's candidate columns."""
     root = RefNode()
     level = [(root, idx)]
     depth = 0
+    drawn = 0
     while level:
         splittable = []
         for node, rows in level:
@@ -99,11 +107,13 @@ def reference_grow(X, y, idx, config, k, rng, importance, n_total,
                     and (config.max_depth is None
                          or depth < config.max_depth)):
                 splittable.append((node, rows))
-        keys = rng.random((len(splittable), X.shape[1]))
         children = []
-        for (node, rows), node_keys in zip(splittable, keys):
-            candidates = sorted(int(c) for c in
-                                np.argsort(node_keys, kind="stable")[:k])
+        for node, rows in splittable:
+            keys = [splitmix64_draw(draw_seed, drawn + j)
+                    for j in range(X.shape[1])]
+            drawn += X.shape[1]
+            candidates = sorted(sorted(range(X.shape[1]),
+                                       key=keys.__getitem__)[:k])
             found = brute_force_best_split(X[rows], y[rows], candidates)
             if found is None:
                 found = first_midpoint(X[rows], candidates)
@@ -130,15 +140,12 @@ def reference_fit_forest(matrix, config, seed, fallbacks):
     trees, raws = [], []
     for i in range(config.n_trees):
         tree_seed = mix_seed(seed, i)
-        if config.bootstrap:
-            boot_rng = np.random.default_rng(mix_seed(tree_seed, 0))
-            idx = boot_rng.integers(0, n, size=n)
-        else:
-            idx = np.arange(n)
-        rng = np.random.default_rng(mix_seed(tree_seed, 1))
+        idx = np.array(bootstrap_draw(mix_seed(tree_seed, 0), n)
+                       if config.bootstrap else range(n))
         importance = np.zeros(X.shape[1])
-        trees.append(to_tree(reference_grow(X, y, idx, config, k, rng,
-                                            importance, n, fallbacks)))
+        trees.append(to_tree(reference_grow(
+            X, y, idx, config, k, mix_seed(tree_seed, 1), importance, n,
+            fallbacks)))
         raws.append(importance)
     raw = np.mean(raws, axis=0)
     total = raw.sum()
@@ -224,6 +231,16 @@ class TestFitTree:
         assert leaves.sum() > 1
         assert np.all(tree.n_samples[leaves] >= 5)
 
+    def test_bootstrap_counts_sum_to_n(self):
+        # Each tree's root holds the n rows its bootstrap drew, repeats
+        # included.
+        m = TestModelIdentity._noisy_matrix()
+        model = fit_forest(m, ForestConfig(n_trees=5, max_depth=1), 3)
+        for i, tree in enumerate(model.trees):
+            drawn = bootstrap_draw(mix_seed(mix_seed(3, i), 0), m.n_samples)
+            assert tree.n_samples[0] == m.n_samples
+            assert tree.value[0] == m.y[drawn].sum() / m.n_samples
+
     @pytest.mark.parametrize("min_leaf", [1, 3])
     @pytest.mark.parametrize("max_depth", [None, 3])
     @pytest.mark.parametrize("fps", [2, 7])
@@ -234,8 +251,8 @@ class TestFitTree:
         settings = dict(n_trees=1, min_samples_leaf=min_leaf,
                         max_depth=max_depth, features_per_split=fps)
         for seed in range(3):
-            drawn = np.random.default_rng(mix_seed(mix_seed(seed, 0), 0)) \
-                .integers(0, m.n_samples, m.n_samples)
+            drawn = bootstrap_draw(mix_seed(mix_seed(seed, 0), 0),
+                                   m.n_samples)
             repeated = fit_forest(m, ForestConfig(**settings), seed)
             copied = fit_forest(m.subset(drawn),
                                 ForestConfig(bootstrap=False, **settings),
@@ -337,16 +354,24 @@ class TestFitForest:
         rng = np.random.default_rng(9)
         X = rng.uniform(0.1, 4.0, size=(60, 3))
         y = (X[:, 1] > 2.0).astype(int)
+        # A strictly increasing transform of a column grows the same
+        # trees, each cut on it between the same two values of its node's
+        # rows, so each row of a tree's sample reaches the same leaf.
+        # Between those values a prediction may differ, since a cut is
+        # their midpoint on either scale.
         cfg = ForestConfig(n_trees=12)
         base = fit_forest(matrix_from(X, y), cfg, 5)
         Xt = X.copy()
         Xt[:, 1] = np.log(Xt[:, 1])  # strictly increasing transform
         trans = fit_forest(matrix_from(Xt, y), cfg, 5)
-        probe = rng.uniform(0.1, 4.0, size=(20, 3))
-        probe_t = probe.copy()
-        probe_t[:, 1] = np.log(probe_t[:, 1])
-        assert np.array_equal(predict_proba(base, probe),
-                              predict_proba(trans, probe_t))
+        for i, (a, b) in enumerate(zip(base.trees, trans.trees)):
+            for name in ("feature", "left", "value", "n_samples"):
+                assert np.array_equal(getattr(a, name), getattr(b, name))
+            on = a.feature == 1
+            assert np.array_equal(a.threshold[~on], b.threshold[~on])
+            sample = bootstrap_draw(mix_seed(mix_seed(5, i), 0), len(y))
+            assert np.array_equal(tree_leaves(a, X[sample]),
+                                  tree_leaves(b, Xt[sample]))
 
     def test_predictions_equal_a_walk_of_each_tree(self):
         rng = np.random.default_rng(14)
@@ -726,3 +751,10 @@ class TestMixSeed:
         assert len(seen) == 1000
         assert mix_seed(42, 7) == mix_seed(42, 7)
         assert mix_seed(42, 7) != mix_seed(43, 7)
+
+    def test_known_answers(self):
+        # Every run, forest and tree seed derives through mix_seed.
+        assert [mix_seed(s, i) for s, i in [
+            (0, 0), (42, 7), (2**64 - 1, 3), (-1, 2**40)]] == [
+            0x5692161D100B05E5, 0x691CFB1624B11B0B, 0xE3489983F7C9F2B4,
+            0xFD0E3ED0C53AEC45]

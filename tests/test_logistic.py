@@ -34,13 +34,14 @@ def reference_fit(matrix):
     below TOLERANCE or at MAX_ITERS, recomputing each iteration's
     likelihood from theta. Reads the solver constants from the module at
     call time, as fit does, and sums the Hessian over the same blocks of
-    rows in the same order."""
+    rows in the same order, of a design matrix in the same C order."""
     l2 = logistic.L2
     X, y = matrix.X, matrix.y.astype(float)
     stds = X.std(axis=0)
     keep = stds > 0
     means, stds = X[:, keep].mean(axis=0), stds[keep]
-    A = np.hstack([np.ones((len(y), 1)), (X[:, keep] - means) / stds])
+    A = np.ascontiguousarray(
+        np.hstack([np.ones((len(y), 1)), (X[:, keep] - means) / stds]))
     pen = np.concatenate(([0.0], np.full(A.shape[1] - 1, l2)))
     theta = np.zeros(A.shape[1])
     history, converged = [], False
@@ -155,6 +156,18 @@ class TestFit:
         m1, m2 = fit(m), fit(m)
         assert np.array_equal(m1.beta, m2.beta)
         assert m1.intercept == m2.intercept
+
+    def test_beta_bytes_do_not_depend_on_layout(self):
+        # A Set D-shaped design, fit from a C- and an F-ordered copy.
+        rng = np.random.default_rng(3)
+        n = 1145
+        X = np.column_stack([rng.uniform(size=n),
+                             rng.integers(-2, 3, size=(n, 43)),
+                             np.eye(19)[rng.integers(19, size=n)]])
+        y = (4 * X[:, 0] - 2 + X[:, 1] + rng.normal(0, 1, n) > 0)
+        betas = {fit(matrix_from(layout(X), y)).beta.tobytes()
+                 for layout in (np.ascontiguousarray, np.asfortranarray)}
+        assert len(betas) == 1
 
     def test_rescaling_feature_is_inert(self):
         rng = np.random.default_rng(7)
