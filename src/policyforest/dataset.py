@@ -284,6 +284,17 @@ def check_finite(X: np.ndarray, error: type[Exception]) -> None:
         raise error(f"row {r}, column {c}: non-finite value {X[r, c]}")
 
 
+def row_numbers(indices, error: type[Exception], what: str) -> np.ndarray:
+    """indices as an int array of row numbers, an empty sequence being no
+    rows. Raise `error` naming what for a boolean mask or non-integer
+    values, which an int conversion would silently read as row numbers."""
+    import numpy as np
+    idx = np.asarray(indices)
+    if idx.size and not np.issubdtype(idx.dtype, np.integer):
+        raise error(f"{what} must be integer row numbers, got {idx.dtype}")
+    return idx.astype(int, copy=False)
+
+
 @dataclass
 class EncodedMatrix:
     """Feature matrix plus labels for a list of cases.
@@ -307,8 +318,7 @@ class EncodedMatrix:
         return self.X.shape[1]
 
     def subset(self, indices) -> "EncodedMatrix":
-        import numpy as np
-        idx = np.asarray(indices, dtype=int)
+        idx = row_numbers(indices, DatasetError, "subset indices")
         return EncodedMatrix(self.X[idx], self.y[idx], self.column_names,
                              self.case_indices[idx],
                              self.n_dropped_missing_p90)

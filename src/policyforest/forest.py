@@ -6,7 +6,8 @@ and fit_forest is its one-forest form. One ForestConfig holds the model
 settings of a fit and each forest brings its rows and its seed; a tree
 draws its bootstrap and its candidates from seeds derived from (forest
 seed, tree index) alone, so serial and parallel fits produce identical
-models.
+models. The trees in flight grow together, level by level, as one set of
+arrays with no object per tree.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from functools import cached_property, partial
 import numpy as np
 
 from . import PolicyforestError
-from .dataset import EncodedMatrix, check_finite, mix_seed, splitmix64
+from .dataset import (EncodedMatrix, check_finite, mix_seed, row_numbers,
+                      splitmix64)
 
 
 class ForestError(PolicyforestError):
@@ -292,192 +294,189 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     return feature, threshold, gain_out
 
 
-class _Tree:
-    """One tree being grown level by level: its sample, the distinct rows
-    it holds and their repeat counts as two arrays over its slots, first
-    in the order of view's widest column, stable by slot, then permuted in
-    place so that every node's rows are one contiguous range of slots,
-    still in that order within it; front, the nodes of its current level
-    left to right as a (4, nodes) array of first slot, slots, rows and
-    positives, rows and positives counting repeats; and its finished
-    levels, each a (5, nodes) float array holding per node its rows,
-    positive fraction, feature (-1 for a leaf), threshold and
-    sample-weighted impurity decrease. Counts and features are exact as
-    floats.
-
-    Tree i of the forest on rows seeded by seed draws from two streams
-    (dataset.splitmix64) whose seeds derive from (seed, i) alone, here
-    and nowhere else: its bootstrap counts (all ones without bootstrap),
-    and its candidate keys; drawn counts the keys drawn so far."""
-
-    __slots__ = ("key", "sample", "draw_seed", "drawn", "n_total", "front",
-                 "levels")
-
-    def __init__(self, forest: int, i: int, rows: np.ndarray, seed: int,
-                 bootstrap: bool, view: BinnedMatrix, labels: np.ndarray):
-        self.key = forest, i
-        tree_seed = mix_seed(seed, i)
-        n = len(rows)
-        counts = np.ones(n, dtype=int)
-        if bootstrap:
-            # Draw j, u, picks row ((u >> 32) * n) >> 32 of the n: exact
-            # in uint64, since n < 2**32.
-            draw = splitmix64(mix_seed(tree_seed, 0), np.arange(n))
-            draw >>= np.uint64(32)
-            draw *= np.uint64(n)
-            draw >>= np.uint64(32)
-            counts = np.bincount(draw.astype(int), minlength=n)
-        keep = counts.nonzero()[0]
-        keep = keep[np.argsort(view.codes[rows[keep], view.widest],
-                               kind="stable")]
-        rows, counts = self.sample = rows[keep], counts[keep]
-        self.draw_seed = mix_seed(tree_seed, 1)
-        self.drawn = 0
-        self.n_total = counts.sum()
-        self.front = np.array([[0], [len(rows)], [self.n_total],
-                               [counts[labels[rows]].sum()]])
-        self.levels = []
-
-    def tree(self, n_features: int) -> tuple[Tree, np.ndarray]:
-        """The finished tree in level order, and its raw importances."""
-        n, value, feature, threshold, weighted = np.concatenate(
-            self.levels, axis=1)
-        feature = feature.astype(np.int32)
-        inner = feature >= 0
-        importance = np.bincount(feature[inner], weights=weighted[inner],
-                                 minlength=n_features)
-        # Level order lists the children of each level's splits left to
-        # right, so split s (in level order) has children 2s + 1, 2s + 2.
-        left = np.full(len(n), -1, dtype=np.int32)
-        left[inner] = 2 * np.arange(inner.sum()) + 1
-        return (Tree(feature, threshold, left, value, n.astype(np.int32)),
-                importance)
+def _sample(view: BinnedMatrix, bootstrap: bool, task) -> tuple:
+    """The sample of task (forest, i, rows, seed), tree i of the forest on
+    rows seeded by seed: its distinct rows in view's widest column's order,
+    stable by place in rows; their bootstrap counts (all ones without
+    bootstrap); and its candidate seed. The tree draws from two streams
+    (dataset.splitmix64) whose seeds derive from (seed, i) alone, here and
+    nowhere else: its bootstrap counts, and its candidate keys."""
+    _, i, rows, seed = task
+    tree_seed = mix_seed(seed, i)
+    n = len(rows)
+    counts = np.ones(n, dtype=int)
+    if bootstrap:
+        # Draw j, u, picks row ((u >> 32) * n) >> 32 of the n: exact in
+        # uint64, since n < 2**32.
+        draw = splitmix64(mix_seed(tree_seed, 0), np.arange(n))
+        draw >>= np.uint64(32)
+        draw *= np.uint64(n)
+        draw >>= np.uint64(32)
+        counts = np.bincount(draw.astype(int), minlength=n)
+    keep = counts.nonzero()[0]
+    keep = keep[np.argsort(view.codes[rows[keep], view.widest],
+                           kind="stable")]
+    return rows[keep], counts[keep], mix_seed(tree_seed, 1)
 
 
 def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
                 growth: tuple, _jobs: int, tasks):
     """map_chunks's function over tasks: grow one tree per task (forest,
-    tree index, rows, forest seed), each drawing its own sample (_Tree),
+    tree index, rows, forest seed), each drawing its own sample (_sample),
     and yield ((forest, tree index), tree, raw importance) as each tree
-    completes.
+    completes, the trees of one pass in the order they started.
 
     labels holds the label of each row of view as booleans. growth,
     ForestConfig.resolve's (k, min_leaf, max_depth), holds for every
     tree. Trees grow together, each by one depth level per pass, and the
     next tree starts while the samples in flight hold fewer than
-    ROWS_IN_FLIGHT distinct rows, so at least one grows. A tree draws the
-    candidates of all its splittable nodes of a level at once from its
-    own stream, and each node's cut depends on its own rows and
-    candidates alone, so a tree is the same however many trees grow
-    beside it and however the passes are cut into sub-steps. Importances
-    are the per-feature sums of sample-weighted impurity decreases, in
-    level order.
+    ROWS_IN_FLIGHT distinct rows, so at least one grows. A tree draws its
+    candidates from its own stream, and each node's cut depends on its own
+    rows and candidates alone, so a tree is the same however many trees
+    grow beside it and however the passes are cut into sub-steps.
+    Importances are the per-feature sums of sample-weighted impurity
+    decreases, in level order.
+
+    The trees in flight are arrays, tree after tree in the order they
+    started, so that no step of a pass loops over them. trees holds per
+    tree its key, candidate seed, keys drawn, sample size with repeats,
+    distinct rows and depth; buffer the samples' rows and counts, permuted
+    in place so that every node's rows are one contiguous range of slots,
+    still in the widest column's order; front the level's nodes, left to
+    right, as a (5, nodes) array of tree, first slot within the tree,
+    slots, rows and positives (with repeats); and levels per pass the tree
+    of each node and a (5, nodes) float array of its rows, positive
+    fraction, feature (-1 for a leaf), threshold and sample-weighted
+    impurity decrease, all exact as floats.
     """
-    n_features = view.n_features
-    tasks = iter(tasks)
-    growing: list[_Tree] = []
-    changed = True
-    rows_in_flight = 0
-    while True:
-        while rows_in_flight < ROWS_IN_FLIGHT:
-            task = next(tasks, None)
-            if task is None:
-                break
-            growing.append(_Tree(*task, bootstrap, view, labels))
-            rows_in_flight += len(growing[-1].sample[0])
-            changed = True
-        if not growing:
-            return
-        if changed:
-            # One buffer of rows and one of counts hold every sample in
-            # flight, so that a sub-step gathers and writes back the slots
-            # of many trees at once.
-            sizes = [len(g.sample[0]) for g in growing]
-            offsets = np.cumsum(sizes) - sizes
-            buffer = [np.concatenate(part)
-                      for part in zip(*(g.sample for g in growing))]
-            for g, o, size in zip(growing, offsets.tolist(), sizes):
-                g.sample = [part[o:o + size] for part in buffer]
-        _grow_level(view, labels, growing, buffer, offsets, *growth)
-        done = [g for g in growing if not g.front.size]
-        growing = [g for g in growing if g.front.size]
-        changed = bool(done)
-        rows_in_flight -= sum(len(g.sample[0]) for g in done)
-        for g in done:
-            yield (g.key, *g.tree(n_features))
-
-
-def _grow_level(view: BinnedMatrix, labels: np.ndarray, growing: list,
-                buffer: list, offsets: np.ndarray, k: int, min_leaf: int,
-                max_depth: float) -> None:
-    """Split the current level of every tree in growing, whose samples lie
-    in buffer at offsets, and make each tree's next level its children."""
-    sizes = [g.front.shape[1] for g in growing]
-    start, slots, n, n_pos = np.concatenate([g.front for g in growing],
-                                            axis=1)
-    node_offset = np.repeat(offsets, sizes)
-    start += node_offset
-    splittable = ((0 < n_pos) & (n_pos < n) & (n >= 2 * min_leaf)
-                  & np.repeat([len(g.levels) < max_depth for g in growing],
-                              sizes))
-    bounds = np.cumsum(sizes) - sizes
-    # Each tree draws a row of keys, one per column, for each of its m
-    # splittable nodes, left to right, from the next m * width values of
-    # its stream; the k smallest keys of a row name the node's k
-    # candidate columns. One call draws the keys of every tree.
+    k, min_leaf, max_depth = growth
     width = view.n_features
-    m = np.add.reduceat(splittable, bounds, dtype=int)
-    first = np.repeat([g.drawn for g in growing] - width * (np.cumsum(m) - m),
-                      m) + width * np.arange(m.sum())
-    seeds = np.repeat(np.array([g.draw_seed for g in growing], np.uint64), m)
-    keys = splitmix64(seeds[:, None], first[:, None] + np.arange(width))
-    for g, nodes in zip(growing, m.tolist()):
-        g.drawn += nodes * width
-    cands = np.argpartition(keys, k - 1, axis=1)[:, :k]
-    cands.sort(axis=1)
+    tasks = iter(tasks)
+    trees = np.zeros(0, [("key", int, 2), ("seed", np.uint64),
+                         ("drawn", int), ("n_total", int), ("size", int),
+                         ("depth", int)])
+    buffer = [np.zeros(0, dtype=int)] * 2
+    front = np.zeros((5, 0), dtype=int)
+    levels = []
+    while True:
+        rows_in_flight = trees["size"].sum()
+        started = []
+        while (rows_in_flight < ROWS_IN_FLIGHT
+               and (task := next(tasks, None)) is not None):
+            started.append((task[:2], *_sample(view, bootstrap, task)))
+            rows_in_flight += len(started[-1][1])
+        if started:
+            new = np.zeros(len(started), trees.dtype)
+            new["key"], rows, counts, new["seed"] = zip(*started)
+            new["size"] = list(map(len, rows))
+            rows, counts = np.concatenate(rows), np.concatenate(counts)
+            first = np.cumsum(new["size"]) - new["size"]
+            new["n_total"], n_pos = np.add.reduceat(
+                [counts, counts * labels[rows]], first, axis=1)
+            front = np.concatenate([front, [
+                len(trees) + np.arange(len(new)), np.zeros_like(first),
+                new["size"], new["n_total"], n_pos]], axis=1)
+            buffer = [np.concatenate(part)
+                      for part in zip(buffer, (rows, counts))]
+            trees = np.concatenate([trees, new])
+            del started, rows, counts  # the samples live in buffer alone
+        if not trees.size:
+            return
 
-    feature = np.full(len(n), -1)
-    threshold = np.zeros(len(n))
-    gain = np.zeros(len(n))
-    slots_left = np.zeros(len(n), dtype=int)
-    n_left = np.zeros(len(n), dtype=int)
-    pos_left = np.zeros(len(n), dtype=int)
-    # A sub-step searches at most STEP_ROWS distinct rows, unless one node
-    # holds more.
-    nodes = splittable.nonzero()[0]
-    ends = np.cumsum(slots[nodes])
-    first = 0
-    while first < len(nodes):
-        rows_before = ends[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(
-            ends, rows_before + STEP_ROWS, side="right")))
-        at = nodes[first:last]
-        (feature[at], threshold[at], gain[at], slots_left[at], n_left[at],
-         pos_left[at]) = _search(view, labels, buffer, start[at], slots[at],
-                                 n[at], n_pos[at], cands[first:last])
-        first = last
+        tree, start, slots, n, n_pos = front
+        first_slot = start + (np.cumsum(trees["size"]) - trees["size"])[tree]
+        splittable = ((0 < n_pos) & (n_pos < n) & (n >= 2 * min_leaf)
+                      & (trees["depth"] < max_depth)[tree])
+        # Each tree draws a row of keys, one per column, for each of its m
+        # splittable nodes, left to right, from the next m * width values
+        # of its stream; the k smallest keys of a row name the node's k
+        # candidate columns. One call draws the keys of every tree, which
+        # are dropped once they have named the candidates.
+        owner = tree[splittable]
+        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+        cands = np.sort(np.argpartition(splitmix64(
+            trees["seed"][owner, None],
+            (trees["drawn"][owner] + width * rank)[:, None] + np.arange(width)
+        ), k - 1, axis=1)[:, :k], axis=1)
+        trees["drawn"] += width * np.bincount(owner, minlength=len(trees))
 
-    split = ((feature >= 0) & (n_left >= min_leaf)
-             & (n - n_left >= min_leaf))
-    start -= node_offset
-    record = np.stack([
-        n, n_pos / n, np.where(split, feature, -1),
-        np.where(split, threshold, 0.0),
-        np.where(split, (n / np.repeat([g.n_total for g in growing], sizes))
-                 * gain, 0.0)])
-    s = split.nonzero()[0]
-    # Children left to right, each split's left child first.
-    children = np.stack([start[s], slots_left[s], n_left[s], pos_left[s],
-                         start[s] + slots_left[s], slots[s] - slots_left[s],
-                         n[s] - n_left[s], n_pos[s] - pos_left[s]],
-                        axis=1).reshape(-1, 4).T
-    child_bounds = 2 * np.concatenate(
-        [[0], np.add.reduceat(split, bounds, dtype=int).cumsum()])
-    bounds = bounds.tolist()
-    child_bounds = child_bounds.tolist()
-    for i, g in enumerate(growing):
-        g.levels.append(record[:, bounds[i]:bounds[i] + sizes[i]].copy())
-        g.front = children[:, child_bounds[i]:child_bounds[i + 1]]
+        feature = np.full(len(n), -1)
+        threshold, gain = np.zeros((2, len(n)))
+        slots_left, n_left, pos_left = np.zeros((3, len(n)), dtype=int)
+        # A sub-step searches at most STEP_ROWS distinct rows, unless one
+        # node holds more.
+        nodes = splittable.nonzero()[0]
+        ends = np.cumsum(slots[nodes])
+        first = 0
+        while first < len(nodes):
+            rows_before = ends[first - 1] if first else 0
+            last = max(first + 1, int(np.searchsorted(
+                ends, rows_before + STEP_ROWS, side="right")))
+            at = nodes[first:last]
+            (feature[at], threshold[at], gain[at], slots_left[at],
+             n_left[at], pos_left[at]) = _search(
+                view, labels, buffer, first_slot[at], slots[at], n[at],
+                n_pos[at], cands[first:last])
+            first = last
+
+        split = ((feature >= 0) & (n_left >= min_leaf)
+                 & (n - n_left >= min_leaf))
+        levels.append((tree.copy(), np.stack([
+            n, n_pos / n, np.where(split, feature, -1),
+            np.where(split, threshold, 0.0),
+            np.where(split, (n / trees["n_total"][tree]) * gain, 0.0)])))
+        s = split.nonzero()[0]
+        # Children left to right, each split's left child first; they come
+        # tree after tree, as their parents do.
+        front = np.stack([tree[s], start[s], slots_left[s], n_left[s],
+                          pos_left[s], tree[s], start[s] + slots_left[s],
+                          slots[s] - slots_left[s], n[s] - n_left[s],
+                          n_pos[s] - pos_left[s]], axis=1).reshape(-1, 5).T
+        trees["depth"] += 1
+
+        # A tree without children is done; its nodes leave the records,
+        # one record at a time, and the trees left are renumbered.
+        live = np.bincount(front[0], minlength=len(trees)) > 0
+        if live.all():
+            continue
+        done = ~live
+        buffer = [part[np.repeat(live, trees["size"])] for part in buffer]
+        renumber = np.cumsum(live) - 1
+        front[0] = renumber[front[0]]
+        ended, kept = [], []
+        for tree, record in levels:
+            out = done[tree]
+            if out.any():
+                ended.append((tree[out], record[:, out]))
+                tree, record = tree[~out], record[:, ~out]
+            if tree.size:
+                kept.append((renumber[tree], record))
+        levels = kept
+        keys = trees["key"][done].tolist()
+        trees = trees[live]
+
+        # The done trees, numbered from 0, and their nodes in level order.
+        tree, record = (np.concatenate(part, axis=-1) for part in zip(*ended))
+        order = np.argsort(tree, kind="stable")
+        tree = (np.cumsum(done) - 1)[tree[order]]
+        n, value, feature, threshold, weighted = record[:, order]
+        feature = feature.astype(np.int32)
+        inner = feature >= 0
+        importance = np.bincount(
+            tree[inner] * width + feature[inner], weights=weighted[inner],
+            minlength=len(keys) * width).reshape(len(keys), width)
+        # Level order lists the children of each level's splits left to
+        # right, so split s (in level order) has children 2s + 1, 2s + 2.
+        first = np.searchsorted(tree, np.arange(len(keys)))
+        splits_before = np.cumsum(inner) - inner
+        left = np.where(inner, 2 * (splits_before
+                                    - splits_before[first][tree]) + 1, -1)
+        arrays = (feature, threshold, left.astype(np.int32), value,
+                  n.astype(np.int32))
+        bounds = np.append(first, len(tree)).tolist()
+        # Each array its own, so that a kept tree holds only its nodes.
+        for key, a, b, raw in zip(keys, bounds, bounds[1:], importance):
+            yield tuple(key), Tree(*(x[a:b].copy() for x in arrays)), raw
 
 
 def _search(view: BinnedMatrix, labels: np.ndarray, buffer: list,
@@ -539,7 +538,7 @@ def fit_forests(matrix: EncodedMatrix, config: ForestConfig, forests,
 
     def trees():
         for f, (rows, seed) in enumerate(forests):
-            rows = np.asarray(rows, dtype=int)
+            rows = row_numbers(rows, ForestError, f"forest {f}'s rows")
             if len(rows) < 2:
                 raise ForestError(f"need at least 2 samples, got {len(rows)}")
             outside = (rows < 0) | (rows >= len(y))

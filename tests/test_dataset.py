@@ -288,6 +288,21 @@ class TestEncode:
             expected = net_iga(tally_alignments(cases_200[i]))
             assert m.X[r, 1] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("rows", [np.arange(12) % 3 == 0,
+                                      [0.5, 1.9, 2.2, 3.7]],
+                             ids=["mask", "floats"])
+    def test_subset_rejects_what_is_not_row_numbers(self, cases_200, rows):
+        # int conversion would read the mask as rows 0 and 1, and the
+        # floats as rows 0-3.
+        m = encode(cases_200[:12], FeatureSetSpec.set_a())
+        with pytest.raises(DatasetError,
+                           match="subset indices must be integer row "
+                                 f"numbers, got {np.asarray(rows).dtype}"):
+            m.subset(rows)
+        assert m.subset([]).n_samples == 0
+        picked = m.subset(np.array([3, 1], dtype=np.int32))
+        assert picked.case_indices.tolist() == [3, 1]
+
 
 class TestSplits:
     def test_small_split(self):

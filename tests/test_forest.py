@@ -587,18 +587,28 @@ class TestFitForests:
         monkeypatch.setattr(forest, "ROWS_IN_FLIGHT", budget)
         searched, in_flight = [], []
         best_cuts = forest._best_cuts
-        grow_level = forest._grow_level
+        sample, grow_trees = forest._sample, forest._grow_trees
+        growing = {}  # distinct rows of each tree started and not done
 
         def spy(view, rows, labels, row_node, node_n, *rest):
             searched.append(len(node_n))
             return best_cuts(view, rows, labels, row_node, node_n, *rest)
 
-        def level_spy(view, labels, growing, *rest):
-            in_flight.append([len(g.sample[0]) for g in growing])
-            return grow_level(view, labels, growing, *rest)
+        def sample_spy(view, bootstrap, task):
+            drawn = sample(view, bootstrap, task)
+            growing[task[:2]] = len(drawn[0])
+            # The rows of the trees in flight, this one last.
+            in_flight.append(list(growing.values()))
+            return drawn
+
+        def grow_spy(*args):
+            for key, *grown in grow_trees(*args):
+                del growing[key]
+                yield key, *grown
 
         monkeypatch.setattr(forest, "_best_cuts", spy)
-        monkeypatch.setattr(forest, "_grow_level", level_spy)
+        monkeypatch.setattr(forest, "_sample", sample_spy)
+        monkeypatch.setattr(forest, "_grow_trees", grow_spy)
         # A sub-step of at most one row searches one node.
         for step_rows in (1, 50, forest.STEP_ROWS):
             monkeypatch.setattr(forest, "STEP_ROWS", step_rows)
@@ -610,8 +620,9 @@ class TestFitForests:
                     list(range(len(forests)))
                 for i, model in together:
                     assert same_forest(model, expected[i]), (step_rows, cfg)
-                # The last tree to start did so while the rows of the
-                # others were under the budget.
+                # Each tree started while the rows of the others were
+                # under the budget.
+                assert not growing
                 assert all(sum(rows) - rows[-1] < budget
                            for rows in in_flight)
                 most, trees = max(map(len, in_flight)), 7 * cfg.n_trees
@@ -655,6 +666,39 @@ class TestFitForests:
         with pytest.raises(ForestError, match=f"row {bad} outside"):
             list(fit_forests(m, ForestConfig(n_trees=2),
                              [([bad, 0, 1, 2], 0)]))
+
+    @pytest.mark.parametrize("rows", [np.arange(12) % 3 == 0,
+                                      [0.5, 1.9, 2.2, 3.7]],
+                             ids=["mask", "floats"])
+    def test_rows_that_are_not_row_numbers_rejected(self, rows):
+        # int conversion would read the mask as 12 copies of rows 0 and 1,
+        # and the floats as rows 0-3.
+        m = matrix_from(np.arange(12.0)[:, None], [0, 1] * 6)
+        with pytest.raises(ForestError,
+                           match="forest 1's rows must be integer row "
+                                 f"numbers, got {np.asarray(rows).dtype}"):
+            list(fit_forests(m, ForestConfig(n_trees=2),
+                             [(range(12), 0), (rows, 1)]))
+        # An empty list is no rows, whatever dtype NumPy gives it.
+        with pytest.raises(ForestError, match="need at least 2 samples, "
+                                              "got 0"):
+            list(fit_forests(m, ForestConfig(n_trees=2), [([], 0)]))
+
+    def test_tree_arrays_own_their_data(self):
+        # A kept tree holds its own nodes and nothing of the trees grown
+        # beside it.
+        m = TestModelIdentity._noisy_matrix()
+        dtypes = {"feature": np.int32, "threshold": np.float64,
+                  "left": np.int32, "value": np.float64,
+                  "n_samples": np.int32}
+        for _, model in fit_forests(m, ForestConfig(n_trees=4),
+                                    self._forests(m.n_samples)):
+            for tree in model.trees:
+                assert len(tree.feature) > 1
+                for name, dtype in dtypes.items():
+                    array = getattr(tree, name)
+                    assert array.base is None, name
+                    assert array.dtype == dtype, name
 
     def test_binning_equals_np_unique_per_column(self):
         rng = np.random.default_rng(5)
