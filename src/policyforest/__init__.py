@@ -21,8 +21,7 @@ _EXPORTS = {
                 "AlignmentTally", "DatasetError", "EncodedMatrix",
                 "FeatureSetSpec", "PolicyCase", "domain_counts", "encode",
                 "load_cases", "mix_seed", "net_iga", "random_split",
-                "rescale_p90", "retrodiction_split", "tally_alignments",
-                "zero_noncommittal"),
+                "retrodiction_split", "tally_alignments"),
     "forest": ("ForestConfig", "ForestError", "ForestModel", "Tree",
                "fit_forest", "fit_forests"),
     "logistic": ("LogisticError", "LogisticModel", "sigmoid"),
@@ -31,8 +30,8 @@ _EXPORTS = {
                 "select_operating_point"),
     "experiments": ("EvalReport", "ExperimentError", "build_set_c",
                     "compare_selectors", "gain_per_ig",
-                    "ig_outcome_correlation", "nonlinearity_case_study",
-                    "rank_igs_by_domain", "run_feature_set_eval"),
+                    "nonlinearity_case_study", "rank_igs_by_domain",
+                    "run_feature_set_eval"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items()
               for name in names}

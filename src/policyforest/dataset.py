@@ -204,22 +204,6 @@ def net_iga(tally: AlignmentTally) -> float:
             - math.log(tally.o2 + 0.5 * tally.o1 + 1.0))
 
 
-def rescale_p90(p: float) -> float:
-    """Affine map of a [0,1] preference fraction onto the IG scale [-2,2]."""
-    if not (0.0 <= p <= 1.0):
-        raise DatasetError(f"p90 value {p!r} outside [0,1]")
-    return 4.0 * p - 2.0
-
-
-def zero_noncommittal(v: float) -> float:
-    """Zero out values in the noncommittal band [-0.4, 0.4] (inclusive).
-
-    Applied only when computing preference-outcome correlations, never to
-    model features.
-    """
-    return 0.0 if abs(v) <= 0.4 else v
-
-
 # ---------------------------------------------------------------------------
 # Feature-set specifications and encoding
 
@@ -275,9 +259,11 @@ class FeatureSetSpec:
 
 
 def check_finite(X: np.ndarray, error: type[Exception]) -> None:
-    """Raise `error` naming the first row and column of the 2-D matrix X
-    that holds NaN or +-inf."""
+    """Raise `error` if X is not a 2-D matrix, or naming its first row and
+    column that holds NaN or +-inf."""
     import numpy as np
+    if X.ndim != 2:
+        raise error(f"expected a 2-D matrix of rows, got a {X.ndim}-D array")
     finite = np.isfinite(X)
     if not finite.all():
         r, c = (int(i) for i in np.argwhere(~finite)[0])

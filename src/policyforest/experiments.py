@@ -331,26 +331,12 @@ def _stance_correlations(X: np.ndarray, y: np.ndarray,
     stances = np.array(X, dtype=float)
     if "P90" in names:
         p = names.index("P90")
-        # dataset.rescale_p90, then dataset.zero_noncommittal, per column.
         stances[:, p] = 4.0 * stances[:, p] - 2.0
         stances[np.abs(stances[:, p]) <= 0.4, p] = 0.0
     at_bats = np.count_nonzero(stances, axis=0)
     sums = np.zeros((2, len(names)))
     np.add.at(sums, y, stances)  # sums[y[i]] += stances[i], i in order
     return 0.5 / np.maximum(at_bats, 1) * (sums[1] - sums[0]), at_bats
-
-
-def ig_outcome_correlation(cases: list[PolicyCase],
-                           feature: str) -> tuple[float | None, int]:
-    """(correlation, at-bats) of one feature's stances with the outcomes
-    of cases, those with a P90 for "P90" (_stance_correlations); (None, 0)
-    when the feature was never at bat."""
-    _check_choice("feature", feature, ("P90", *IG_NAMES))
-    p90 = feature == "P90"
-    m = encode(cases, FeatureSetSpec("custom", p90, False,
-                                     () if p90 else (feature,), "none"))
-    corr, at_bats = _stance_correlations(m.X, m.y, m.column_names)
-    return (float(corr[0]) if at_bats[0] else None), int(at_bats[0])
 
 
 # ---------------------------------------------------------------------------

@@ -619,19 +619,13 @@ PREDICT_PAIRS = 1 << 16
 
 
 def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
-    """Mean over trees of routed-leaf positive fractions.
-
-    Accepts a single row (1-D) or a matrix (2-D); returns a scalar or a
-    vector accordingly.
-    """
+    """Mean over trees of routed-leaf positive fractions, one per row of
+    the 2-D matrix rows."""
     rows = np.asarray(rows, dtype=float)
-    single = rows.ndim == 1
-    if single:
-        rows = rows[None, :]
+    check_finite(rows, ForestError)
     if rows.shape[1] != len(model.column_names):
         raise ForestError(f"row arity {rows.shape[1]} does not match model "
                           f"feature count {len(model.column_names)}")
-    check_finite(rows, ForestError)
     trees = model.trees
     per_block = max(1, PREDICT_PAIRS // max(1, rows.shape[0]))
     acc = np.zeros(rows.shape[0])
@@ -640,5 +634,4 @@ def predict_proba(model: ForestModel, rows: np.ndarray) -> np.ndarray:
     for b in range(0, len(trees), per_block):
         for values in _leaf_values(trees[b:b + per_block], rows):
             acc += values
-    probs = acc / len(trees)
-    return float(probs[0]) if single else probs
+    return acc / len(trees)

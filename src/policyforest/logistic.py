@@ -66,24 +66,12 @@ def _penalized_ll(y, p, beta, l2):
     return ll - 0.5 * l2 * float(beta @ beta)
 
 
-def penalized_log_likelihood(X_std: np.ndarray, y: np.ndarray,
-                             beta: np.ndarray, intercept: float,
-                             l2: float) -> float:
-    """Sum of per-sample Bernoulli log-likelihoods minus (l2/2)|beta|^2."""
-    p = sigmoid(intercept + X_std @ beta)
-    return _penalized_ll(y, p, beta, l2)
-
-
-def log_likelihood_gradient(X_std: np.ndarray, y: np.ndarray,
-                            beta: np.ndarray, intercept: float,
-                            l2: float) -> np.ndarray:
-    """Gradient of the penalized log-likelihood, intercept term first.
-
-    The ridge penalty applies to the coefficients only.
-    """
-    p = sigmoid(intercept + X_std @ beta)
-    resid = y - p
-    return np.concatenate(([resid.sum()], X_std.T @ resid - l2 * beta))
+def _gradient(A: np.ndarray, y: np.ndarray, p: np.ndarray, theta: np.ndarray,
+              pen: np.ndarray) -> np.ndarray:
+    """Gradient of _penalized_ll at theta = [intercept, beta] over the
+    design A = [1, Z], with p = sigmoid(A @ theta) and pen the ridge per
+    entry of theta (0 for the intercept)."""
+    return A.T @ (y - p) - pen * theta
 
 
 def _hessian(A: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -132,7 +120,7 @@ def fit(matrix: EncodedMatrix) -> LogisticModel:
     converged = False
     for _ in range(MAX_ITERS):
         history.append(ll)
-        grad = A.T @ (y - p) - pen * theta
+        grad = _gradient(A, y, p, theta, pen)
         if np.linalg.norm(grad) < TOLERANCE:
             converged = True
             break
@@ -158,7 +146,7 @@ def fit(matrix: EncodedMatrix) -> LogisticModel:
         theta, p, ll = cand, p_c, ll_c
 
     if not converged:
-        grad = A.T @ (y - p) - pen * theta
+        grad = _gradient(A, y, p, theta, pen)
         converged = bool(np.linalg.norm(grad) < TOLERANCE)
 
     return LogisticModel(beta=theta[1:], intercept=float(theta[0]),
@@ -168,17 +156,13 @@ def fit(matrix: EncodedMatrix) -> LogisticModel:
 
 
 def predict_proba(model: LogisticModel, rows: np.ndarray,
-                  input_columns: list[str] | None = None):
-    """sigma(intercept + beta . standardize(row)).
-
-    Accepts a single row or a matrix whose columns are the model's
-    retained columns; pass input_columns when the input still includes
-    columns that were dropped as constant at fit time.
+                  input_columns: list[str] | None = None) -> np.ndarray:
+    """sigma(intercept + beta . standardize(row)) for each row of the 2-D
+    matrix rows, whose columns are the model's retained columns; pass
+    input_columns when the input still includes columns that were dropped
+    as constant at fit time.
     """
     rows = np.asarray(rows, dtype=float)
-    single = rows.ndim == 1
-    if single:
-        rows = rows[None, :]
     check_finite(rows, LogisticError)
     if input_columns is not None and input_columns != model.column_names:
         try:
@@ -190,5 +174,4 @@ def predict_proba(model: LogisticModel, rows: np.ndarray,
         raise LogisticError(f"row arity {rows.shape[1]} does not match model "
                             f"feature count {len(model.column_names)}")
     z = (rows - model.means) / model.stds
-    p = sigmoid(model.intercept + z @ model.beta)
-    return float(p[0]) if single else p
+    return sigmoid(model.intercept + z @ model.beta)

@@ -67,6 +67,27 @@ def same_forest(a, b):
             and a.column_names == b.column_names)
 
 
+def loop_stance_correlation(cases, feature):
+    """(corr, at-bats) of one feature's stances with the outcomes of cases,
+    one case at a time: a P90 stance is 4 * p90 - 2, zeroed in the
+    noncommittal band [-0.4, 0.4]; an IG's is its alignment. at-bats
+    counts the non-zero stances, and corr is 0.5 / at-bats times the sum
+    of the stances on adopted cases minus those on rejected ones, or 0.0
+    with no at-bats."""
+    total, at_bats = 0.0, 0
+    for c in cases:
+        if feature == "P90":
+            v = 4 * c.p90 - 2
+            if abs(v) <= 0.4:
+                v = 0.0
+        else:
+            v = c.alignment(feature)
+        if v != 0:
+            at_bats += 1
+            total += v if c.outcome == 1 else -v
+    return (0.5 * total / at_bats if at_bats else 0.0), at_bats
+
+
 def brute_force_best_split(X, y, features):
     """Enumerate every (feature, midpoint) pair; mirror of the production
     gain formula so float results are comparable exactly."""

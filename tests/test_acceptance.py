@@ -19,18 +19,16 @@ from policyforest.dataset import (IG_NAMES, AlignmentTally, EncodedMatrix,
                                   FeatureSetSpec, PolicyCase, load_cases,
                                   net_iga)
 from policyforest.experiments import (build_set_c, compare_selectors,
-                                      ig_outcome_correlation,
                                       nonlinearity_case_study,
                                       rank_igs_by_domain,
                                       run_feature_set_eval)
 from policyforest.forest import ForestConfig, fit_forest
-from policyforest.logistic import (fit, log_likelihood_gradient,
-                                   penalized_log_likelihood)
+from policyforest.logistic import _gradient, _penalized_ll, fit, sigmoid
 from policyforest.metrics import (balanced_accuracy, confusion_at_threshold,
                                   roc_and_auc, select_operating_point)
-from conftest import (brute_force_best_split, make_cases, same_forest,
-                      stump_split)
-from test_experiments import three_region_cases
+from conftest import (brute_force_best_split, loop_stance_correlation,
+                      make_cases, same_forest, stump_split)
+from test_experiments import rank_stances, three_region_cases
 
 DATA_ENV = "POLICY_CASES_CSV"
 HAVE_DATA = os.environ.get(DATA_ENV, "") != ""
@@ -115,6 +113,8 @@ def test_operating_point_oracle():
 
 @criterion(4, "logistic gradient matches finite differences")
 def test_logistic_gradient():
+    # fit's gradient, against central differences of the objective its
+    # line search computes, over the design A = [1, Z].
     rng = np.random.default_rng(104)
     h = 1e-6
     for _ in range(50):
@@ -124,18 +124,16 @@ def test_logistic_gradient():
         beta = rng.normal(size=d)
         intercept = float(rng.normal())
         l2 = float(rng.uniform(0, 0.1))
-        g = log_likelihood_gradient(Z, y, beta, intercept, l2)
-        fd = np.empty(d + 1)
-        fd[0] = (penalized_log_likelihood(Z, y, beta, intercept + h, l2)
-                 - penalized_log_likelihood(Z, y, beta, intercept - h, l2)
-                 ) / (2 * h)
-        for j in range(d):
-            e = np.zeros(d)
-            e[j] = h
-            fd[j + 1] = (
-                penalized_log_likelihood(Z, y, beta + e, intercept, l2)
-                - penalized_log_likelihood(Z, y, beta - e, intercept, l2)
-            ) / (2 * h)
+        A = np.hstack([np.ones((n, 1)), Z])
+        theta = np.concatenate(([intercept], beta))
+        pen = np.concatenate(([0.0], np.full(d, l2)))
+        g = _gradient(A, y, sigmoid(A @ theta), theta, pen)
+
+        def objective(t):
+            return _penalized_ll(y, sigmoid(A @ t), t[1:], l2)
+
+        fd = np.array([(objective(theta + e) - objective(theta - e)) / (2 * h)
+                       for e in h * np.eye(d + 1)])
         denom = np.maximum(np.abs(g), 1e-3)
         assert np.all(np.abs(g - fd) / denom <= 1e-5)
     # the optimizer never decreases its objective
@@ -240,23 +238,13 @@ def test_stance_identities():
         return PolicyCase("x", 1990, outcome, tuple(align), "Guns", "Guns",
                           p90=0.5)
 
-    corr, at_bats = ig_outcome_correlation([one(1, 2)], "AARP")
-    assert (corr, at_bats) == (1.0, 1)
-    corr, _ = ig_outcome_correlation([one(1, 2), one(0, 2)], "AARP")
-    assert corr == 0.0
+    assert rank_stances([one(1, 2)])["AARP"] == (1.0, 1)
+    assert rank_stances([one(1, 2), one(0, 2)])["AARP"][0] == 0.0
     cases = make_cases(60, seed=31)
-    for name in (IG_NAMES[0], "P90"):
-        corr, at_bats = ig_outcome_correlation(cases, name)
-        total, count = 0.0, 0
-        for c in cases:
-            v = c.alignment(name) if name != "P90" else 4 * c.p90 - 2
-            if name == "P90" and abs(v) <= 0.4:
-                v = 0.0
-            if v != 0:
-                count += 1
-                total += v if c.outcome == 1 else -v
+    for name, (corr, at_bats) in rank_stances(cases).items():
+        expected, count = loop_stance_correlation(cases, name)
         assert at_bats == count
-        assert abs(corr - 0.5 * total / count) <= 1e-12
+        assert abs(corr - expected) <= 1e-12
 
 
 # ---------------------------------------------------------------------------

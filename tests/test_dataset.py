@@ -10,10 +10,11 @@ from policyforest.dataset import (IG_NAMES, PA_LABELS, PA_TO_PD, PD_LABELS,
                                   AlignmentTally, DatasetError, FeatureSetSpec,
                                   PolicyCase, canonical_header, domain_counts,
                                   dump_cases, encode, load_cases, net_iga,
-                                  parse_name_map, random_split, rescale_p90,
+                                  parse_name_map, random_split,
                                   retrodiction_split, splitmix64,
-                                  tally_alignments, zero_noncommittal)
+                                  tally_alignments)
 from policyforest.cli import main
+from policyforest.experiments import _stance_correlations
 from conftest import make_cases, splitmix64_draw
 
 
@@ -218,29 +219,33 @@ class TestTally:
                 counts[2], counts[1], counts[-2], counts[-1])
 
 
+def p90_stance(p):
+    """The stance a P90 value p takes in rank's correlations: twice the
+    correlation of one adopted case."""
+    corr, _ = _stance_correlations(np.array([[p]]), np.array([1]), ["P90"])
+    return 2.0 * corr[0]
+
+
 class TestRescaleAndBand:
+    """A P90 fraction maps onto the IG scale [-2, 2], and stances in the
+    noncommittal band [-0.4, 0.4] count as no stance."""
+
     @pytest.mark.parametrize("p,expected", [(0.5, 0.0), (1.0, 2.0),
                                             (0.25, -1.0), (0.0, -2.0)])
     def test_rescale(self, p, expected):
-        assert rescale_p90(p) == expected
-
-    def test_rescale_out_of_range(self):
-        with pytest.raises(DatasetError):
-            rescale_p90(1.5)
+        assert p90_stance(p) == expected
 
     @pytest.mark.parametrize("v,expected", [(0.3, 0.0), (-0.4, 0.0),
                                             (0.4, 0.0), (1.5, 1.5),
                                             (-0.41, -0.41)])
     def test_band(self, v, expected):
-        assert zero_noncommittal(v) == expected
-
-    @given(st.floats(-2, 2))
-    def test_band_idempotent(self, v):
-        assert zero_noncommittal(zero_noncommittal(v)) == zero_noncommittal(v)
+        # The P90 fraction whose rescaled value is v, up to rounding.
+        assert p90_stance((v + 2) / 4) == pytest.approx(expected, abs=1e-12)
 
     @given(st.floats(0, 1))
     def test_rescale_affine(self, p):
-        assert rescale_p90(p) == 4.0 * p - 2.0
+        v = 4.0 * p - 2.0
+        assert p90_stance(p) == (0.0 if abs(v) <= 0.4 else v)
 
 
 class TestEncode:

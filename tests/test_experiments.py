@@ -7,18 +7,16 @@ from policyforest import experiments, forest
 from policyforest.cli import main
 from policyforest.dataset import (IG_NAMES, PD_LABELS, FeatureSetSpec,
                                   PolicyCase, dump_cases, encode,
-                                  random_split, rescale_p90,
-                                  zero_noncommittal)
+                                  random_split)
 from policyforest.experiments import (TRAIN_FRACTION, CaseStudyPoint,
                                       CaseStudyReport, ExperimentError,
                                       build_set_c,
                                       compare_selectors, gain_per_ig,
-                                      ig_outcome_correlation,
                                       nonlinearity_case_study,
                                       rank_igs_by_domain,
                                       run_feature_set_eval)
 from policyforest.forest import ForestConfig, mix_seed
-from conftest import make_cases
+from conftest import loop_stance_correlation, make_cases
 
 FAST_FOREST = ForestConfig(n_trees=15, min_samples_leaf=2)
 
@@ -162,53 +160,41 @@ class TestRunFeatureSetEval:
             sum(c.year >= 1997 for c in cases)
 
 
+def rank_stances(cases):
+    """{feature: (corr, at-bats)} over those of cases that have a P90, as
+    rank computes them on a split's test rows."""
+    m = encode(cases, experiments._RANKING_SPEC)
+    corr, at_bats = experiments._stance_correlations(m.X, m.y,
+                                                     m.column_names)
+    return {name: (float(c), int(n))
+            for name, c, n in zip(m.column_names, corr, at_bats)}
+
+
 class TestIgOutcomeCorrelation:
     def test_single_strong_favor_adopted(self):
         align = np.zeros(len(IG_NAMES), dtype=int)
         align[IG_NAMES.index(NRA)] = 2
-        corr, at_bats = ig_outcome_correlation(
-            [_case(0, 1, 0.5, align)], NRA)
-        assert corr == 1.0
-        assert at_bats == 1
+        assert rank_stances([_case(0, 1, 0.5, align)])[NRA] == (1.0, 1)
 
     def test_cancellation(self):
         align = np.zeros(len(IG_NAMES), dtype=int)
         align[IG_NAMES.index(NRA)] = 2
         cases = [_case(0, 1, 0.5, align), _case(1, 0, 0.5, align)]
-        corr, at_bats = ig_outcome_correlation(cases, NRA)
-        assert corr == 0.0
-        assert at_bats == 2
+        assert rank_stances(cases)[NRA] == (0.0, 2)
 
     def test_matches_loop_oracle(self):
-        cases = make_cases(80, seed=3)
-        for feature in [NRA, DEFENSE, "P90"]:
-            corr, at_bats = ig_outcome_correlation(cases, feature)
-            total, count = 0.0, 0
-            for c in cases:
-                if feature == "P90":
-                    v = 4 * c.p90 - 2
-                    if abs(v) <= 0.4:
-                        v = 0.0
-                else:
-                    v = c.alignment(feature)
-                if v != 0:
-                    count += 1
-                    total += v if c.outcome == 1 else -v
-            if count == 0:
-                assert corr is None
-            else:
-                assert at_bats == count
-                assert corr == pytest.approx(0.5 * total / count, abs=1e-12)
+        cases = make_cases(80, seed=3, missing_p90_every=9)
+        with_p90 = [c for c in cases if c.p90 is not None]
+        stances = rank_stances(cases)
+        assert list(stances) == ["P90", *IG_NAMES]
+        for feature, (corr, at_bats) in stances.items():
+            expected, count = loop_stance_correlation(with_p90, feature)
+            assert at_bats == count
+            assert corr == pytest.approx(expected, abs=1e-12)
 
     def test_never_at_bat(self):
         align = np.zeros(len(IG_NAMES), dtype=int)
-        corr, at_bats = ig_outcome_correlation([_case(0, 1, 0.5, align)], NRA)
-        assert corr is None
-        assert at_bats == 0
-
-    def test_unknown_feature(self):
-        with pytest.raises(ExperimentError):
-            ig_outcome_correlation([], "Not A Group")
+        assert rank_stances([_case(0, 1, 0.5, align)])[NRA] == (0.0, 0)
 
 
 class TestRankSummaries:
@@ -239,7 +225,9 @@ class TestRankSummaries:
         # sum of the stances.
         corr, at_bats = experiments._stance_correlations(
             p90[:, None], np.ones(len(p90), dtype=int), ["P90"])
-        stances = [zero_noncommittal(rescale_p90(v)) for v in p90]
+        # The stance scale is [-2, 2], its band [-0.4, 0.4] zeroed.
+        stances = [0.0 if abs(4.0 * v - 2.0) <= 0.4 else 4.0 * v - 2.0
+                   for v in p90]
         total = 0.0
         for v in stances:
             total += v
@@ -327,14 +315,17 @@ class TestRankIgsByDomain:
                                   forest_config=FAST_FOREST)["Misc"]
         sub = [c for c in cases_200
                if c.policy_domain == "Misc" and c.p90 is not None]
-        tests = [[sub[i] for i in random_split(
-                     len(sub), TRAIN_FRACTION, mix_seed(seed, j))[1]]
-                 for j in range(n_splits)]
+        m = encode(sub, experiments._RANKING_SPEC)
+        per_split = [experiments._stance_correlations(
+                         m.X[test], m.y[test], m.column_names)
+                     for test in (random_split(len(sub), TRAIN_FRACTION,
+                                               mix_seed(seed, j))[1]
+                                  for j in range(n_splits))]
         for row in rows:
-            per_split = [ig_outcome_correlation(t, row.feature)
-                         for t in tests]
-            corrs = [corr for corr, _ in per_split if corr is not None]
-            assert row.at_bats_mean == np.mean([n for _, n in per_split])
+            f = m.column_names.index(row.feature)
+            corrs = [corr[f] for corr, at_bats in per_split if at_bats[f]]
+            assert row.at_bats_mean == np.mean([at_bats[f]
+                                                for _, at_bats in per_split])
             assert row.correlation_mean == (np.mean(corrs) if corrs
                                             else None)
 

@@ -416,6 +416,13 @@ class TestFitForest:
         with pytest.raises(ForestError, match="arity"):
             predict_proba(model, np.zeros((2, 5)))
 
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (3,), ()],
+                             ids=["3-D", "1-D", "0-D"])
+    def test_rows_other_than_a_matrix_rejected(self, shape):
+        model = fit_forest(_separable_matrix(), ForestConfig(n_trees=3))
+        with pytest.raises(ForestError, match=f"got a {len(shape)}-D "):
+            predict_proba(model, np.zeros(shape))
+
 
 def _absolute(jobs, chunk):
     """A map_chunks fn that records the jobs it was handed."""
@@ -756,7 +763,7 @@ class TestNonFiniteInput:
         with pytest.raises(ForestError, match="row 4, column 2"):
             fit_forest(matrix_from(X, y), cfg)
         with pytest.raises(ForestError, match="row 0, column 1"):
-            predict_proba(model, np.array([0.0, bad, 0.0]))
+            predict_proba(model, np.array([[0.0, bad, 0.0]]))
         with pytest.raises(ForestError, match="row 4, column 2"):
             predict_proba(model, X)
 

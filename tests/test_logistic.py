@@ -10,10 +10,8 @@ import policyforest
 from policyforest import logistic
 from policyforest.dataset import EncodedMatrix
 from policyforest.logistic import (MAX_ITERS, TOLERANCE, LogisticError,
-                                   LogisticModel, _penalized_ll, fit,
-                                   log_likelihood_gradient,
-                                   penalized_log_likelihood, predict_proba,
-                                   sigmoid)
+                                   LogisticModel, _gradient, _penalized_ll,
+                                   fit, predict_proba, sigmoid)
 
 
 def matrix_from(X, y):
@@ -21,6 +19,14 @@ def matrix_from(X, y):
     y = np.asarray(y, dtype=int)
     return EncodedMatrix(X, y, [f"f{i}" for i in range(X.shape[1])],
                          np.arange(len(y)))
+
+
+def ascent_terms(Z, beta, intercept, l2):
+    """fit's design A = [1, Z] over the standardized columns Z, its theta
+    = [intercept, beta], and the ridge on each entry of theta."""
+    return (np.hstack([np.ones((len(Z), 1)), Z]),
+            np.concatenate(([intercept], beta)),
+            np.concatenate(([0.0], np.full(Z.shape[1], l2))))
 
 
 def by_magnitude(model):
@@ -136,8 +142,9 @@ class TestFit:
         model = fit(matrix_from(X, y))
         assert model.converged
         Z = (X - X.mean(axis=0)) / X.std(axis=0)
-        g = log_likelihood_gradient(Z, y, model.beta, model.intercept,
-                                    logistic.L2)
+        A, theta, pen = ascent_terms(Z, model.beta, model.intercept,
+                                     logistic.L2)
+        g = _gradient(A, y, sigmoid(A @ theta), theta, pen)
         assert np.linalg.norm(g) < TOLERANCE
 
     def test_log_likelihood_nondecreasing(self):
@@ -273,7 +280,7 @@ class TestValidation:
         with pytest.raises(LogisticError, match="row 5, column 2"):
             predict_proba(model, X)
         with pytest.raises(LogisticError, match="row 0, column 0"):
-            predict_proba(model, X[9])
+            predict_proba(model, X[9:10])
         # Columns are named in the caller's input, before selection.
         wide = np.hstack([np.zeros((40, 1)), X])
         with pytest.raises(LogisticError, match="row 5, column 3"):
@@ -282,6 +289,8 @@ class TestValidation:
 
 class TestGradientCheck:
     def test_matches_finite_differences(self):
+        # fit's gradient, against central differences of the objective
+        # its line search computes.
         rng = np.random.default_rng(9)
         for _ in range(10):
             n, d = int(rng.integers(5, 30)), int(rng.integers(1, 5))
@@ -290,20 +299,15 @@ class TestGradientCheck:
             beta = rng.normal(size=d)
             intercept = float(rng.normal())
             l2 = float(rng.uniform(0, 0.1))
-            g = log_likelihood_gradient(Z, y, beta, intercept, l2)
+            A, theta, pen = ascent_terms(Z, beta, intercept, l2)
+            g = _gradient(A, y, sigmoid(A @ theta), theta, pen)
             h = 1e-6
-            # intercept component
-            fd0 = (penalized_log_likelihood(Z, y, beta, intercept + h, l2)
-                   - penalized_log_likelihood(Z, y, beta, intercept - h, l2)
-                   ) / (2 * h)
-            assert fd0 == pytest.approx(g[0], rel=1e-5, abs=1e-7)
-            for j in range(d):
-                e = np.zeros(d)
-                e[j] = h
-                fd = (penalized_log_likelihood(Z, y, beta + e, intercept, l2)
-                      - penalized_log_likelihood(Z, y, beta - e, intercept,
-                                                 l2)) / (2 * h)
-                assert fd == pytest.approx(g[j + 1], rel=1e-5, abs=1e-7)
+            for j, e in enumerate(h * np.eye(d + 1)):
+                fd = (_penalized_ll(y, sigmoid(A @ (theta + e)),
+                                    (theta + e)[1:], l2)
+                      - _penalized_ll(y, sigmoid(A @ (theta - e)),
+                                      (theta - e)[1:], l2)) / (2 * h)
+                assert fd == pytest.approx(g[j], rel=1e-5, abs=1e-7)
 
 
 class TestPredictAndRanking:
@@ -318,22 +322,30 @@ class TestPredictAndRanking:
 
     def test_zero_model_gives_half(self):
         model = self._manual_model([0.0, 0.0])
-        assert predict_proba(model, np.array([3.0, -1.0])) == 0.5
+        assert predict_proba(model, np.array([[3.0, -1.0]])).tolist() == [0.5]
 
     def test_large_intercept_saturates(self):
         model = self._manual_model([0.0], intercept=50.0)
-        assert predict_proba(model, np.array([0.0])) > 0.999999
+        assert predict_proba(model, np.zeros((1, 1)))[0] > 0.999999
 
     def test_hand_computed_example(self):
         model = self._manual_model([1.0, -2.0], intercept=0.5)
-        row = np.array([2.0, 1.0])
+        rows = np.array([[2.0, 1.0]])
         expected = sigmoid(0.5 + 1.0 * 2.0 - 2.0 * 1.0)
-        assert predict_proba(model, row) == pytest.approx(expected, abs=1e-15)
+        assert predict_proba(model, rows)[0] == pytest.approx(expected,
+                                                              abs=1e-15)
 
     def test_arity_mismatch(self):
         model = self._manual_model([1.0, 2.0])
         with pytest.raises(LogisticError, match="arity"):
-            predict_proba(model, np.zeros(3))
+            predict_proba(model, np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("shape", [(2, 3, 3), (3,), ()],
+                             ids=["3-D", "1-D", "0-D"])
+    def test_rows_other_than_a_matrix_rejected(self, shape):
+        model = self._manual_model([1.0, 2.0, 3.0])
+        with pytest.raises(LogisticError, match=f"got a {len(shape)}-D "):
+            predict_proba(model, np.zeros(shape))
 
     def test_ranking_by_magnitude(self):
         model = self._manual_model([0.1, -3.0, 0.0])
