@@ -77,7 +77,7 @@ def _forest_config(args: argparse.Namespace):
     from .experiments import check_k, check_positive
     from .forest import ForestConfig
     for flag in ("--jobs", "--runs", "--selection-splits", "--min-test-cases",
-                 "--top"):
+                 "--top", "--trees", "--min-leaf", "--max-depth"):
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None:
             check_positive(flag, value)

@@ -74,8 +74,9 @@ GAIN_EPS = 1e-12
 
 # Distinct sample rows of the trees grown at once, one depth level per
 # pass (trees start while fewer are in flight; about 32 Set D eval trees),
-# and the distinct rows one sub-step of a pass may search. More of either
-# spreads the per-call NumPy cost over more nodes but holds more memory.
+# and the distinct rows whose (row, candidate) cells one sub-step of a
+# pass's search tables. More trees in flight spread each pass's NumPy
+# calls over more nodes; both hold more memory as they grow.
 ROWS_IN_FLIGHT = 23_000
 STEP_ROWS = 3072
 
@@ -182,18 +183,23 @@ class BinnedMatrix:
 def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
                row_node: np.ndarray, node_n: np.ndarray,
                node_pos: np.ndarray, cands: np.ndarray, counts: np.ndarray):
-    """Best cut of each node of one growth step, all nodes at once.
+    """Best cut of each splittable node of one growth pass, all at once.
 
     rows holds the nodes' distinct rows back to back, each node's in the
     order of view's widest column; counts their repeats, labels their
     labels as booleans and row_node the node of each. Node i has node_n[i]
     rows, node_pos[i] of them positive, repeats included. cands[i] holds
     node i's candidate columns in ascending order. Each (node, candidate)
-    lane sums the counts of its rows, and of its positive rows, per value
-    of its column, in one table for all lanes: a lane of the widest
-    column has one slot per run of equal values in its node, any other
-    lane one slot per bin of its column. Each cut lies between two
-    adjacent values present in its node.
+    lane sums the counts of its rows, per value of its column and label,
+    in one table for all lanes: a lane of the widest column has one slot
+    per run of equal values in its node, any other lane one slot per bin
+    of its column. Each cut lies between two adjacent values present in
+    its node.
+
+    Only the table is built in sub-steps (_table_cells), of whole nodes
+    left to right with at most STEP_ROWS distinct rows between them, a
+    larger node alone, since their (row, candidate) cells are the largest
+    arrays of the search; every other step runs once over all the nodes.
 
     Returns per node (feature, threshold, gain): the cut with the largest
     weighted Gini decrease, ties to the lowest column, then the lowest
@@ -224,24 +230,36 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
         view.bin_start[lane_feature + 1] - view.bin_start[lane_feature])
     lane_table = np.cumsum(lane_bins) - lane_bins
     size = int(lane_bins.sum())
-    # Code of each (row, candidate) cell, in node then column order; in
-    # the widest column, the rank of the row's run in its node.
+    # The cells of the widest column, as row * k + j for the node's
+    # candidate j, and the rank of each one's run in its node, which
+    # stands for its code.
+    wide_cells = wide_rows * k + at_wide.argmax(axis=1)[wide_node]
+    wide_ranks = np.cumsum(new_run) - 1 - first_run[wide_node]
+    # Slot 2s of the table sums negative rows, 2s + 1 positive ones, so
+    # each sub-step's lanes fill one contiguous slice. The sums stay
+    # within k times the nodes' rows, repeats included, far under 2**53,
+    # so its floats are exact integers.
+    table = np.zeros(2 * size)
     node_slots = np.bincount(row_node, minlength=m)
-    cell = np.repeat(cands, node_slots, axis=0)
-    cell += (rows * view.n_features)[:, None]
-    code = view.codes.ravel()[cell]
-    np.put(code, wide_rows * k + at_wide.argmax(axis=1)[wide_node],
-           np.cumsum(new_run) - 1 - first_run[wide_node])
-    # A positive row's cells count size slots higher. The running sums
-    # over the table stay within k times the nodes' rows, repeats
-    # included, far under 2**53, so its floats are exact integers.
-    key = np.repeat(lane_table.reshape(m, k), node_slots, axis=0)
-    key += (size * labels)[:, None]
-    key += code
-    table = np.bincount(key.ravel(), np.repeat(counts.astype(float), k),
-                        minlength=2 * size)
-    pos = table[size:]
-    total = table[:size] + pos
+    ends = np.cumsum(node_slots)
+    first = 0
+    while first < m:
+        row_a = ends[first - 1] if first else 0
+        last = max(first + 1, int(np.searchsorted(
+            ends, row_a + STEP_ROWS, side="right")))
+        row_b = ends[last - 1]
+        base = lane_table[first * k]
+        wide_a, wide_b = np.searchsorted(wide_cells, [row_a * k, row_b * k])
+        step = _table_cells(
+            view, rows[row_a:row_b], labels[row_a:row_b],
+            counts[row_a:row_b], cands[first:last], node_slots[first:last],
+            lane_table[first * k:last * k].reshape(-1, k) - base,
+            wide_cells[wide_a:wide_b] - row_a * k,
+            wide_ranks[wide_a:wide_b])
+        table[2 * base:2 * base + len(step)] = step
+        first = last
+    pos = table[1::2]
+    total = table[::2] + pos
     present = total.nonzero()[0]
     lane = np.searchsorted(lane_table, present, side="right") - 1
     # Every lane holds all of its node's rows, so the running counts over
@@ -250,23 +268,21 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     lane_pos = np.repeat(node_pos, k)
     n_left = total[present].cumsum() - (np.cumsum(lane_n) - lane_n)[lane]
     pos_left = pos[present].cumsum() - (np.cumsum(lane_pos) - lane_pos)[lane]
+    del table, pos, total
     cut = (n_left < lane_n[lane]).nonzero()[0]
     if cut.size == 0:
         return feature, threshold, gain_out
     cut_lane = lane[cut]
     node = cut_lane // k
     n = node_n[node]
-    n_pos = node_pos[node]
     n_left = n_left[cut]
-    pos_left = pos_left[cut]
-    p = n_pos / n
-    parent = 2.0 * p * (1.0 - p)
     n_right = n - n_left
-    pos_right = n_pos - pos_left
-    p_l = pos_left / n_left
-    p_r = pos_right / n_right
-    gain = parent - (n_left / n) * 2 * p_l * (1 - p_l) \
-                  - (n_right / n) * 2 * p_r * (1 - p_r)
+    p_l = pos_left[cut] / n_left
+    p_r = (node_pos[node] - pos_left[cut]) / n_right
+    p = node_pos / node_n
+    gain = (2.0 * p * (1.0 - p))[node] \
+        - (n_left / n) * 2 * p_l * (1 - p_l) \
+        - (n_right / n) * 2 * p_r * (1 - p_r)
 
     # Cuts come in (node, column, value) order: each node's first maximum
     # is its tie-broken best.
@@ -292,6 +308,31 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
                            + view.bin_values[view.bin_start[col] + high])
     gain_out[at] = np.where(positive, best, 0.0)
     return feature, threshold, gain_out
+
+
+def _table_cells(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
+                 counts: np.ndarray, cands: np.ndarray, slots: np.ndarray,
+                 lanes: np.ndarray, wide_cells: np.ndarray,
+                 wide_ranks: np.ndarray) -> np.ndarray:
+    """One sub-step of _best_cuts's table: the counts of its nodes' rows
+    summed per (lane, code, label), its own slice of the table numbered
+    from 0 and ending at its last non-zero slot.
+
+    Node i holds the next slots[i] of rows, with their labels and counts,
+    and searches the columns cands[i], whose lanes start at slot lanes[i]
+    of the slice. A cell in wide_cells, row * k + j for its node's
+    candidate j, has the code in wide_ranks in place of its bin.
+    """
+    cell = np.repeat(cands, slots, axis=0)
+    cell += (rows * view.n_features)[:, None]
+    key = view.codes.ravel()[cell]
+    del cell
+    np.put(key, wide_cells, wide_ranks)
+    key += np.repeat(lanes, slots, axis=0)
+    key <<= 1
+    key |= labels[:, None]
+    return np.bincount(key.ravel(), np.repeat(counts.astype(float),
+                                              cands.shape[1]))
 
 
 def _sample(view: BinnedMatrix, bootstrap: bool, task) -> tuple:
@@ -330,24 +371,26 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
     ForestConfig.resolve's (k, min_leaf, max_depth), holds for every
     tree. Trees grow together, each by one depth level per pass, and the
     next tree starts while the samples in flight hold fewer than
-    ROWS_IN_FLIGHT distinct rows, so at least one grows. A tree draws its
+    ROWS_IN_FLIGHT distinct rows, so at least one grows. Each pass
+    searches all its splittable nodes in one _search call. A tree draws its
     candidates from its own stream, and each node's cut depends on its own
     rows and candidates alone, so a tree is the same however many trees
-    grow beside it and however the passes are cut into sub-steps.
+    grow beside it and however a pass's table is cut into sub-steps.
     Importances are the per-feature sums of sample-weighted impurity
     decreases, in level order.
 
     The trees in flight are arrays, tree after tree in the order they
     started, so that no step of a pass loops over them. trees holds per
     tree its key, candidate seed, keys drawn, sample size with repeats,
-    distinct rows and depth; buffer the samples' rows and counts, permuted
-    in place so that every node's rows are one contiguous range of slots,
-    still in the widest column's order; front the level's nodes, left to
-    right, as a (5, nodes) array of tree, first slot within the tree,
-    slots, rows and positives (with repeats); and levels per pass the tree
-    of each node and a (5, nodes) float array of its rows, positive
-    fraction, feature (-1 for a leaf), threshold and sample-weighted
-    impurity decrease, all exact as floats.
+    distinct rows and depth; buffer the samples' rows and counts as int32,
+    permuted in place so that every node's rows are one contiguous range
+    of slots, still in the widest column's order; front the level's nodes,
+    left to right, as a (5, nodes) array of tree, first slot within the
+    tree, slots, rows and positives (with repeats); and levels records,
+    each the tree of each node and a (5, nodes) float array of its rows,
+    positive fraction, feature (-1 for a leaf), threshold and
+    sample-weighted impurity decrease, all exact as floats: one record of
+    the nodes grown before a tree last ended, then one per pass since.
     """
     k, min_leaf, max_depth = growth
     width = view.n_features
@@ -355,7 +398,7 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
     trees = np.zeros(0, [("key", int, 2), ("seed", np.uint64),
                          ("drawn", int), ("n_total", int), ("size", int),
                          ("depth", int)])
-    buffer = [np.zeros(0, dtype=int)] * 2
+    buffer = [np.zeros(0, dtype=np.int32)] * 2
     front = np.zeros((5, 0), dtype=int)
     levels = []
     while True:
@@ -376,7 +419,7 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
             front = np.concatenate([front, [
                 len(trees) + np.arange(len(new)), np.zeros_like(first),
                 new["size"], new["n_total"], n_pos]], axis=1)
-            buffer = [np.concatenate(part)
+            buffer = [np.concatenate(part, dtype=np.int32)
                       for part in zip(buffer, (rows, counts))]
             trees = np.concatenate([trees, new])
             del started, rows, counts  # the samples live in buffer alone
@@ -403,21 +446,12 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
         feature = np.full(len(n), -1)
         threshold, gain = np.zeros((2, len(n)))
         slots_left, n_left, pos_left = np.zeros((3, len(n)), dtype=int)
-        # A sub-step searches at most STEP_ROWS distinct rows, unless one
-        # node holds more.
-        nodes = splittable.nonzero()[0]
-        ends = np.cumsum(slots[nodes])
-        first = 0
-        while first < len(nodes):
-            rows_before = ends[first - 1] if first else 0
-            last = max(first + 1, int(np.searchsorted(
-                ends, rows_before + STEP_ROWS, side="right")))
-            at = nodes[first:last]
+        at = splittable.nonzero()[0]
+        if at.size:
             (feature[at], threshold[at], gain[at], slots_left[at],
              n_left[at], pos_left[at]) = _search(
                 view, labels, buffer, first_slot[at], slots[at], n[at],
-                n_pos[at], cands[first:last])
-            first = last
+                n_pos[at], cands)
 
         split = ((feature >= 0) & (n_left >= min_leaf)
                  & (n - n_left >= min_leaf))
@@ -435,7 +469,7 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
         trees["depth"] += 1
 
         # A tree without children is done; its nodes leave the records,
-        # one record at a time, and the trees left are renumbered.
+        # the rest stay as one record, and the trees left are renumbered.
         live = np.bincount(front[0], minlength=len(trees)) > 0
         if live.all():
             continue
@@ -443,20 +477,14 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
         buffer = [part[np.repeat(live, trees["size"])] for part in buffer]
         renumber = np.cumsum(live) - 1
         front[0] = renumber[front[0]]
-        ended, kept = [], []
-        for tree, record in levels:
-            out = done[tree]
-            if out.any():
-                ended.append((tree[out], record[:, out]))
-                tree, record = tree[~out], record[:, ~out]
-            if tree.size:
-                kept.append((renumber[tree], record))
-        levels = kept
+        tree, record = (np.concatenate(part, axis=-1) for part in zip(*levels))
+        out = done[tree]
+        levels = [(renumber[tree[~out]], record[:, ~out])]
         keys = trees["key"][done].tolist()
         trees = trees[live]
 
         # The done trees, numbered from 0, and their nodes in level order.
-        tree, record = (np.concatenate(part, axis=-1) for part in zip(*ended))
+        tree, record = tree[out], record[:, out]
         order = np.argsort(tree, kind="stable")
         tree = (np.cumsum(done) - 1)[tree[order]]
         n, value, feature, threshold, weighted = record[:, order]
@@ -482,16 +510,18 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
 def _search(view: BinnedMatrix, labels: np.ndarray, buffer: list,
             start: np.ndarray, slots: np.ndarray, n: np.ndarray,
             n_pos: np.ndarray, cands: np.ndarray):
-    """Best cut of each node whose sample lies in buffer's slots from
-    start, and the slots, rows and positives it sends left; puts each
+    """Best cut of each node of a pass whose sample lies in buffer's slots
+    from start, and the slots, rows and positives it sends left; puts each
     node's left slots first within its range, both sides in their old
-    order."""
+    order. One call searches and partitions all the pass's splittable
+    nodes (_best_cuts), and its per-row arrays are int32."""
     m = len(n)
     first = np.cumsum(slots) - slots
-    slot = np.repeat(start - first, slots) + np.arange(first[-1] + slots[-1])
+    slot = np.repeat((start - first).astype(np.int32), slots)
+    slot += np.arange(len(slot), dtype=np.int32)
     rows, counts = (part[slot] for part in buffer)
     row_labels = labels[rows]
-    row_node = np.repeat(np.arange(m), slots)
+    row_node = np.repeat(np.arange(m, dtype=np.int32), slots)
     feature, threshold, gain = _best_cuts(view, rows, row_labels, row_node,
                                           n, n_pos, cands, counts)
     go_left = view.X[rows, feature[row_node]] <= threshold[row_node]

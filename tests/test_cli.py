@@ -368,7 +368,9 @@ class TestInputChecks:
          "--train-fraction must be in (0, 1), got 0.0"),
         (["eval", "--set", "C", "--train-fraction", "nan"],
          "--train-fraction must be in (0, 1), got nan"),
-        (["eval", "--max-depth", "-3"], "max_depth must be >= 1, got -3"),
+        (["eval", "--max-depth", "-3"], "--max-depth must be >= 1, got -3"),
+        (["eval", "--trees", "0"], "--trees must be >= 1, got 0"),
+        (["eval", "--min-leaf", "0"], "--min-leaf must be >= 1, got 0"),
         (["eval", "--train-fraction", "0.999"],
          "run 1 of 2: the 1 test cases are fewer than 2"),
         (["eval", "--train-fraction", "0.001"],
@@ -379,7 +381,7 @@ class TestInputChecks:
         ids=["k0", "k44", "top0", "top-1", "min-test-cases0",
              "retrodiction-train-fraction", "retrodiction-logistic-runs",
              "train-fraction1.5", "train-fraction0", "train-fraction-nan",
-             "max-depth-3", "train-fraction0.999", "train-fraction0.001",
+             "max-depth-3", "trees0", "min-leaf0", "train-fraction0.999", "train-fraction0.001",
              "set-c-train-fraction0.999"])
     def test_rejected_with_exit_1(self, cmd, message, data_file, tmp_path,
                                   capsys, monkeypatch):
@@ -388,8 +390,9 @@ class TestInputChecks:
 
         monkeypatch.setattr(forest, "fit_forests", no_fit)
         out = tmp_path / "o"
-        assert main(cmd + ["--data", data_file, "--runs", "2", "--trees",
-                           "4", "--out", str(out)]) == 1
+        # The case's own flags come last, so that they win.
+        assert main([cmd[0], "--data", data_file, "--runs", "2", "--trees",
+                     "4", "--out", str(out), *cmd[1:]]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 

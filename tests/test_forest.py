@@ -592,14 +592,29 @@ class TestFitForests:
         alone = [[fit_forest(m.subset(rows), cfg, seed)
                   for rows, seed in forests] for cfg in self.CONFIGS]
         monkeypatch.setattr(forest, "ROWS_IN_FLIGHT", budget)
-        searched, in_flight = [], []
-        best_cuts = forest._best_cuts
+        in_flight = []
+        # ("pass", splittable nodes), ("search", nodes) and ("step", nodes,
+        # distinct rows), in the order they happen.
+        events = []
+        draw, search = forest.splitmix64, forest._search
+        table_cells = forest._table_cells
         sample, grow_trees = forest._sample, forest._grow_trees
         growing = {}  # distinct rows of each tree started and not done
 
-        def spy(view, rows, labels, row_node, node_n, *rest):
-            searched.append(len(node_n))
-            return best_cuts(view, rows, labels, row_node, node_n, *rest)
+        def draw_spy(seed, counter):
+            # A pass draws its candidate keys in one call, a row of seeds
+            # per splittable node; a bootstrap draw has one seed.
+            if np.ndim(seed) == 2:
+                events.append(("pass", len(seed)))
+            return draw(seed, counter)
+
+        def search_spy(view, labels, buffer, start, *rest):
+            events.append(("search", len(start)))
+            return search(view, labels, buffer, start, *rest)
+
+        def table_spy(view, rows, labels, counts, cands, *rest):
+            events.append(("step", len(cands), len(rows)))
+            return table_cells(view, rows, labels, counts, cands, *rest)
 
         def sample_spy(view, bootstrap, task):
             drawn = sample(view, bootstrap, task)
@@ -613,15 +628,17 @@ class TestFitForests:
                 del growing[key]
                 yield key, *grown
 
-        monkeypatch.setattr(forest, "_best_cuts", spy)
+        monkeypatch.setattr(forest, "splitmix64", draw_spy)
+        monkeypatch.setattr(forest, "_search", search_spy)
+        monkeypatch.setattr(forest, "_table_cells", table_spy)
         monkeypatch.setattr(forest, "_sample", sample_spy)
         monkeypatch.setattr(forest, "_grow_trees", grow_spy)
-        # A sub-step of at most one row searches one node.
         for step_rows in (1, 50, forest.STEP_ROWS):
             monkeypatch.setattr(forest, "STEP_ROWS", step_rows)
-            searched.clear()
+            step_nodes = []
             for cfg, expected in zip(self.CONFIGS, alone):
                 in_flight.clear()
+                events.clear()
                 together = list(fit_forests(m, cfg, iter(forests)))
                 assert sorted(i for i, _ in together) == \
                     list(range(len(forests)))
@@ -635,7 +652,27 @@ class TestFitForests:
                 most, trees = max(map(len, in_flight)), 7 * cfg.n_trees
                 assert {1: most == 1, 100: 1 < most < trees}.get(
                     budget, most == trees), cfg
-            assert (max(searched) == 1) == (step_rows == 1)
+                # A pass with splittable nodes searches them all in one
+                # call, which tables its cells in sub-steps of whole nodes
+                # that hold all of them between them, each of at most
+                # step_rows distinct rows unless it holds one node.
+                pass_nodes = untabled = 0
+                for kind, nodes, *rows in events:
+                    if kind == "pass":
+                        assert pass_nodes == untabled == 0
+                        pass_nodes = nodes
+                    elif kind == "search":
+                        assert nodes == pass_nodes > 0, cfg
+                        pass_nodes, untabled = 0, nodes
+                    else:
+                        assert nodes == 1 or rows[0] <= step_rows, cfg
+                        untabled -= nodes
+                        assert untabled >= 0
+                        step_nodes.append(nodes)
+                assert pass_nodes == untabled == 0
+            # At one row every sub-step holds one node; at more, some hold
+            # several.
+            assert (max(step_nodes) == 1) == (step_rows == 1)
 
     def test_parallel_equals_serial(self, recording_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
