@@ -270,15 +270,23 @@ def check_finite(X: np.ndarray, error: type[Exception]) -> None:
         raise error(f"row {r}, column {c}: non-finite value {X[r, c]}")
 
 
-def row_numbers(indices, error: type[Exception], what: str) -> np.ndarray:
-    """indices as an int array of row numbers, an empty sequence being no
-    rows. Raise `error` naming what for a boolean mask or non-integer
-    values, which an int conversion would silently read as row numbers."""
+def row_numbers(indices, n: int, error: type[Exception],
+                what: str) -> np.ndarray:
+    """indices as an int array of row numbers of an n-row matrix, an empty
+    sequence being no rows. Raise `error` naming what for a boolean mask or
+    non-integer values, which an int conversion would silently read as row
+    numbers, and naming the first row outside [0, n), since indexing would
+    read a negative row from the end."""
     import numpy as np
     idx = np.asarray(indices)
     if idx.size and not np.issubdtype(idx.dtype, np.integer):
         raise error(f"{what} must be integer row numbers, got {idx.dtype}")
-    return idx.astype(int, copy=False)
+    idx = idx.astype(int, copy=False)
+    outside = (idx < 0) | (idx >= n)
+    if outside.any():
+        raise error(f"row {idx[outside.argmax()]} outside the matrix's "
+                    f"{n} rows")
+    return idx
 
 
 @dataclass
@@ -304,7 +312,8 @@ class EncodedMatrix:
         return self.X.shape[1]
 
     def subset(self, indices) -> "EncodedMatrix":
-        idx = row_numbers(indices, DatasetError, "subset indices")
+        idx = row_numbers(indices, self.n_samples, DatasetError,
+                          "subset indices")
         return EncodedMatrix(self.X[idx], self.y[idx], self.column_names,
                              self.case_indices[idx],
                              self.n_dropped_missing_p90)
@@ -503,7 +512,7 @@ def _parse_optional_fraction(cell: str, row: int, col: str) -> float | None:
     if cell.strip() == "":
         return None
     try:
-        return float(cell)
+        return float(_plain(cell))
     except ValueError:
         raise DatasetError(f"row {row}, column {col!r}: non-numeric value "
                            f"{cell!r}") from None
@@ -511,10 +520,19 @@ def _parse_optional_fraction(cell: str, row: int, col: str) -> float | None:
 
 def _parse_int(cell: str, row: int, col: str, what: str = "") -> int:
     try:
-        return int(cell)
+        return int(_plain(cell))
     except ValueError:
         raise DatasetError(f"row {row}, column {col!r}: non-integer "
                            f"{what}{cell!r}") from None
+
+
+def _plain(cell: str) -> str:
+    """cell, or ValueError for the spellings that int() and float() read
+    as numbers but a CSV number is not: digit-group underscores ("1_997")
+    and non-ASCII digits or spaces."""
+    if not cell.isascii() or "_" in cell:
+        raise ValueError(cell)
+    return cell
 
 
 def _parse_alignments(cells: tuple[str, ...], row: int) -> tuple[int, ...]:

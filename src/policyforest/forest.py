@@ -73,12 +73,10 @@ def _in_worker(fn, chunk) -> list:
 GAIN_EPS = 1e-12
 
 # Distinct sample rows of the trees grown at once, one depth level per
-# pass (trees start while fewer are in flight; about 32 Set D eval trees),
-# and the distinct rows whose (row, candidate) cells one sub-step of a
-# pass's search tables. More trees in flight spread each pass's NumPy
-# calls over more nodes; both hold more memory as they grow.
+# pass (trees start while fewer are in flight; about 32 Set D eval trees).
+# More trees in flight spread each pass's NumPy calls over more nodes and
+# hold more memory.
 ROWS_IN_FLIGHT = 23_000
-STEP_ROWS = 3072
 
 
 @dataclass(frozen=True)
@@ -196,10 +194,8 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     of its column. Each cut lies between two adjacent values present in
     its node.
 
-    Only the table is built in sub-steps (_table_cells), of whole nodes
-    left to right with at most STEP_ROWS distinct rows between them, a
-    larger node alone, since their (row, candidate) cells are the largest
-    arrays of the search; every other step runs once over all the nodes.
+    The table is filled one candidate position j at a time, each row
+    adding its count once to the slot of its node's j-th lane.
 
     Returns per node (feature, threshold, gain): the cut with the largest
     weighted Gini decrease, ties to the lowest column, then the lowest
@@ -229,35 +225,27 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
         at_wide.ravel(), np.repeat(node_runs, k),
         view.bin_start[lane_feature + 1] - view.bin_start[lane_feature])
     lane_table = np.cumsum(lane_bins) - lane_bins
-    size = int(lane_bins.sum())
-    # The cells of the widest column, as row * k + j for the node's
-    # candidate j, and the rank of each one's run in its node, which
-    # stands for its code.
-    wide_cells = wide_rows * k + at_wide.argmax(axis=1)[wide_node]
-    wide_ranks = np.cumsum(new_run) - 1 - first_run[wide_node]
-    # Slot 2s of the table sums negative rows, 2s + 1 positive ones, so
-    # each sub-step's lanes fill one contiguous slice. The sums stay
-    # within k times the nodes' rows, repeats included, far under 2**53,
-    # so its floats are exact integers.
-    table = np.zeros(2 * size)
+    # The candidate position of the widest column in each of its rows'
+    # nodes, and the rank of each row's run in its node, which stands for
+    # its code there.
+    wide_j = at_wide.argmax(axis=1)[wide_node]
+    wide_rank = np.cumsum(new_run) - 1 - first_run[wide_node]
+    # Slot 2s of the table sums negative rows, 2s + 1 positive ones. Table,
+    # keys and counts share one dtype, so that np.add.at stays on its fast
+    # path; the sums stay within a tree's rows, repeats included.
+    table = np.zeros(2 * int(lane_bins.sum()), dtype=np.int32)
     node_slots = np.bincount(row_node, minlength=m)
-    ends = np.cumsum(node_slots)
-    first = 0
-    while first < m:
-        row_a = ends[first - 1] if first else 0
-        last = max(first + 1, int(np.searchsorted(
-            ends, row_a + STEP_ROWS, side="right")))
-        row_b = ends[last - 1]
-        base = lane_table[first * k]
-        wide_a, wide_b = np.searchsorted(wide_cells, [row_a * k, row_b * k])
-        step = _table_cells(
-            view, rows[row_a:row_b], labels[row_a:row_b],
-            counts[row_a:row_b], cands[first:last], node_slots[first:last],
-            lane_table[first * k:last * k].reshape(-1, k) - base,
-            wide_cells[wide_a:wide_b] - row_a * k,
-            wide_ranks[wide_a:wide_b])
-        table[2 * base:2 * base + len(step)] = step
-        first = last
+    flat = rows * view.n_features
+    codes = view.codes.ravel()
+    lane_start = lane_table.astype(np.int32).reshape(m, k)
+    for j in range(k):
+        key = codes[flat + np.repeat(cands[:, j], node_slots)]
+        here = wide_j == j
+        key[wide_rows[here]] = wide_rank[here]
+        key += np.repeat(lane_start[:, j], node_slots)
+        key <<= 1
+        key |= labels
+        np.add.at(table, key, counts)
     pos = table[1::2]
     total = table[::2] + pos
     present = total.nonzero()[0]
@@ -310,31 +298,6 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     return feature, threshold, gain_out
 
 
-def _table_cells(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
-                 counts: np.ndarray, cands: np.ndarray, slots: np.ndarray,
-                 lanes: np.ndarray, wide_cells: np.ndarray,
-                 wide_ranks: np.ndarray) -> np.ndarray:
-    """One sub-step of _best_cuts's table: the counts of its nodes' rows
-    summed per (lane, code, label), its own slice of the table numbered
-    from 0 and ending at its last non-zero slot.
-
-    Node i holds the next slots[i] of rows, with their labels and counts,
-    and searches the columns cands[i], whose lanes start at slot lanes[i]
-    of the slice. A cell in wide_cells, row * k + j for its node's
-    candidate j, has the code in wide_ranks in place of its bin.
-    """
-    cell = np.repeat(cands, slots, axis=0)
-    cell += (rows * view.n_features)[:, None]
-    key = view.codes.ravel()[cell]
-    del cell
-    np.put(key, wide_cells, wide_ranks)
-    key += np.repeat(lanes, slots, axis=0)
-    key <<= 1
-    key |= labels[:, None]
-    return np.bincount(key.ravel(), np.repeat(counts.astype(float),
-                                              cands.shape[1]))
-
-
 def _sample(view: BinnedMatrix, bootstrap: bool, task) -> tuple:
     """The sample of task (forest, i, rows, seed), tree i of the forest on
     rows seeded by seed: its distinct rows in view's widest column's order,
@@ -375,7 +338,7 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
     searches all its splittable nodes in one _search call. A tree draws its
     candidates from its own stream, and each node's cut depends on its own
     rows and candidates alone, so a tree is the same however many trees
-    grow beside it and however a pass's table is cut into sub-steps.
+    grow beside it.
     Importances are the per-feature sums of sample-weighted impurity
     decreases, in level order.
 
@@ -568,13 +531,10 @@ def fit_forests(matrix: EncodedMatrix, config: ForestConfig, forests,
 
     def trees():
         for f, (rows, seed) in enumerate(forests):
-            rows = row_numbers(rows, ForestError, f"forest {f}'s rows")
+            rows = row_numbers(rows, len(y), ForestError,
+                               f"forest {f}'s rows")
             if len(rows) < 2:
                 raise ForestError(f"need at least 2 samples, got {len(rows)}")
-            outside = (rows < 0) | (rows >= len(y))
-            if outside.any():
-                raise ForestError(f"row {rows[outside.argmax()]} outside "
-                                  f"the matrix's {len(y)} rows")
             n_pos = y[rows].sum()
             if n_pos == 0 or n_pos == len(rows):
                 raise ForestError("training labels contain a single class")

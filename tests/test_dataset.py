@@ -89,6 +89,14 @@ class TestLoadCases:
                               "policy_domain"),
         "duplicate case_id": ([_row(), _row()], 3, "case_id"),
         "wrong cell count": ([_row(), _row("c2") + ",extra"], 3, None),
+        # Spellings that int() and float() accept but a CSV number is not.
+        "year with underscore": ([_row(year="1_997")], 2, "year"),
+        "year in Arabic-Indic digits": ([_row(year="١٩٩٧")], 2, "year"),
+        "outcome with underscore": ([_row(outcome="0_1")], 2, "outcome"),
+        "alignment with underscore": (
+            [_row(alignments=_aligns("AARP", "0_2"))], 2, "AARP"),
+        "p90 with underscore": ([_row(p90="0_0.5")], 2, "p90"),
+        "p90 in Arabic-Indic digits": ([_row(p90="٠.٥")], 2, "p90"),
     }
 
     @pytest.mark.parametrize("name", sorted(BAD_CELLS))
@@ -307,6 +315,14 @@ class TestEncode:
         assert m.subset([]).n_samples == 0
         picked = m.subset(np.array([3, 1], dtype=np.int32))
         assert picked.case_indices.tolist() == [3, 1]
+
+    @pytest.mark.parametrize("row", [-1, 6, 7])
+    def test_subset_rejects_rows_outside(self, cases_200, row):
+        # Indexing would read row -1 as the last row.
+        m = encode(cases_200[:6], FeatureSetSpec.set_a())
+        with pytest.raises(DatasetError, match=re.escape(
+                f"row {row} outside the matrix's 6 rows")):
+            m.subset([row])
 
 
 class TestSplits:

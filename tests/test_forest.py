@@ -593,11 +593,10 @@ class TestFitForests:
                   for rows, seed in forests] for cfg in self.CONFIGS]
         monkeypatch.setattr(forest, "ROWS_IN_FLIGHT", budget)
         in_flight = []
-        # ("pass", splittable nodes), ("search", nodes) and ("step", nodes,
-        # distinct rows), in the order they happen.
+        # ("pass", splittable nodes) and ("search", nodes), in the order
+        # they happen.
         events = []
         draw, search = forest.splitmix64, forest._search
-        table_cells = forest._table_cells
         sample, grow_trees = forest._sample, forest._grow_trees
         growing = {}  # distinct rows of each tree started and not done
 
@@ -611,10 +610,6 @@ class TestFitForests:
         def search_spy(view, labels, buffer, start, *rest):
             events.append(("search", len(start)))
             return search(view, labels, buffer, start, *rest)
-
-        def table_spy(view, rows, labels, counts, cands, *rest):
-            events.append(("step", len(cands), len(rows)))
-            return table_cells(view, rows, labels, counts, cands, *rest)
 
         def sample_spy(view, bootstrap, task):
             drawn = sample(view, bootstrap, task)
@@ -630,49 +625,70 @@ class TestFitForests:
 
         monkeypatch.setattr(forest, "splitmix64", draw_spy)
         monkeypatch.setattr(forest, "_search", search_spy)
-        monkeypatch.setattr(forest, "_table_cells", table_spy)
         monkeypatch.setattr(forest, "_sample", sample_spy)
         monkeypatch.setattr(forest, "_grow_trees", grow_spy)
-        for step_rows in (1, 50, forest.STEP_ROWS):
-            monkeypatch.setattr(forest, "STEP_ROWS", step_rows)
-            step_nodes = []
-            for cfg, expected in zip(self.CONFIGS, alone):
-                in_flight.clear()
-                events.clear()
-                together = list(fit_forests(m, cfg, iter(forests)))
-                assert sorted(i for i, _ in together) == \
-                    list(range(len(forests)))
-                for i, model in together:
-                    assert same_forest(model, expected[i]), (step_rows, cfg)
-                # Each tree started while the rows of the others were
-                # under the budget.
-                assert not growing
-                assert all(sum(rows) - rows[-1] < budget
-                           for rows in in_flight)
-                most, trees = max(map(len, in_flight)), 7 * cfg.n_trees
-                assert {1: most == 1, 100: 1 < most < trees}.get(
-                    budget, most == trees), cfg
-                # A pass with splittable nodes searches them all in one
-                # call, which tables its cells in sub-steps of whole nodes
-                # that hold all of them between them, each of at most
-                # step_rows distinct rows unless it holds one node.
-                pass_nodes = untabled = 0
-                for kind, nodes, *rows in events:
-                    if kind == "pass":
-                        assert pass_nodes == untabled == 0
-                        pass_nodes = nodes
-                    elif kind == "search":
-                        assert nodes == pass_nodes > 0, cfg
-                        pass_nodes, untabled = 0, nodes
-                    else:
-                        assert nodes == 1 or rows[0] <= step_rows, cfg
-                        untabled -= nodes
-                        assert untabled >= 0
-                        step_nodes.append(nodes)
-                assert pass_nodes == untabled == 0
-            # At one row every sub-step holds one node; at more, some hold
-            # several.
-            assert (max(step_nodes) == 1) == (step_rows == 1)
+        for cfg, expected in zip(self.CONFIGS, alone):
+            in_flight.clear()
+            events.clear()
+            together = list(fit_forests(m, cfg, iter(forests)))
+            assert sorted(i for i, _ in together) == list(range(len(forests)))
+            for i, model in together:
+                assert same_forest(model, expected[i]), cfg
+            # Each tree started while the rows of the others were under
+            # the budget.
+            assert not growing
+            assert all(sum(rows) - rows[-1] < budget for rows in in_flight)
+            most, trees = max(map(len, in_flight)), 7 * cfg.n_trees
+            assert {1: most == 1, 100: 1 < most < trees}.get(
+                budget, most == trees), cfg
+            # A pass with splittable nodes searches them all in one call.
+            pass_nodes = 0
+            for kind, nodes in events:
+                if kind == "pass":
+                    assert pass_nodes == 0
+                    pass_nodes = nodes
+                else:
+                    assert nodes == pass_nodes > 0, cfg
+                    pass_nodes = 0
+            assert pass_nodes == 0
+
+    def test_split_table_is_int32(self, monkeypatch):
+        # np.add.at leaves its fast path when the table, keys and counts
+        # differ in dtype.
+        seen = {}
+        best_cuts = forest._best_cuts
+
+        def best_cuts_spy(view, rows, labels, row_node, node_n, node_pos,
+                          cands, counts):
+            seen.setdefault("rows", set()).add(rows.dtype)
+            seen.setdefault("counts", set()).add(counts.dtype)
+            return best_cuts(view, rows, labels, row_node, node_n, node_pos,
+                             cands, counts)
+
+        class Spy:
+            def __init__(self, of):
+                self.of = of
+
+            def __getattr__(self, name):
+                return getattr(self.of, name)
+
+        class AddSpy(Spy):
+            def at(self, table, key, counts):
+                seen.setdefault("add.at", set()).add(
+                    (table.dtype, key.dtype, counts.dtype))
+                np.add.at(table, key, counts)
+
+        class NumPy(Spy):
+            add = AddSpy(np.add)
+
+        monkeypatch.setattr(forest, "_best_cuts", best_cuts_spy)
+        monkeypatch.setattr(forest, "np", NumPy(np))
+        m = TestModelIdentity._noisy_matrix()
+        list(fit_forests(m, ForestConfig(n_trees=3), self._forests(
+            m.n_samples)))
+        int32 = np.dtype(np.int32)
+        assert seen == {"rows": {int32}, "counts": {int32},
+                        "add.at": {(int32, int32, int32)}}
 
     def test_parallel_equals_serial(self, recording_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
