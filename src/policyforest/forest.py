@@ -15,7 +15,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -140,7 +140,8 @@ class BinnedMatrix:
 
     A cut only uses the values present in its node, so binning a
     superset of a forest's rows gives the same thresholds as binning
-    exactly those rows.
+    exactly those rows. The split search reads every column the same way,
+    by its codes, whatever its number of bins.
     """
 
     X: np.ndarray           # (n, F) float matrix the bins describe
@@ -172,27 +173,21 @@ class BinnedMatrix:
     def n_features(self) -> int:
         return self.X.shape[1]
 
-    @cached_property
-    def widest(self) -> int:
-        """The column with the most bins, the lowest of equals."""
-        return int(np.argmax(np.diff(self.bin_start)))
-
 
 def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
                row_node: np.ndarray, node_n: np.ndarray,
                node_pos: np.ndarray, cands: np.ndarray, counts: np.ndarray):
     """Best cut of each splittable node of one growth pass, all at once.
 
-    rows holds the nodes' distinct rows back to back, each node's in the
-    order of view's widest column; counts their repeats, labels their
-    labels as booleans and row_node the node of each. Node i has node_n[i]
-    rows, node_pos[i] of them positive, repeats included. cands[i] holds
-    node i's candidate columns in ascending order. Each (node, candidate)
-    lane sums the counts of its rows, per value of its column and label,
-    in one table for all lanes: a lane of the widest column has one slot
-    per run of equal values in its node, any other lane one slot per bin
-    of its column. Each cut lies between two adjacent values present in
-    its node.
+    rows holds the nodes' distinct rows back to back, each node's in any
+    order; counts their repeats, labels their labels as booleans and
+    row_node the node of each. Node i has node_n[i] rows, node_pos[i] of
+    them positive, repeats included. cands[i] holds node i's candidate
+    columns in ascending order. Each (node, candidate) lane sums the counts
+    of its rows, per bin of its column and label, in one table for all
+    lanes: one pair of slots, negative and positive, per bin. The sums are
+    exact integers, so the rows' order does not change them. Each cut lies
+    between two adjacent values present in its node.
 
     The table is filled one candidate position j at a time, each row
     adding its count once to the slot of its node's j-th lane.
@@ -208,28 +203,9 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     feature = np.full(m, -1)
     threshold = np.zeros(m)
     gain_out = np.zeros(m)
-    wide = view.widest
-    # Rows of the nodes that search the widest column. A node's rows are
-    # in that column's order, so its values there come in runs.
-    at_wide = cands == wide
-    wide_rows = np.flatnonzero(at_wide.any(axis=1)[row_node])
-    wide_node = row_node[wide_rows]
-    wide_code = view.codes[rows[wide_rows], wide]
-    new_run = np.ones(len(wide_rows), dtype=bool)
-    new_run[1:] = ((wide_code[1:] != wide_code[:-1])
-                   | (wide_node[1:] != wide_node[:-1]))
-    node_runs = np.bincount(wide_node[new_run], minlength=m)
-    first_run = np.cumsum(node_runs) - node_runs
     lane_feature = cands.ravel()
-    lane_bins = np.where(
-        at_wide.ravel(), np.repeat(node_runs, k),
-        view.bin_start[lane_feature + 1] - view.bin_start[lane_feature])
+    lane_bins = np.diff(view.bin_start)[lane_feature]
     lane_table = np.cumsum(lane_bins) - lane_bins
-    # The candidate position of the widest column in each of its rows'
-    # nodes, and the rank of each row's run in its node, which stands for
-    # its code there.
-    wide_j = at_wide.argmax(axis=1)[wide_node]
-    wide_rank = np.cumsum(new_run) - 1 - first_run[wide_node]
     # Slot 2s of the table sums negative rows, 2s + 1 positive ones. Table,
     # keys and counts share one dtype, so that np.add.at stays on its fast
     # path; the sums stay within a tree's rows, repeats included.
@@ -240,14 +216,15 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     lane_start = lane_table.astype(np.int32).reshape(m, k)
     for j in range(k):
         key = codes[flat + np.repeat(cands[:, j], node_slots)]
-        here = wide_j == j
-        key[wide_rows[here]] = wide_rank[here]
         key += np.repeat(lane_start[:, j], node_slots)
         key <<= 1
         key |= labels
         np.add.at(table, key, counts)
+    # Totals overwrite the negative counts in place, so no half of the
+    # table is copied.
     pos = table[1::2]
-    total = table[::2] + pos
+    total = table[::2]
+    total += pos
     present = total.nonzero()[0]
     lane = np.searchsorted(lane_table, present, side="right") - 1
     # Every lane holds all of its node's rows, so the running counts over
@@ -286,11 +263,6 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     col = lane_feature[lanes]
     at = node[chosen]
     low, high = present[cut[chosen] + [[0], [1]]] - lane_table[lanes]
-    # A run's rank maps back to its bin through the run's first row.
-    ranked = col == wide
-    run_code = wide_code[new_run]
-    low[ranked] = run_code[first_run[at[ranked]] + low[ranked]]
-    high[ranked] = run_code[first_run[at[ranked]] + high[ranked]]
     feature[at] = col
     threshold[at] = 0.5 * (view.bin_values[view.bin_start[col] + low]
                            + view.bin_values[view.bin_start[col] + high])
@@ -298,13 +270,13 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     return feature, threshold, gain_out
 
 
-def _sample(view: BinnedMatrix, bootstrap: bool, task) -> tuple:
+def _sample(bootstrap: bool, task) -> tuple:
     """The sample of task (forest, i, rows, seed), tree i of the forest on
-    rows seeded by seed: its distinct rows in view's widest column's order,
-    stable by place in rows; their bootstrap counts (all ones without
-    bootstrap); and its candidate seed. The tree draws from two streams
-    (dataset.splitmix64) whose seeds derive from (seed, i) alone, here and
-    nowhere else: its bootstrap counts, and its candidate keys."""
+    rows seeded by seed: its distinct rows in their order in rows; their
+    bootstrap counts (all ones without bootstrap); and its candidate seed.
+    The tree draws from two streams (dataset.splitmix64) whose seeds
+    derive from (seed, i) alone, here and nowhere else: its bootstrap
+    counts, and its candidate keys."""
     _, i, rows, seed = task
     tree_seed = mix_seed(seed, i)
     n = len(rows)
@@ -318,8 +290,6 @@ def _sample(view: BinnedMatrix, bootstrap: bool, task) -> tuple:
         draw >>= np.uint64(32)
         counts = np.bincount(draw.astype(int), minlength=n)
     keep = counts.nonzero()[0]
-    keep = keep[np.argsort(view.codes[rows[keep], view.widest],
-                           kind="stable")]
     return rows[keep], counts[keep], mix_seed(tree_seed, 1)
 
 
@@ -347,9 +317,9 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
     tree its key, candidate seed, keys drawn, sample size with repeats,
     distinct rows and depth; buffer the samples' rows and counts as int32,
     permuted in place so that every node's rows are one contiguous range
-    of slots, still in the widest column's order; front the level's nodes,
-    left to right, as a (5, nodes) array of tree, first slot within the
-    tree, slots, rows and positives (with repeats); and levels records,
+    of slots, in any order within it; front the level's nodes, left to
+    right, as a (5, nodes) array of tree, first slot within the tree,
+    slots, rows and positives (with repeats); and levels records,
     each the tree of each node and a (5, nodes) float array of its rows,
     positive fraction, feature (-1 for a leaf), threshold and
     sample-weighted impurity decrease, all exact as floats: one record of
@@ -369,7 +339,7 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
         started = []
         while (rows_in_flight < ROWS_IN_FLIGHT
                and (task := next(tasks, None)) is not None):
-            started.append((task[:2], *_sample(view, bootstrap, task)))
+            started.append((task[:2], *_sample(bootstrap, task)))
             rows_in_flight += len(started[-1][1])
         if started:
             new = np.zeros(len(started), trees.dtype)
@@ -477,7 +447,8 @@ def _search(view: BinnedMatrix, labels: np.ndarray, buffer: list,
     from start, and the slots, rows and positives it sends left; puts each
     node's left slots first within its range, both sides in their old
     order. One call searches and partitions all the pass's splittable
-    nodes (_best_cuts), and its per-row arrays are int32."""
+    nodes (_best_cuts), and its per-row arrays are int32. The search reads
+    a node's rows in any order."""
     m = len(n)
     first = np.cumsum(slots) - slots
     slot = np.repeat((start - first).astype(np.int32), slots)

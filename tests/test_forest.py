@@ -504,7 +504,7 @@ class TestModelIdentity:
     @staticmethod
     def _two_widest_matrix():
         # Columns 2 and 4 tie for the most distinct values (12), each
-        # value held by several rows; the lower one is searched by runs.
+        # value held by several rows.
         rng = np.random.default_rng(37)
         n = 80
 
@@ -534,7 +534,7 @@ class TestModelIdentity:
         y = ((X[:, 0] + X[:, 2] + rng.normal(0, 1, n)) > 1).astype(int)
         return matrix_from(X, y)
 
-    def test_widest_column_search_matches_brute_force(self):
+    def test_columns_of_any_width_match_brute_force(self):
         rng = np.random.default_rng(47)
         for m, widths in ((self._two_widest_matrix(), [2, 3, 12, 4, 12]),
                           (self._narrow_matrix(), [3, 2, 3, 1])):
@@ -548,6 +548,46 @@ class TestModelIdentity:
                 X, y = m.X[rows], m.y[rows]
                 assert stump_split(X, y, feats) == \
                     brute_force_best_split(X, y, feats)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_cuts_ignore_row_order_within_nodes(self, seed):
+        # One pass over nodes of random rows, each node's rows shuffled
+        # within its range: every node gets the brute-force cut of its
+        # rows, repeats included, whatever their order.
+        rng = np.random.default_rng(seed)
+        for m in (self._two_widest_matrix(), self._noisy_matrix(),
+                  self._narrow_matrix()):
+            view = BinnedMatrix.of(m.X)
+            k = int(rng.integers(1, m.n_features + 1))
+            nodes = []
+            while len(nodes) < 12:
+                rows = rng.choice(m.n_samples,
+                                  int(rng.integers(2, m.n_samples)),
+                                  replace=False).astype(np.int32)
+                counts = rng.integers(1, 4, len(rows)).astype(np.int32)
+                if 0 < m.y[rows].sum() < len(rows):
+                    nodes.append((rows, counts))
+            cands = np.sort(np.argsort(
+                rng.uniform(size=(len(nodes), m.n_features)))[:, :k], axis=1)
+            expected = []
+            for (rows, counts), feats in zip(nodes, cands):
+                sample = np.repeat(rows, counts)
+                X, y = m.X[sample], m.y[sample]
+                expected.append(brute_force_best_split(X, y, feats)
+                                or first_midpoint(X, feats)
+                                or (-1, 0.0, 0.0))
+            rows, counts = (np.concatenate(part) for part in zip(*nodes))
+            row_node = np.repeat(np.arange(len(nodes), dtype=np.int32),
+                                 [len(r) for r, _ in nodes])
+            node_n = np.bincount(row_node, weights=counts).astype(int)
+            node_pos = np.bincount(row_node, weights=counts * m.y[rows]
+                                   ).astype(int)
+            for _ in range(3):
+                order = np.lexsort((rng.uniform(size=len(rows)), row_node))
+                cuts = forest._best_cuts(
+                    view, rows[order], m.y[rows[order]] != 0, row_node,
+                    node_n, node_pos, cands, counts[order])
+                assert list(zip(*(c.tolist() for c in cuts))) == expected
 
     def test_matches_reference_grower(self):
         fallbacks = []
@@ -611,8 +651,8 @@ class TestFitForests:
             events.append(("search", len(start)))
             return search(view, labels, buffer, start, *rest)
 
-        def sample_spy(view, bootstrap, task):
-            drawn = sample(view, bootstrap, task)
+        def sample_spy(bootstrap, task):
+            drawn = sample(bootstrap, task)
             growing[task[:2]] = len(drawn[0])
             # The rows of the trees in flight, this one last.
             in_flight.append(list(growing.values()))
