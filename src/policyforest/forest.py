@@ -140,8 +140,7 @@ class BinnedMatrix:
 
     A cut only uses the values present in its node, so binning a
     superset of a forest's rows gives the same thresholds as binning
-    exactly those rows. The split search reads every column the same way,
-    by its codes, whatever its number of bins.
+    exactly those rows.
     """
 
     X: np.ndarray           # (n, F) float matrix the bins describe
@@ -185,9 +184,11 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     them positive, repeats included. cands[i] holds node i's candidate
     columns in ascending order. Each (node, candidate) lane sums the counts
     of its rows, per bin of its column and label, in one table for all
-    lanes: one pair of slots, negative and positive, per bin. The sums are
-    exact integers, so the rows' order does not change them. Each cut lies
-    between two adjacent values present in its node.
+    lanes: one pair of slots, negative and positive, per bin from the
+    node's lowest code in the column to its highest. The sums are exact
+    integers, so the rows' order does not change them. Each cut lies
+    between two adjacent values present in its node. ForestError when the
+    table would pass 2**31 slots, more than its int32 keys address.
 
     The table is filled one candidate position j at a time, each row
     adding its count once to the slot of its node's j-th lane.
@@ -203,25 +204,35 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     feature = np.full(m, -1)
     threshold = np.zeros(m)
     gain_out = np.zeros(m)
+    node_slots = np.bincount(row_node, minlength=m)
+    first = np.cumsum(node_slots) - node_slots
+    flat = rows * view.n_features
+    codes = view.codes.ravel()
+    # code[j] holds each row's code in its node's j-th candidate column.
+    code = [codes[flat + np.repeat(cands[:, j], node_slots)]
+            for j in range(k)]
     lane_feature = cands.ravel()
-    lane_bins = np.diff(view.bin_start)[lane_feature]
+    lane_low = np.stack([np.minimum.reduceat(c, first) for c in code], 1)
+    lane_high = np.stack([np.maximum.reduceat(c, first) for c in code], 1)
+    lane_bins = (lane_high - lane_low + 1).ravel()
     lane_table = np.cumsum(lane_bins) - lane_bins
+    # A code's slot pair in its lane counts up from the node's lowest code.
+    lane_base = lane_table - lane_low.ravel()
     # Slot 2s of the table sums negative rows, 2s + 1 positive ones. Table,
     # keys and counts share one dtype, so that np.add.at stays on its fast
     # path; the sums stay within a tree's rows, repeats included.
-    table = np.zeros(2 * int(lane_bins.sum()), dtype=np.int32)
-    node_slots = np.bincount(row_node, minlength=m)
-    flat = rows * view.n_features
-    codes = view.codes.ravel()
-    lane_start = lane_table.astype(np.int32).reshape(m, k)
-    for j in range(k):
-        key = codes[flat + np.repeat(cands[:, j], node_slots)]
+    slots = 2 * int(lane_bins.sum())
+    if slots > 2**31:
+        raise ForestError(f"a growth pass needs {slots} split-table slots, "
+                          f"more than its int32 keys address (2**31)")
+    table = np.zeros(slots, dtype=np.int32)
+    lane_start = lane_base.astype(np.int32).reshape(m, k)
+    for j, key in enumerate(code):
         key += np.repeat(lane_start[:, j], node_slots)
         key <<= 1
         key |= labels
         np.add.at(table, key, counts)
-    # Totals overwrite the negative counts in place, so no half of the
-    # table is copied.
+    # Totals overwrite the negative counts, so the table is not copied.
     pos = table[1::2]
     total = table[::2]
     total += pos
@@ -262,7 +273,7 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
     lanes = cut_lane[chosen]
     col = lane_feature[lanes]
     at = node[chosen]
-    low, high = present[cut[chosen] + [[0], [1]]] - lane_table[lanes]
+    low, high = present[cut[chosen] + [[0], [1]]] - lane_base[lanes]
     feature[at] = col
     threshold[at] = 0.5 * (view.bin_values[view.bin_start[col] + low]
                            + view.bin_values[view.bin_start[col] + high])

@@ -730,6 +730,53 @@ class TestFitForests:
         assert seen == {"rows": {int32}, "counts": {int32},
                         "add.at": {(int32, int32, int32)}}
 
+    def test_lanes_span_only_their_nodes_values(self, monkeypatch):
+        # One tree on one column of 400 values: the nodes of a pass split
+        # those values between them, so a pass's table holds at most one
+        # slot pair per value, however many nodes it searches.
+        passes = []
+        best_cuts = forest._best_cuts
+
+        def best_cuts_spy(view, rows, labels, row_node, *rest):
+            passes.append([row_node.max() + 1])
+            return best_cuts(view, rows, labels, row_node, *rest)
+
+        class AddSpy:
+            def __getattr__(self, name):
+                return getattr(np.add, name)
+
+            def at(self, table, key, counts):
+                passes[-1].append(table.size)
+                np.add.at(table, key, counts)
+
+        class NumPy:
+            add = AddSpy()
+
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+        monkeypatch.setattr(forest, "_best_cuts", best_cuts_spy)
+        monkeypatch.setattr(forest, "np", NumPy())
+        rng = np.random.default_rng(53)
+        x = rng.permutation(400).astype(float)
+        y = rng.integers(0, 2, size=400)
+        fit_forest(matrix_from(x[:, None], y),
+                   ForestConfig(n_trees=1, bootstrap=False))
+        assert max(nodes for nodes, _ in passes) > 10
+        assert max(size for _, size in passes) <= 2 * 400
+
+    def test_table_beyond_int32_keys_is_refused(self):
+        # Two rows whose codes lie 2**30 apart need 2**31 + 2 slots.
+        view = BinnedMatrix(np.array([[0.0], [1.0]]),
+                            np.array([[0], [2**30]], dtype=np.int32),
+                            np.array([0, 2**30 + 1]), np.array([0.0, 1.0]))
+        with pytest.raises(ForestError, match=r"2\*\*31"):
+            forest._best_cuts(view, np.array([0, 1], dtype=np.int32),
+                              np.array([False, True]),
+                              np.zeros(2, dtype=np.int32), np.array([2]),
+                              np.array([1]), np.array([[0]]),
+                              np.ones(2, dtype=np.int32))
+
     def test_parallel_equals_serial(self, recording_pool, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: 8)
         m = TestModelIdentity._noisy_matrix()
