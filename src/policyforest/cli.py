@@ -370,8 +370,8 @@ def _add_common(p: argparse.ArgumentParser, data_required=True,
         return
     p.add_argument("--jobs", type=int, default=1,
                    help="worker processes for the seeded runs (or, for "
-                        "a single forest, its trees); capped at the core "
-                        "count")
+                        "a single forest, its trees); capped at the cores "
+                        "this process may run on")
     p.add_argument("--trees", type=int, default=500)
     p.add_argument("--max-depth", type=int, default=None)
     p.add_argument("--min-leaf", type=int, default=1)

@@ -5,16 +5,15 @@ comparisons, and the nonlinearity case study.
 Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
-execution parallelism. Every experiment, the case study included, fits
-its models through _map_series. It draws and checks all its runs up
-front (_runs; the case study's one run trains and tests on all its
-rows), each a (train rows, test rows, model seed) triple, and lists them
-as items (series, model kind, run) over its series, each an encoded
-matrix and its runs; one forest.map_chunks call hands the items out in
-contiguous chunks, which may span cells or specs (rank's domains are row
-sets of one series); _series_chunk fits a chunk's runs of one series and
-kind together (all their forests in one forest.fit_forests call); and
-callers reduce the results in item order.
+execution parallelism. Every experiment, the case study included, draws
+and checks all its runs up front (_runs; the case study's one run trains
+and tests on all its rows), each a (train rows, test rows, model seed)
+triple, and lists its fits as items (matrix, model kind, run).
+forest.map_chunks hands the items to _fit_chunk in contiguous chunks,
+one per worker, which may span cells or specs (rank's domains are row
+sets of one matrix); _fit_chunk fits a chunk's items of one matrix and
+kind together (all their forests in one forest.fit_forests call), and
+callers reduce the _Fits in item order.
 """
 
 from __future__ import annotations
@@ -132,11 +131,20 @@ class _Fit(NamedTuple):
 
 
 def _scored(matrix: EncodedMatrix, train: np.ndarray, test: np.ndarray,
-            importance: np.ndarray, predict) -> _Fit:
-    """The _Fit of a model whose scores on rows of matrix.X are
-    predict(rows), or unscored when predict is None. A run that tests on
-    its train rows scores them once."""
-    if predict is None:
+            model, score: bool) -> _Fit:
+    """The _Fit of model, a forest or a logistic model fit on rows train
+    of matrix, scored when score is set. A run that tests on its train
+    rows scores them once."""
+    if isinstance(model, rf.ForestModel):
+        importance = model.gini_importance
+        predict = partial(rf.predict_proba, model)
+    else:
+        mags = dict(zip(model.column_names, np.abs(model.beta)))
+        importance = np.array([mags.get(name, 0.0)
+                               for name in matrix.column_names])
+        predict = partial(lr.predict_proba, model,
+                          input_columns=matrix.column_names)
+    if not score:
         return _Fit(test, importance)
     scores = predict(matrix.X[train])
     op = mx.select_operating_point(scores, matrix.y[train])
@@ -145,68 +153,36 @@ def _scored(matrix: EncodedMatrix, train: np.ndarray, test: np.ndarray,
     return _Fit(test, importance, op, scores)
 
 
-def _forest_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
-                 score: bool, n_jobs: int):
-    """Fit a forest per (train rows, test rows, model seed) in the list
-    runs; yields (i, _Fit) for runs[i] as each forest completes. The
-    forests of all runs grow together, and no frame holds a model while
-    the next one grows."""
-    def fit(done):
-        i, model = done
-        train, test, _ = runs[i]
-        predict = partial(rf.predict_proba, model) if score else None
-        return i, _scored(matrix, train, test, model.gini_importance,
-                          predict)
-
-    # map, not a loop, so that no frame holds the last model while the
-    # next forests grow.
-    return map(fit, rf.fit_forests(
-        matrix, forest_config,
-        ((train, model_seed) for train, _, model_seed in runs), n_jobs))
-
-
-def _logistic_fits(matrix: EncodedMatrix, runs, forest_config: ForestConfig,
-                   score: bool, n_jobs: int):
-    """_forest_fits for a logistic model per run, fit one by one."""
-    for i, (train, test, _) in enumerate(runs):
-        model = lr.fit(matrix.subset(train))
-        mags = dict(zip(model.column_names, np.abs(model.beta)))
-        importance = np.array([mags.get(name, 0.0)
-                               for name in matrix.column_names])
-        predict = partial(lr.predict_proba, model,
-                          input_columns=matrix.column_names) if score else None
-        yield i, _scored(matrix, train, test, importance, predict)
-
-
-def _series_chunk(series: list, forest_config: ForestConfig, score: bool,
-                  n_jobs: int, items):
-    """Items (s, kind, j): runs[j] of series[s], a (matrix, runs) pair
-    with runs as _runs drew them, fits a model of kind on its train rows.
-    Yields each item's _Fit in item order, as soon as it and every
-    earlier item are done; the runs of one series and kind are fit
-    together, all their forests in one fit_forests call."""
-    items = list(items)
+def _fit_chunk(forest_config: ForestConfig, score: bool, n_jobs: int,
+               items: list) -> list[_Fit]:
+    """The _Fit of each item (matrix, kind, (train rows, test rows, model
+    seed)), a model of kind fit on the matrix's train rows, in item
+    order. The items of one matrix and kind are fit together: all their
+    forests in one fit_forests call, their logistic models one by one."""
     groups: dict[tuple[int, str], list[int]] = {}
-    for at, (s, kind, _) in enumerate(items):
-        groups.setdefault((s, kind), []).append(at)
-    done, first = {}, 0
-    for (s, kind), ats in groups.items():
-        matrix, runs = series[s]
-        fits = _forest_fits if kind == "forest" else _logistic_fits
-        for i, fit in fits(matrix, [runs[items[at][2]] for at in ats],
-                           forest_config, score, n_jobs):
-            done[ats[i]] = fit
-            while first in done:
-                yield done.pop(first)
-                first += 1
+    for at, (matrix, kind, _) in enumerate(items):
+        groups.setdefault((id(matrix), kind), []).append(at)
+    fits = [None] * len(items)
 
+    def scored(ats, done):
+        i, model = done
+        matrix, _, (train, test, _) = items[ats[i]]
+        return ats[i], _scored(matrix, train, test, model, score)
 
-def _map_series(series: list, items, forest_config: ForestConfig,
-                n_jobs: int, score: bool = True):
-    """_series_chunk over items in one map on up to n_jobs worker
-    processes: the _Fit of each item, in item order."""
-    chunk = partial(_series_chunk, series, forest_config, score)
-    return map_chunks(chunk, items, n_jobs)
+    for (_, kind), ats in groups.items():
+        matrix = items[ats[0]][0]
+        runs = [items[at][2] for at in ats]
+        models = (rf.fit_forests(matrix, forest_config,
+                                 ((train, seed) for train, _, seed in runs),
+                                 n_jobs)
+                  if kind == "forest" else
+                  enumerate(lr.fit(matrix.subset(train))
+                            for train, _, _ in runs))
+        # map, not a loop over models, so that no frame holds the last
+        # model while the next forests grow.
+        for at, fit in map(partial(scored, ats), models):
+            fits[at] = fit
+    return fits
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +221,6 @@ class EvalReport:
             self.balanced_accuracy_mean, self.balanced_accuracy_std = \
                 _mean_std(r.balanced_accuracy for r in self.runs)
             self.auc_mean, self.auc_std = _mean_std(r.auc for r in self.runs)
-
-
-def _fixed_split(row_cases: list[PolicyCase], regime: str):
-    """The regime's fixed (train, test) split of the rows whose cases are
-    row_cases: None for random draws, whose runs each draw their own."""
-    if regime == "random_draw":
-        return None
-    return retrodiction_split(row_cases)
 
 
 def _run_result(matrix: EncodedMatrix, base_seed: int, j: int,
@@ -300,7 +268,8 @@ def run_feature_set_eval(cases: list[PolicyCase],
     row_cases = [c for c in cases if not (use_p90 and c.p90 is None)]
     runs = _runs(np.array([c.outcome for c in row_cases], dtype=int),
                  base_seed, range(n_runs), train_fraction,
-                 _fixed_split(row_cases, regime), check_test=True)
+                 retrodiction_split(row_cases)
+                 if regime == "retrodiction" else None, check_test=True)
     if callable(spec):
         spec = spec()
         if not spec.use_p90:
@@ -308,9 +277,8 @@ def run_feature_set_eval(cases: list[PolicyCase],
                                   f"not use P90")
     matrix = encode(cases, spec)
 
-    fits = _map_series([(matrix, runs)],
-                       [(0, model_kind, j) for j in range(n_runs)],
-                       forest_config, n_jobs)
+    fits = map_chunks(partial(_fit_chunk, forest_config, True),
+                      [(matrix, model_kind, run) for run in runs], n_jobs)
     return EvalReport(feature_set_id=spec.id, regime=regime,
                       model_kind=model_kind, base_seed=base_seed,
                       n_dropped_missing_p90=matrix.n_dropped_missing_p90,
@@ -398,9 +366,8 @@ def rank_igs_by_domain(cases: list[PolicyCase],
                             for train, test, model_seed in runs])
     # Split-major: runs[j * len(domains) + d] is run j of domains[d].
     runs = [run for same_j in zip(*domain_runs) for run in same_j]
-    fits = list(_map_series([(matrix, runs)],
-                            [(0, "forest", r) for r in range(len(runs))],
-                            forest_config, n_jobs, score=False))
+    fits = map_chunks(partial(_fit_chunk, forest_config, False),
+                      [(matrix, "forest", run) for run in runs], n_jobs)
     ranked = {}
     for d, domain in enumerate(domains):
         domain_fits = fits[d::len(domains)]
@@ -448,9 +415,8 @@ def build_set_c(cases: list[PolicyCase], k: int = 14, base_seed: int = 0,
     matrix = encode(cases, FeatureSetSpec.set_b())
     runs = _runs(matrix.y, base_seed, range(n_splits))
     acc = np.zeros(matrix.n_features)
-    for fit in _map_series([(matrix, runs)],
-                           [(0, "forest", j) for j in range(n_splits)],
-                           forest_config, n_jobs, score=False):
+    for fit in map_chunks(partial(_fit_chunk, forest_config, False),
+                          [(matrix, "forest", run) for run in runs], n_jobs):
         acc += fit.importance
     chosen = _top_k(matrix, acc, k)
     if k == len(IG_NAMES):
@@ -511,10 +477,9 @@ def gain_per_ig(cases: list[PolicyCase],
     # comparison is paired, so the models differ only by feature set
     # (identical specs give gain 0).
     runs = _runs(mat_b.y, base_seed, range(n_runs))
-    fits = iter(_map_series([(mat_b, runs), (mat_a, runs)],
-                            [(s, "forest", j) for j in range(n_runs)
-                             for s in (0, 1)],
-                            forest_config, n_jobs))
+    fits = iter(map_chunks(partial(_fit_chunk, forest_config, True),
+                           [(m, "forest", run) for run in runs
+                            for m in (mat_b, mat_a)], n_jobs))
     for fit_b, fit_a in zip(fits, fits):
         test = fit_b.test_rows
         hit_b = (fit_b.test_scores >= fit_b.op.threshold) == mat_b.y[test]
@@ -597,37 +562,39 @@ def compare_selectors(cases: list[PolicyCase], k: int = 14,
     # runs per regime serves both.
     runs = _runs(matrix.y, base_seed, range(10_000, 10_000 + n_splits))
     row_cases = [cases[i] for i in matrix.case_indices]
-    eval_runs = [_runs(matrix.y, base_seed, range(n_splits),
-                       fixed_split=_fixed_split(row_cases, regime),
-                       check_test=True)
-                 for regime in regimes]
+    eval_runs = {regime: _runs(matrix.y, base_seed, range(n_splits),
+                               fixed_split=retrodiction_split(row_cases)
+                               if regime == "retrodiction" else None,
+                               check_test=True)
+                 for regime in regimes}
     acc = {kind: np.zeros(matrix.n_features) for kind in MODEL_KINDS}
-    items = [(0, kind, j) for j in range(n_splits) for kind in MODEL_KINDS]
-    for (_, kind, _), fit in zip(items, _map_series(
-            [(matrix, runs)], items, forest_config, n_jobs, score=False)):
+    items = [(matrix, kind, run) for run in runs for kind in MODEL_KINDS]
+    for (_, kind, _), fit in zip(items, map_chunks(
+            partial(_fit_chunk, forest_config, False), items, n_jobs)):
         acc[kind] += fit.importance
     chosen = {"rf_gini": _top_k(matrix, acc["forest"], k),
               "logistic_beta": _top_k(matrix, acc["logistic"], k)}
 
-    # Series 2r + i: selector i's matrix under regimes[r].
-    matrices = [encode(cases, replace(_RANKING_SPEC, ig_subset=subset))
-                for subset in chosen.values()]
-    series = [(m, runs) for runs in eval_runs for m in matrices]
-    results = {(kind, s): [] for kind in MODEL_KINDS
-               for s in range(len(series))}
+    matrices = {sel: encode(cases, replace(_RANKING_SPEC, ig_subset=subset))
+                for sel, subset in chosen.items()}
+    results = {(kind, regime, sel): [] for kind in MODEL_KINDS
+               for regime in regimes for sel in chosen}
     # A logistic model runs once on a fixed split: it is deterministic.
-    items = [(s, kind, j) for j in range(n_splits) for kind, s in results
-             if j == 0 or kind == "forest"
-             or regimes[s // 2] == "random_draw"]
-    for (s, kind, j), fit in zip(items, _map_series(
-            series, items, forest_config, n_jobs)):
-        results[kind, s].append(_run_result(series[s][0], base_seed, j, fit))
+    cells = [(kind, regime, sel, j) for j in range(n_splits)
+             for kind, regime, sel in results
+             if j == 0 or kind == "forest" or regime == "random_draw"]
+    fits = map_chunks(partial(_fit_chunk, forest_config, True),
+                      [(matrices[sel], kind, eval_runs[regime][j])
+                       for kind, regime, sel, j in cells], n_jobs)
+    for (kind, regime, sel, j), fit in zip(cells, fits):
+        results[kind, regime, sel].append(
+            _run_result(matrices[sel], base_seed, j, fit))
 
     out: list[SelectorCell] = []
     gains: list[SelectorGain] = []
     for kind in MODEL_KINDS:
-        for r, regime in enumerate(regimes):
-            pair = results[kind, 2 * r], results[kind, 2 * r + 1]
+        for regime in regimes:
+            pair = [results[kind, regime, sel] for sel in chosen]
             for sel, rs in zip(chosen, pair):
                 out.append(SelectorCell(
                     kind, sel, regime,
@@ -699,9 +666,10 @@ def nonlinearity_case_study(cases: list[PolicyCase],
     matrix = encode(sub, FeatureSetSpec("custom", True, False, (pivot_ig,),
                                         "none"))
     rows = np.arange(matrix.n_samples)
-    f_fit, l_fit = _map_series(
-        [(matrix, [(rows, rows, mix_seed(base_seed, 1))])],
-        [(0, "forest", 0), (0, "logistic", 0)], forest_config, n_jobs)
+    run = rows, rows, mix_seed(base_seed, 1)
+    f_fit, l_fit = map_chunks(partial(_fit_chunk, forest_config, True),
+                              [(matrix, "forest", run),
+                               (matrix, "logistic", run)], n_jobs)
     f_scores, l_scores = f_fit.test_scores, l_fit.test_scores
     f_pred = (f_scores >= f_fit.op.threshold).astype(int)
     l_pred = (l_scores >= l_fit.op.threshold).astype(int)

@@ -34,7 +34,8 @@ def map_chunks(fn, items, n_jobs: int = 1):
 
     fn maps a chunk of items to an iterable of results, so one call can
     share work across its items (fit_forests grows all their trees
-    together). There are min(n_jobs, cores, items) workers. fn must
+    together). There are min(n_jobs, cores, items) workers, counting the
+    cores this process may run on (_usable_cores). fn must
     pickle (a module-level function, or a functools.partial of one
     binding the shared inputs), so the shared inputs are sent once per
     worker, and inside a worker jobs is 1, so that pools never nest. With
@@ -45,7 +46,7 @@ def map_chunks(fn, items, n_jobs: int = 1):
     """
     if n_jobs < 1:
         raise ForestError(f"n_jobs must be >= 1, got {n_jobs}")
-    jobs = min(n_jobs, os.cpu_count() or 1)
+    jobs = min(n_jobs, _usable_cores())
     if jobs > 1:
         items = list(items)
         workers = min(jobs, len(items))
@@ -61,6 +62,14 @@ def map_chunks(fn, items, n_jobs: int = 1):
                                                chunks)
                         for r in part]
     return fn(jobs, items)
+
+
+def _usable_cores() -> int:
+    """The cores this process may run on: its CPU affinity where the
+    platform reports one, else the machine's core count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _in_worker(fn, chunk) -> list:

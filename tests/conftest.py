@@ -156,8 +156,11 @@ def cases_noise_100():
 @pytest.fixture
 def recording_pool(monkeypatch):
     """Replace the worker pool with an in-process stand-in and return the
-    list of (max_workers, chunksize) it was asked for. No process starts."""
+    list of (max_workers, chunksize) it was asked for. No process starts;
+    each chunk is pickled and unpickled before it runs, so that it runs
+    on the objects a worker receives."""
     import concurrent.futures
+    import pickle
 
     requests = []
 
@@ -173,7 +176,7 @@ def recording_pool(monkeypatch):
 
         def map(self, fn, items, chunksize=1):
             requests.append((self.max_workers, chunksize))
-            return map(fn, items)
+            return (fn(pickle.loads(pickle.dumps(chunk))) for chunk in items)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
                         RecordingPool)

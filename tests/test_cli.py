@@ -477,34 +477,35 @@ class TestJobs:
         cases = make_cases(200, seed=7)
         data = tmp_path / "cases.csv"
         data.write_text(dump_cases(cases))
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
         encoded, chunk_domains, fits = [], [], []
         encode = experiments.encode
-        series_chunk = experiments._series_chunk
+        fit_chunk = experiments._fit_chunk
         fit_forests = forest.fit_forests
 
         def encode_spy(*args):
             encoded.append(args)
             return encode(*args)
 
-        def chunk_spy(series, forest_config, score, n_jobs, items):
-            [(matrix, runs)] = series
+        def chunk_spy(forest_config, score, n_jobs, items):
             items = list(items)
+            # The chunk, as a worker unpickles it, holds one matrix.
+            [matrix] = {id(m): m for m, _, _ in items}.values()
             # Every run trains on the cases of one domain. All domains are
             # ranked, so the matrix's case indices index cases.
             run_domains = [{cases[i].policy_domain
-                            for i in matrix.case_indices[runs[j][0]]}
-                           for _, _, j in items]
+                            for i in matrix.case_indices[train]}
+                           for _, _, (train, _, _) in items]
             assert all(len(d) == 1 for d in run_domains)
             chunk_domains.append(set().union(*run_domains))
-            return series_chunk(series, forest_config, score, n_jobs, items)
+            return fit_chunk(forest_config, score, n_jobs, items)
 
         def fit_spy(*args):
             fits.append(args)
             return fit_forests(*args)
 
         monkeypatch.setattr(experiments, "encode", encode_spy)
-        monkeypatch.setattr(experiments, "_series_chunk", chunk_spy)
+        monkeypatch.setattr(experiments, "_fit_chunk", chunk_spy)
         monkeypatch.setattr(forest, "fit_forests", fit_spy)
         assert main(["rank", "--data", str(data), "--runs", "3",
                      "--trees", "4", "--jobs", "2"]) == 0

@@ -120,17 +120,17 @@ class TestRunFeatureSetEval:
         cases = make_cases(200, seed=7, missing_p90_every=4)
         kept = [i for i, c in enumerate(cases) if c.p90 is not None]
         seen = []
-        forest_fits = experiments._forest_fits
+        fit_chunk = experiments._fit_chunk
 
-        def spy(matrix, runs, *args):
-            def recorded():
-                for train, test, model_seed in runs:
-                    seen.append((matrix.case_indices[train],
-                                 matrix.case_indices[test]))
-                    yield train, test, model_seed
-            return forest_fits(matrix, list(recorded()), *args)
+        def spy(forest_config, score, n_jobs, items):
+            items = list(items)
+            for matrix, kind, (train, test, _) in items:
+                assert kind == "forest"
+                seen.append((matrix.case_indices[train],
+                             matrix.case_indices[test]))
+            return fit_chunk(forest_config, score, n_jobs, items)
 
-        monkeypatch.setattr(experiments, "_forest_fits", spy)
+        monkeypatch.setattr(experiments, "_fit_chunk", spy)
         rep = run_feature_set_eval(cases, FeatureSetSpec.set_a(), regime,
                                    n_runs=2, forest_config=FAST_FOREST)
         assert rep.n_dropped_missing_p90 == 50
@@ -462,7 +462,7 @@ class TestNonlinearityCaseStudy:
         logistic model, each fit on every qualifying case and scored
         there at the operating point its own scores choose."""
         from policyforest import logistic, metrics
-        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.rf, "_usable_cores", lambda: 8)
         cases = three_region_cases(n=120, seed=3)
         cfg, seed = ForestConfig(n_trees=20), 5
         matrix = encode(cases, FeatureSetSpec("custom", True, False,
@@ -532,7 +532,7 @@ class TestWorkerFanOut:
 
     @pytest.fixture(autouse=True)
     def eight_cores(self, monkeypatch):
-        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.rf, "_usable_cores", lambda: 8)
 
     def test_runs_fan_out_not_trees(self, cases_200, recording_pool):
         run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
@@ -544,6 +544,27 @@ class TestWorkerFanOut:
                            forest_config=FAST_FOREST, n_jobs=2)
         # Three runs on two workers: chunks of two runs and one run.
         assert recording_pool == [(2, 1)] * 3
+
+    @pytest.mark.parametrize("n_runs", [3, 4])
+    def test_gains_chunks_fit_each_matrix_once(self, n_runs, cases_200,
+                                               recording_pool, monkeypatch):
+        """Each of the two chunks grows its Set B forests in one
+        fit_forests call and its Set A forests in another, however the
+        chunk interleaves their runs."""
+        fitted = []
+        fit_forests = forest.fit_forests
+
+        def spy(matrix, *args):
+            fitted.append(matrix.column_names)
+            return fit_forests(matrix, *args)
+
+        monkeypatch.setattr(forest, "fit_forests", spy)
+        gain_per_ig(cases_200, n_runs=n_runs, forest_config=FAST_FOREST,
+                    n_jobs=2)
+        assert recording_pool == [(2, 1)]
+        b, a = (encode(cases_200, spec).column_names
+                for spec in (FeatureSetSpec.set_b(), FeatureSetSpec.set_a()))
+        assert sorted(fitted[:2]) == sorted(fitted[2:]) == sorted([b, a])
 
     def test_all_domains_share_one_pool(self, cases_200, recording_pool):
         rank_igs_by_domain(cases_200, n_splits=2, forest_config=FAST_FOREST,
@@ -614,7 +635,7 @@ class TestOneCoreHost:
 
     @pytest.fixture(autouse=True)
     def one_core(self, monkeypatch):
-        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(experiments.rf, "_usable_cores", lambda: 1)
 
     @staticmethod
     def _forests_read_before_first_model(matrix, n_jobs):
@@ -678,7 +699,7 @@ class TestEntryChecks:
     @pytest.mark.parametrize("fraction", [1.5, 0.0, float("nan")])
     def test_train_fraction_outside_unit_interval_starts_no_pool(
             self, fraction, cases_200, recording_pool, monkeypatch):
-        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.rf, "_usable_cores", lambda: 8)
         with pytest.raises(ExperimentError,
                            match=r"train_fraction must be in \(0, 1\)"):
             run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
@@ -689,7 +710,7 @@ class TestEntryChecks:
 
     def test_unknown_model_kind_starts_no_pool(self, cases_200,
                                                recording_pool, monkeypatch):
-        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.rf, "_usable_cores", lambda: 8)
         with pytest.raises(ExperimentError, match="unknown model kind"):
             run_feature_set_eval(cases_200, FeatureSetSpec.set_a(),
                                  "random_draw", model_kind="tree", n_runs=3,
@@ -703,7 +724,7 @@ class TestEntryChecks:
         ids=["gains", "set-c", "compare-selectors"])
     def test_single_class_training_run_starts_no_pool(
             self, run, settings, cases_200, recording_pool, monkeypatch):
-        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.rf, "_usable_cores", lambda: 8)
         cases = [replace(c, outcome=1) for c in cases_200]
         with pytest.raises(ExperimentError, match=r"run 1 of 2: the \d+ "
                            r"training cases have a single class"):
@@ -722,7 +743,7 @@ class TestEntryChecks:
             self, run, cases_200, recording_pool, monkeypatch):
         # Every case from the cutoff year on is adopted: the retrodiction
         # test rows, which the AUC needs with both classes, have one.
-        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.rf, "_usable_cores", lambda: 8)
         cases = [replace(c, outcome=1) if c.year >= 1997 else c
                  for c in cases_200]
         with pytest.raises(ExperimentError, match=r"run 1 of 2: the \d+ "
@@ -732,7 +753,7 @@ class TestEntryChecks:
 
     def test_unknown_regime_starts_no_pool(self, cases_200, recording_pool,
                                            monkeypatch):
-        monkeypatch.setattr(experiments.rf.os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(experiments.rf, "_usable_cores", lambda: 8)
         with pytest.raises(ExperimentError, match="unknown regime 'retro'"):
             compare_selectors(cases_200, k=3,
                               regimes=("random_draw", "retro"), n_splits=3,

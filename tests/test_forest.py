@@ -437,24 +437,40 @@ class TestMapOrdered:
                                                monkeypatch):
         assert map_chunks(_absolute, [-1, -2, -3], 10_000) == \
             [(1, 1), (1, 2), (1, 3)]
-        bound = min(os.cpu_count() or 1, 3)
+        bound = min(forest._usable_cores(), 3)
         assert all(w <= bound for w, _ in recording_pool)
         recording_pool.clear()
         for cores, expected in ((8, (3, 1)), (2, (2, 1))):
-            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            monkeypatch.setattr(forest, "_usable_cores", lambda: cores)
             assert map_chunks(_absolute, [-1, -2, -3], 10_000) == \
                 [(1, 1), (1, 2), (1, 3)]
             assert recording_pool.pop() == expected
 
     def test_one_worker_needs_no_pool(self, recording_pool, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 8)
         assert map_chunks(_absolute, [-4, 5], 1) == [(1, 4), (1, 5)]
         # A single item keeps the jobs, so a single forest can fan out.
         assert map_chunks(_absolute, [-4], 4) == [(4, 4)]
         assert map_chunks(_absolute, [], 4) == []
-        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 1)
         assert map_chunks(_absolute, [-4, 5], 4) == [(1, 4), (1, 5)]
         assert recording_pool == []
+
+    def test_one_usable_core_starts_no_pool(self, recording_pool,
+                                            monkeypatch):
+        # Two cores on the host, one in the process's CPU affinity.
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert map_chunks(_absolute, [-4, 5], 2) == [(1, 4), (1, 5)]
+        assert recording_pool == []
+
+    def test_cores_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert forest._usable_cores() == 3
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert forest._usable_cores() == 1
 
     @pytest.mark.parametrize("n_jobs", [0, -3])
     def test_rejects_n_jobs_below_one(self, n_jobs):
@@ -462,7 +478,7 @@ class TestMapOrdered:
             map_chunks(_absolute, [1, 2], n_jobs)
 
     def test_forest_fans_out_trees_once(self, recording_pool, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 8)
         m = _separable_matrix(seed=4)
         cfg = ForestConfig(n_trees=7)
         model = fit_forest(m, cfg, 1, n_jobs=3)
@@ -778,7 +794,7 @@ class TestFitForests:
                               np.ones(2, dtype=np.int32))
 
     def test_parallel_equals_serial(self, recording_pool, monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 8)
         m = TestModelIdentity._noisy_matrix()
         forests = self._forests(m.n_samples)
         cfg = ForestConfig(n_trees=3, max_depth=5)
@@ -792,7 +808,7 @@ class TestFitForests:
 
     def test_config_checked_before_any_pool(self, recording_pool,
                                             monkeypatch):
-        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 8)
         m = matrix_from(np.arange(8.0)[:, None], [0, 1] * 4)
         cfg = ForestConfig(n_trees=2, features_per_split=2)
         with pytest.raises(ForestError, match="features_per_split 2 exceeds "
