@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import asdict, is_dataclass
 from functools import partial
@@ -450,6 +451,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # NumPy's BLAS runs on one thread, so --jobs is the only parallelism,
+    # unless the user has set one of these; workers inherit them. No
+    # command has loaded NumPy yet, and BLAS reads them when it loads.
+    blas = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    if not any(name in os.environ for name in blas):
+        os.environ.update(dict.fromkeys(blas, "1"))
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     args = parser.parse_args(argv)

@@ -139,11 +139,9 @@ def _scored(matrix: EncodedMatrix, train: np.ndarray, test: np.ndarray,
         importance = model.gini_importance
         predict = partial(rf.predict_proba, model)
     else:
-        mags = dict(zip(model.column_names, np.abs(model.beta)))
-        importance = np.array([mags.get(name, 0.0)
-                               for name in matrix.column_names])
-        predict = partial(lr.predict_proba, model,
-                          input_columns=matrix.column_names)
+        importance = np.zeros(len(model.kept))
+        importance[model.kept] = np.abs(model.beta)
+        predict = partial(lr.predict_proba, model)
     if not score:
         return _Fit(test, importance)
     scores = predict(matrix.X[train])

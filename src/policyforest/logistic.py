@@ -1,7 +1,7 @@
 """Binary logistic regression via penalized maximum likelihood.
 
 Inputs are standardized to zero mean / unit variance before fitting
-(constant columns are dropped and recorded), so coefficient magnitudes
+(constant columns are dropped and marked in `kept`), so coefficient magnitudes
 are comparable across features. The optimizer is damped Newton ascent
 with a ridge penalty; each accepted step does not decrease the penalized
 log-likelihood. Iteration stops when the gradient norm falls below
@@ -41,10 +41,10 @@ HESSIAN_ROWS = 64
 class LogisticModel:
     beta: np.ndarray          # coefficients on the standardized scale
     intercept: float
-    means: np.ndarray         # per retained column
+    means: np.ndarray         # per kept column
     stds: np.ndarray
-    column_names: list[str]   # retained columns, original order
-    dropped_columns: list[str]
+    column_names: list[str]   # the fit matrix's columns
+    kept: np.ndarray          # per column: False where dropped as constant
     ll_history: list[float]   # penalized log-likelihood per iteration
     converged: bool
 
@@ -98,12 +98,10 @@ def fit(matrix: EncodedMatrix) -> LogisticModel:
     check_finite(X, LogisticError)
 
     stds_all = X.std(axis=0)
-    keep = stds_all > 0
-    dropped = [name for name, k in zip(matrix.column_names, keep) if not k]
-    names = [name for name, k in zip(matrix.column_names, keep) if k]
-    means = X[:, keep].mean(axis=0)
-    stds = stds_all[keep]
-    Z = (X[:, keep] - means) / stds
+    kept = stds_all > 0
+    means = X[:, kept].mean(axis=0)
+    stds = stds_all[kept]
+    Z = (X[:, kept] - means) / stds
 
     m = Z.shape[1]
     theta = np.zeros(m + 1)  # [intercept, beta]
@@ -150,28 +148,20 @@ def fit(matrix: EncodedMatrix) -> LogisticModel:
         converged = bool(np.linalg.norm(grad) < TOLERANCE)
 
     return LogisticModel(beta=theta[1:], intercept=float(theta[0]),
-                         means=means, stds=stds, column_names=names,
-                         dropped_columns=dropped, ll_history=history,
-                         converged=converged)
+                         means=means, stds=stds,
+                         column_names=list(matrix.column_names), kept=kept,
+                         ll_history=history, converged=converged)
 
 
-def predict_proba(model: LogisticModel, rows: np.ndarray,
-                  input_columns: list[str] | None = None) -> np.ndarray:
+def predict_proba(model: LogisticModel, rows: np.ndarray) -> np.ndarray:
     """sigma(intercept + beta . standardize(row)) for each row of the 2-D
-    matrix rows, whose columns are the model's retained columns; pass
-    input_columns when the input still includes columns that were dropped
-    as constant at fit time.
-    """
+    matrix rows, in the layout of the matrix the model was fit on."""
     rows = np.asarray(rows, dtype=float)
     check_finite(rows, LogisticError)
-    if input_columns is not None and input_columns != model.column_names:
-        try:
-            sel = [input_columns.index(c) for c in model.column_names]
-        except ValueError as e:
-            raise LogisticError(f"input columns missing model column: {e}")
-        rows = rows[:, sel]
     if rows.shape[1] != len(model.column_names):
         raise LogisticError(f"row arity {rows.shape[1]} does not match model "
                             f"feature count {len(model.column_names)}")
+    if not model.kept.all():
+        rows = rows[:, model.kept]
     z = (rows - model.means) / model.stds
     return sigmoid(model.intercept + z @ model.beta)

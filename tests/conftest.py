@@ -1,3 +1,4 @@
+import os
 from dataclasses import fields
 
 import numpy as np
@@ -141,6 +142,24 @@ def stump_split(X, y, features):
     if gain <= GAIN_EPS:
         return None
     return cands[tree.feature[0]], float(tree.threshold[0]), float(gain)
+
+
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.fixture(autouse=True)
+def blas_thread_variables():
+    """Put the BLAS thread variables, which cli.main sets when none is
+    set, back as they were after each test, so that a later subprocess
+    sees only the environment its own test sets up. (monkeypatch records
+    no undo for deleting a variable that is not set.)"""
+    saved = {name: os.environ.get(name) for name in BLAS_THREADS}
+    yield
+    for name, value in saved.items():
+        if value is None:
+            os.environ.pop(name, None)
+        else:
+            os.environ[name] = value
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from policyforest.cli import main
 from policyforest.dataset import (IG_NAMES, PA_TO_PD, PD_LABELS,
                                   TRAIN_FRACTION, dump_cases, mix_seed,
                                   random_split)
-from conftest import make_cases
+from conftest import BLAS_THREADS, make_cases
 
 
 @pytest.fixture
@@ -533,6 +533,45 @@ class TestJobs:
                              capture_output=True, text=True, timeout=60,
                              env={**os.environ, "PYTHONPATH": src})
         assert out.stdout.strip() == "[]"
+
+
+class TestBlasPin:
+    # The variables after a logistic eval, and the threads the process
+    # holds (None where /proc/self/task does not exist).
+    RUN = """
+import json, os, sys
+from policyforest.cli import main
+assert main(["eval", "--model", "logistic", "--runs", "2",
+             "--data", sys.argv[1]]) == 0
+task = "/proc/self/task"
+print(json.dumps({"env": {name: os.environ.get(name) for name in sys.argv[2:]},
+                  "threads": len(os.listdir(task))
+                  if os.path.isdir(task) else None}))
+"""
+
+    def _run(self, data_file, **user):
+        """What RUN prints in a fresh interpreter whose environment holds
+        none of the BLAS thread variables but those in user."""
+        src = str(Path(policyforest.__file__).resolve().parents[1])
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+        out = subprocess.run(
+            [sys.executable, "-c", self.RUN, data_file, *BLAS_THREADS],
+            check=True, capture_output=True, text=True, timeout=120,
+            env={**env, "PYTHONPATH": src, **user})
+        return json.loads(out.stdout.splitlines()[-1])
+
+    def test_model_command_runs_blas_on_one_thread(self, data_file):
+        got = self._run(data_file)
+        assert got["env"] == dict.fromkeys(BLAS_THREADS, "1")
+        # Unpinned, OpenBLAS starts a thread per further usable core.
+        if got["threads"] is not None and forest._usable_cores() >= 2:
+            assert got["threads"] == 1
+
+    def test_user_setting_left_as_set(self, data_file):
+        got = self._run(data_file, OMP_NUM_THREADS="2")
+        assert got["env"] == {"OPENBLAS_NUM_THREADS": None,
+                              "OMP_NUM_THREADS": "2",
+                              "MKL_NUM_THREADS": None}
 
 
 class TestImports:

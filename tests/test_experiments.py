@@ -470,8 +470,7 @@ class TestNonlinearityCaseStudy:
         fmodel = forest.fit_forest(matrix, cfg, mix_seed(seed, 1))
         lmodel = logistic.fit(matrix)
         scores = [forest.predict_proba(fmodel, matrix.X),
-                  logistic.predict_proba(lmodel, matrix.X,
-                                         matrix.column_names)]
+                  logistic.predict_proba(lmodel, matrix.X)]
         ops = [metrics.select_operating_point(s, matrix.y) for s in scores]
         (f_scores, f_pred), (l_scores, l_pred) = [
             (s, (s >= op.threshold).astype(int))

@@ -30,9 +30,10 @@ def ascent_terms(Z, beta, intercept, l2):
 
 
 def by_magnitude(model):
-    """The model's columns by falling |beta|, ties in column order."""
+    """The model's kept columns by falling |beta|, ties in column order."""
+    names = [name for name, k in zip(model.column_names, model.kept) if k]
     order = np.argsort(-np.abs(model.beta), kind="stable")
-    return [model.column_names[i] for i in order]
+    return [names[i] for i in order]
 
 
 def reference_fit(matrix):
@@ -73,11 +74,10 @@ def reference_fit(matrix):
                 break
             scale *= 0.5
         theta = theta + scale * step
-    names = [name for name, k in zip(matrix.column_names, keep) if k]
     return LogisticModel(beta=theta[1:], intercept=float(theta[0]),
-                         means=means, stds=stds, column_names=names,
-                         dropped_columns=[], ll_history=history,
-                         converged=converged)
+                         means=means, stds=stds,
+                         column_names=list(matrix.column_names), kept=keep,
+                         ll_history=history, converged=converged)
 
 
 def collinear_design(seed=108, n=200, k=5):
@@ -195,11 +195,13 @@ class TestFit:
         X[:, 2] = 4.0
         y = (X[:, 0] > 0).astype(int)
         model = fit(matrix_from(X, y))
-        assert model.dropped_columns == ["f2"]
-        assert model.column_names == ["f0", "f1"]
-        # prediction works on the full-width input given its column names
-        p = predict_proba(model, X, ["f0", "f1", "f2"])
+        assert model.kept.tolist() == [True, True, False]
+        assert model.column_names == ["f0", "f1", "f2"]
+        # prediction takes rows in the fit matrix's layout
+        p = predict_proba(model, X)
         assert p.shape == (60,)
+        narrow = fit(matrix_from(X[:, :2], y))
+        assert np.array_equal(p, predict_proba(narrow, X[:, :2]))
 
     def test_single_class_error(self):
         with pytest.raises(LogisticError):
@@ -273,6 +275,8 @@ class TestValidation:
         X = rng.normal(size=(40, 3))
         y = (X[:, 0] > 0).astype(int)
         model = fit(matrix_from(X, y))
+        # A model whose constant first column fit drops.
+        wide_model = fit(matrix_from(np.hstack([np.zeros((40, 1)), X]), y))
         X[9, 0] = bad
         X[5, 2] = bad
         with pytest.raises(LogisticError, match="row 5, column 2"):
@@ -284,7 +288,7 @@ class TestValidation:
         # Columns are named in the caller's input, before selection.
         wide = np.hstack([np.zeros((40, 1)), X])
         with pytest.raises(LogisticError, match="row 5, column 3"):
-            predict_proba(model, wide, ["c", "f0", "f1", "f2"])
+            predict_proba(wide_model, wide)
 
 
 class TestGradientCheck:
@@ -317,7 +321,7 @@ class TestPredictAndRanking:
         return LogisticModel(beta=beta, intercept=intercept,
                              means=np.zeros(d), stds=np.ones(d),
                              column_names=[f"f{i}" for i in range(d)],
-                             dropped_columns=[], ll_history=[],
+                             kept=np.ones(d, dtype=bool), ll_history=[],
                              converged=True)
 
     def test_zero_model_gives_half(self):

@@ -6,18 +6,23 @@ the exit code, stdout without its `wrote` lines, and each report file's
 name and body without its provenance (`#`) lines. Both job counts must
 match report_digests.json. A change that declares a new model rewrites
 that table in the same commit; a failure prints every computed digest in
-the table's form.
+the table's form. The configurations that fit logistic models must also
+match it when run by the CLI in a fresh interpreter on two BLAS threads.
 """
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import policyforest
 from policyforest.cli import main
 from policyforest.dataset import dump_cases
-from conftest import make_cases
+from conftest import BLAS_THREADS, make_cases
 
 TABLE = Path(__file__).with_name("report_digests.json")
 
@@ -46,7 +51,13 @@ def cases_csv(tmp_path_factory):
 
 def _digest(argv, out, capsys):
     code = main(argv + ["--trees", "4", "--out", str(out)])
-    stdout = capsys.readouterr().out.splitlines(keepends=True)
+    return _hash(code, capsys.readouterr().out, out)
+
+
+def _hash(code, stdout, out):
+    """The digest of a run that exited with code, printed stdout and wrote
+    its reports under out."""
+    stdout = stdout.splitlines(keepends=True)
     h = hashlib.sha256(f"exit {code}\n".encode())
     h.update("".join(l for l in stdout
                      if not l.startswith("wrote ")).encode("utf-8"))
@@ -71,3 +82,24 @@ def test_reports_match_committed_digests(jobs, cases_csv, tmp_path, capsys):
         for name, argv in CONFIGS.items()}
     assert computed == table, \
         f"--jobs {jobs} digests:\n{json.dumps(computed, indent=2)}"
+
+
+def test_logistic_reports_do_not_depend_on_blas_threads(cases_csv, tmp_path):
+    """The configurations that fit logistic models, run by the CLI in a
+    fresh interpreter whose user set two OpenBLAS threads, match the
+    table: the fit's Hessian blocks keep its sums in one order."""
+    table = json.loads(TABLE.read_text(encoding="utf-8"))
+    src = str(Path(policyforest.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_THREADS}
+    env.update(PYTHONPATH=src, PYTHONIOENCODING="utf-8",
+               OPENBLAS_NUM_THREADS="2")
+    names = ("eval_D_logistic", "compare_selectors", "case_study")
+    computed = {}
+    for name in names:
+        out = tmp_path / name
+        run = subprocess.run(
+            [sys.executable, "-m", "policyforest.cli", *CONFIGS[name],
+             "--data", str(cases_csv), "--trees", "4", "--out", str(out)],
+            capture_output=True, encoding="utf-8", env=env, timeout=600)
+        computed[name] = _hash(run.returncode, run.stdout, out)
+    assert computed == {name: table["reports"][name] for name in names}
