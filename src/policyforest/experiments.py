@@ -5,10 +5,12 @@ comparisons, and the nonlinearity case study.
 Every experiment is a pure function of (cases, parameters, base_seed);
 run seeds derive from the base seed with the same mixing function the
 forest uses, so reports are bit-reproducible and independent of
-execution parallelism. Every experiment, the case study included, draws
-and checks all its runs up front (_runs; the case study's one run trains
-and tests on all its rows), each a (train rows, test rows, model seed)
-triple, and lists its fits as items (matrix, model kind, run).
+execution parallelism. Every experiment but the case study draws and
+checks all its runs up front (_runs), each a (train rows, test rows,
+model seed) triple; the case study builds its one run by hand, training
+and testing on all its rows with model seed mix_seed(base_seed, 1), and
+runs its own class check. Each lists its fits as items (matrix, model
+kind, run).
 forest.map_chunks hands the items to _fit_chunk in contiguous chunks,
 one per worker, which may span cells or specs (rank's domains are row
 sets of one matrix); _fit_chunk fits a chunk's items of one matrix and

@@ -6,7 +6,7 @@ and fit_forest is its one-forest form. One ForestConfig holds the model
 settings of a fit and each forest brings its rows and its seed; a tree
 draws its bootstrap and its candidates from seeds derived from (forest
 seed, tree index) alone, so serial and parallel fits produce identical
-models. The trees in flight grow together, level by level, as one set of
+models. Trees grow in batches, level by level, each batch one set of
 arrays with no object per tree.
 """
 
@@ -81,10 +81,10 @@ def _in_worker(fn, chunk) -> list:
 # against float noise on splits that are exactly neutral).
 GAIN_EPS = 1e-12
 
-# Distinct sample rows of the trees grown at once, one depth level per
-# pass (trees start while fewer are in flight; about 32 Set D eval trees).
-# More trees in flight spread each pass's NumPy calls over more nodes and
-# hold more memory.
+# Distinct sample rows of a batch of trees grown together, one depth level
+# per pass (a batch starts trees while its samples hold fewer; about 32
+# Set D eval trees). Larger batches spread each pass's NumPy calls over
+# more nodes and hold more memory.
 ROWS_IN_FLIGHT = 23_000
 
 
@@ -108,7 +108,8 @@ class ForestConfig:
             raise ForestError(f"min_samples_leaf must be >= 1, got "
                               f"{self.min_samples_leaf}")
         if self.features_per_split is not None and self.features_per_split < 1:
-            raise ForestError("features_per_split must be >= 1")
+            raise ForestError(f"features_per_split must be >= 1, got "
+                              f"{self.features_per_split}")
 
     def resolve(self, n_features: int) -> tuple[int, int, float]:
         """(candidate columns per node, min_samples_leaf, max_depth) of a
@@ -317,147 +318,132 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
                 growth: tuple, _jobs: int, tasks):
     """map_chunks's function over tasks: grow one tree per task (forest,
     tree index, rows, forest seed), each drawing its own sample (_sample),
-    and yield ((forest, tree index), tree, raw importance) as each tree
-    completes, the trees of one pass in the order they started.
+    and yield ((forest, tree index), tree, raw importance) per tree.
 
     labels holds the label of each row of view as booleans. growth,
     ForestConfig.resolve's (k, min_leaf, max_depth), holds for every
-    tree. Trees grow together, each by one depth level per pass, and the
-    next tree starts while the samples in flight hold fewer than
-    ROWS_IN_FLIGHT distinct rows, so at least one grows. Each pass
-    searches all its splittable nodes in one _search call. A tree draws its
-    candidates from its own stream, and each node's cut depends on its own
-    rows and candidates alone, so a tree is the same however many trees
-    grow beside it.
+    tree. Trees grow in batches. A batch starts trees while their samples
+    hold fewer than ROWS_IN_FLIGHT distinct rows, at least one, and grows
+    them all one depth level per pass until none has a node left to grow;
+    then it yields its trees in the order they started, and the next
+    batch begins. Each pass searches all its splittable nodes in one
+    _search call. A tree draws its candidates from its own stream, and
+    each node's cut depends on its own rows and candidates alone, so a
+    tree is the same however many trees grow beside it.
     Importances are the per-feature sums of sample-weighted impurity
     decreases, in level order.
 
-    The trees in flight are arrays, tree after tree in the order they
-    started, so that no step of a pass loops over them. trees holds per
-    tree its key, candidate seed, keys drawn, sample size with repeats,
-    distinct rows and depth; buffer the samples' rows and counts as int32,
-    permuted in place so that every node's rows are one contiguous range
-    of slots, in any order within it; front the level's nodes, left to
-    right, as a (5, nodes) array of tree, first slot within the tree,
-    slots, rows and positives (with repeats); and levels records,
-    each the tree of each node and a (5, nodes) float array of its rows,
-    positive fraction, feature (-1 for a leaf), threshold and
-    sample-weighted impurity decrease, all exact as floats: one record of
-    the nodes grown before a tree last ended, then one per pass since.
+    A batch's trees are arrays, tree after tree in the order they
+    started, so that no step of a pass loops over them: seed, drawn and
+    n_total hold per tree its candidate seed, keys drawn and sample size
+    with repeats; buffer the samples' rows and counts as int32, which
+    stay in their slots until the batch ends, permuted in place so that
+    every node's rows are one contiguous range of slots, in any order
+    within it; front the level's nodes, left to right, as a (5, nodes)
+    array of tree, first slot, slots, rows and positives (with repeats);
+    and levels one record per pass, the tree of each node and a
+    (5, nodes) float array of its rows, positive fraction, feature (-1
+    for a leaf), threshold and sample-weighted impurity decrease, all
+    exact as floats. Every node of a pass is at depth len(levels).
     """
     k, min_leaf, max_depth = growth
     width = view.n_features
     tasks = iter(tasks)
-    trees = np.zeros(0, [("key", int, 2), ("seed", np.uint64),
-                         ("drawn", int), ("n_total", int), ("size", int),
-                         ("depth", int)])
-    buffer = [np.zeros(0, dtype=np.int32)] * 2
-    front = np.zeros((5, 0), dtype=int)
-    levels = []
     while True:
-        rows_in_flight = trees["size"].sum()
-        started = []
+        started, rows_in_flight = [], 0
         while (rows_in_flight < ROWS_IN_FLIGHT
                and (task := next(tasks, None)) is not None):
             started.append((task[:2], *_sample(bootstrap, task)))
             rows_in_flight += len(started[-1][1])
-        if started:
-            new = np.zeros(len(started), trees.dtype)
-            new["key"], rows, counts, new["seed"] = zip(*started)
-            new["size"] = list(map(len, rows))
-            rows, counts = np.concatenate(rows), np.concatenate(counts)
-            first = np.cumsum(new["size"]) - new["size"]
-            new["n_total"], n_pos = np.add.reduceat(
-                [counts, counts * labels[rows]], first, axis=1)
-            front = np.concatenate([front, [
-                len(trees) + np.arange(len(new)), np.zeros_like(first),
-                new["size"], new["n_total"], n_pos]], axis=1)
-            buffer = [np.concatenate(part, dtype=np.int32)
-                      for part in zip(buffer, (rows, counts))]
-            trees = np.concatenate([trees, new])
-            del started, rows, counts  # the samples live in buffer alone
-        if not trees.size:
+        if not started:
             return
+        keys, rows, counts, seed = zip(*started)
+        size = list(map(len, rows))
+        buffer = [np.concatenate(part, dtype=np.int32)
+                  for part in (rows, counts)]
+        del started, rows, counts  # the samples live in buffer alone
+        first = np.cumsum(size) - size
+        n_total, n_pos = np.add.reduceat(
+            [buffer[1], buffer[1] * labels[buffer[0]]], first, axis=1)
+        front = np.stack([np.arange(len(keys)), first, size, n_total, n_pos])
+        seed = np.array(seed, dtype=np.uint64)
+        drawn = np.zeros(len(keys), dtype=int)
+        levels = []
+        while front.size:
+            tree, start, slots, n, n_pos = front
+            splittable = ((0 < n_pos) & (n_pos < n) & (n >= 2 * min_leaf)
+                          & (len(levels) < max_depth))
+            # Each tree draws a row of keys, one per column, for each of its
+            # m splittable nodes, left to right, from the next m * width
+            # values of its stream; the k smallest keys of a row name the
+            # node's k candidate columns. One call draws the keys of every
+            # tree, which are dropped once they have named the candidates.
+            owner = tree[splittable]
+            rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
+            cands = np.sort(np.argpartition(splitmix64(
+                seed[owner, None],
+                (drawn[owner] + width * rank)[:, None] + np.arange(width)
+            ), k - 1, axis=1)[:, :k], axis=1)
+            drawn += width * np.bincount(owner, minlength=len(keys))
 
-        tree, start, slots, n, n_pos = front
-        first_slot = start + (np.cumsum(trees["size"]) - trees["size"])[tree]
-        splittable = ((0 < n_pos) & (n_pos < n) & (n >= 2 * min_leaf)
-                      & (trees["depth"] < max_depth)[tree])
-        # Each tree draws a row of keys, one per column, for each of its m
-        # splittable nodes, left to right, from the next m * width values
-        # of its stream; the k smallest keys of a row name the node's k
-        # candidate columns. One call draws the keys of every tree, which
-        # are dropped once they have named the candidates.
-        owner = tree[splittable]
-        rank = np.arange(len(owner)) - np.searchsorted(owner, owner)
-        cands = np.sort(np.argpartition(splitmix64(
-            trees["seed"][owner, None],
-            (trees["drawn"][owner] + width * rank)[:, None] + np.arange(width)
-        ), k - 1, axis=1)[:, :k], axis=1)
-        trees["drawn"] += width * np.bincount(owner, minlength=len(trees))
+            feature = np.full(len(n), -1)
+            threshold, gain = np.zeros((2, len(n)))
+            slots_left, n_left, pos_left = np.zeros((3, len(n)), dtype=int)
+            at = splittable.nonzero()[0]
+            if at.size:
+                (feature[at], threshold[at], gain[at], slots_left[at],
+                 n_left[at], pos_left[at]) = _search(
+                    view, labels, buffer, start[at], slots[at], n[at],
+                    n_pos[at], cands)
 
-        feature = np.full(len(n), -1)
-        threshold, gain = np.zeros((2, len(n)))
-        slots_left, n_left, pos_left = np.zeros((3, len(n)), dtype=int)
-        at = splittable.nonzero()[0]
-        if at.size:
-            (feature[at], threshold[at], gain[at], slots_left[at],
-             n_left[at], pos_left[at]) = _search(
-                view, labels, buffer, first_slot[at], slots[at], n[at],
-                n_pos[at], cands)
+            split = ((feature >= 0) & (n_left >= min_leaf)
+                     & (n - n_left >= min_leaf))
+            levels.append((tree.copy(), np.stack([
+                n, n_pos / n, np.where(split, feature, -1),
+                np.where(split, threshold, 0.0),
+                np.where(split, (n / n_total[tree]) * gain, 0.0)])))
+            s = split.nonzero()[0]
+            # Children left to right, each split's left child first; they
+            # come tree after tree, as their parents do.
+            front = np.stack([tree[s], start[s], slots_left[s], n_left[s],
+                              pos_left[s], tree[s], start[s] + slots_left[s],
+                              slots[s] - slots_left[s], n[s] - n_left[s],
+                              n_pos[s] - pos_left[s]],
+                             axis=1).reshape(-1, 5).T
+        # The batch's arrays are freed before its trees are handed on, and
+        # its trees (kept by their forests) before the next batch starts.
+        del buffer
+        grown = _batch_trees(keys, levels, width)
+        del levels
+        yield from grown
+        del grown
 
-        split = ((feature >= 0) & (n_left >= min_leaf)
-                 & (n - n_left >= min_leaf))
-        levels.append((tree.copy(), np.stack([
-            n, n_pos / n, np.where(split, feature, -1),
-            np.where(split, threshold, 0.0),
-            np.where(split, (n / trees["n_total"][tree]) * gain, 0.0)])))
-        s = split.nonzero()[0]
-        # Children left to right, each split's left child first; they come
-        # tree after tree, as their parents do.
-        front = np.stack([tree[s], start[s], slots_left[s], n_left[s],
-                          pos_left[s], tree[s], start[s] + slots_left[s],
-                          slots[s] - slots_left[s], n[s] - n_left[s],
-                          n_pos[s] - pos_left[s]], axis=1).reshape(-1, 5).T
-        trees["depth"] += 1
 
-        # A tree without children is done; its nodes leave the records,
-        # the rest stay as one record, and the trees left are renumbered.
-        live = np.bincount(front[0], minlength=len(trees)) > 0
-        if live.all():
-            continue
-        done = ~live
-        buffer = [part[np.repeat(live, trees["size"])] for part in buffer]
-        renumber = np.cumsum(live) - 1
-        front[0] = renumber[front[0]]
-        tree, record = (np.concatenate(part, axis=-1) for part in zip(*levels))
-        out = done[tree]
-        levels = [(renumber[tree[~out]], record[:, ~out])]
-        keys = trees["key"][done].tolist()
-        trees = trees[live]
-
-        # The done trees, numbered from 0, and their nodes in level order.
-        tree, record = tree[out], record[:, out]
-        order = np.argsort(tree, kind="stable")
-        tree = (np.cumsum(done) - 1)[tree[order]]
-        n, value, feature, threshold, weighted = record[:, order]
-        feature = feature.astype(np.int32)
-        inner = feature >= 0
-        importance = np.bincount(
-            tree[inner] * width + feature[inner], weights=weighted[inner],
-            minlength=len(keys) * width).reshape(len(keys), width)
-        # Level order lists the children of each level's splits left to
-        # right, so split s (in level order) has children 2s + 1, 2s + 2.
-        first = np.searchsorted(tree, np.arange(len(keys)))
-        splits_before = np.cumsum(inner) - inner
-        left = np.where(inner, 2 * (splits_before
-                                    - splits_before[first][tree]) + 1, -1)
-        arrays = (feature, threshold, left.astype(np.int32), value,
-                  n.astype(np.int32))
-        bounds = np.append(first, len(tree)).tolist()
-        # Each array its own, so that a kept tree holds only its nodes.
-        for key, a, b, raw in zip(keys, bounds, bounds[1:], importance):
-            yield tuple(key), Tree(*(x[a:b].copy() for x in arrays)), raw
+def _batch_trees(keys, levels, width: int) -> list:
+    """(key, tree, raw importance) of each tree of a finished batch, in
+    keys' order, from its levels records (_grow_trees)."""
+    tree, record = (np.concatenate(part, axis=-1) for part in zip(*levels))
+    # Each tree's nodes in level order.
+    order = np.argsort(tree, kind="stable")
+    tree = tree[order]
+    n, value, feature, threshold, weighted = record[:, order]
+    feature = feature.astype(np.int32)
+    inner = feature >= 0
+    importance = np.bincount(
+        tree[inner] * width + feature[inner], weights=weighted[inner],
+        minlength=len(keys) * width).reshape(len(keys), width)
+    # Level order lists the children of each level's splits left to
+    # right, so split s (in level order) has children 2s + 1, 2s + 2.
+    first = np.searchsorted(tree, np.arange(len(keys)))
+    splits_before = np.cumsum(inner) - inner
+    left = np.where(inner, 2 * (splits_before
+                                - splits_before[first][tree]) + 1, -1)
+    arrays = (feature, threshold, left.astype(np.int32), value,
+              n.astype(np.int32))
+    bounds = np.append(first, len(tree)).tolist()
+    # Each array its own, so that a kept tree holds only its nodes.
+    return [(key, Tree(*(x[a:b].copy() for x in arrays)), raw)
+            for key, a, b, raw in zip(keys, bounds, bounds[1:], importance)]
 
 
 def _search(view: BinnedMatrix, labels: np.ndarray, buffer: list,
@@ -507,13 +493,14 @@ def fit_forests(matrix: EncodedMatrix, config: ForestConfig, forests,
                 n_jobs: int = 1):
     """Fit one forest per (rows, seed) in forests, each the model that
     fit_forest(matrix.subset(rows), config, seed) fits; yields (index,
-    model) as each model's last tree completes.
+    model) when the batch that grows its last tree ends (_grow_trees).
 
     One config serves every forest and is checked against the matrix
     before any tree grows. One BinnedMatrix serves all forests, and the
-    trees of all of them grow together, on up to n_jobs worker processes
-    (map_chunks). When map_chunks uses no pool, forests is read as trees
-    start, so a long series holds only the forests in flight.
+    trees of all of them grow in shared batches, on up to n_jobs worker
+    processes (map_chunks). When map_chunks uses no pool, forests is read
+    as trees start, so a long series holds only the forests of the
+    current batch.
     """
     view = BinnedMatrix.of(matrix.X)
     growth = config.resolve(view.n_features)

@@ -177,7 +177,7 @@ class TestBestSplit:
     def test_no_candidates(self):
         # A split searches at least one candidate column.
         with pytest.raises(ForestError,
-                           match="features_per_split must be >= 1"):
+                           match="features_per_split must be >= 1, got 0"):
             stump_split(np.zeros((4, 2)), np.array([0, 1, 0, 1]), [])
 
     def test_matches_brute_force_oracle(self):
@@ -655,6 +655,7 @@ class TestFitForests:
         draw, search = forest.splitmix64, forest._search
         sample, grow_trees = forest._sample, forest._grow_trees
         growing = {}  # distinct rows of each tree started and not done
+        finished = False  # a tree finished since the last one started
 
         def draw_spy(seed, counter):
             # A pass draws its candidate keys in one call, a row of seeds
@@ -668,6 +669,11 @@ class TestFitForests:
             return search(view, labels, buffer, start, *rest)
 
         def sample_spy(bootstrap, task):
+            nonlocal finished
+            # Trees start in batches that end together: never beside a
+            # tree that was in flight when another one finished.
+            assert not (growing and finished)
+            finished = False
             drawn = sample(bootstrap, task)
             growing[task[:2]] = len(drawn[0])
             # The rows of the trees in flight, this one last.
@@ -675,8 +681,10 @@ class TestFitForests:
             return drawn
 
         def grow_spy(*args):
+            nonlocal finished
             for key, *grown in grow_trees(*args):
                 del growing[key]
+                finished = True
                 yield key, *grown
 
         monkeypatch.setattr(forest, "splitmix64", draw_spy)
