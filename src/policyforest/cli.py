@@ -332,7 +332,7 @@ def cmd_case_study(args, argv) -> int:
     fc = _forest_config(args)
     cases = _load(args)
     report = ex.nonlinearity_case_study(cases, pivot_ig=args.pivot,
-                                        domain=args.domain or "Foreign",
+                                        domain=args.domain,
                                         base_seed=args.seed,
                                         forest_config=fc, n_jobs=args.jobs)
     print(f"{report.domain} cases with non-neutral {report.pivot_ig}: "
@@ -443,8 +443,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("case-study",
                        help="nonlinearity case study on a pivot IG")
     _add_common(p)
-    p.add_argument("--pivot", default="Defense Contractors")
-    p.add_argument("--domain", choices=list(PD_LABELS))
+    p.add_argument("--pivot", default="Defense Contractors",
+                   choices=IG_NAMES, metavar="IG",
+                   help="interest group, as the schema command lists it")
+    p.add_argument("--domain", choices=list(PD_LABELS), default="Foreign")
     p.set_defaults(func=cmd_case_study)
 
     return parser

@@ -132,11 +132,11 @@ class _Fit(NamedTuple):
     test_scores: np.ndarray | None = None
 
 
-def _scored(matrix: EncodedMatrix, train: np.ndarray, test: np.ndarray,
-            model, score: bool) -> _Fit:
-    """The _Fit of model, a forest or a logistic model fit on rows train
-    of matrix, scored when score is set. A run that tests on its train
-    rows scores them once."""
+def _scored(matrix: EncodedMatrix, score: bool, run: tuple, model) -> _Fit:
+    """The _Fit of model, a forest or a logistic model fit on run's train
+    rows of matrix, scored when score is set. A run that tests on its
+    train rows scores them once."""
+    train, test, _ = run
     if isinstance(model, rf.ForestModel):
         importance = model.gini_importance
         predict = partial(rf.predict_proba, model)
@@ -157,18 +157,13 @@ def _fit_chunk(forest_config: ForestConfig, score: bool, n_jobs: int,
                items: list) -> list[_Fit]:
     """The _Fit of each item (matrix, kind, (train rows, test rows, model
     seed)), a model of kind fit on the matrix's train rows, in item
-    order. The items of one matrix and kind are fit together: all their
-    forests in one fit_forests call, their logistic models one by one."""
+    order. The items of one matrix and kind are fit together, in run
+    order: all their forests in one fit_forests call, their logistic
+    models one by one."""
     groups: dict[tuple[int, str], list[int]] = {}
     for at, (matrix, kind, _) in enumerate(items):
         groups.setdefault((id(matrix), kind), []).append(at)
     fits = [None] * len(items)
-
-    def scored(ats, done):
-        i, model = done
-        matrix, _, (train, test, _) = items[ats[i]]
-        return ats[i], _scored(matrix, train, test, model, score)
-
     for (_, kind), ats in groups.items():
         matrix = items[ats[0]][0]
         runs = [items[at][2] for at in ats]
@@ -176,11 +171,11 @@ def _fit_chunk(forest_config: ForestConfig, score: bool, n_jobs: int,
                                  ((train, seed) for train, _, seed in runs),
                                  n_jobs)
                   if kind == "forest" else
-                  enumerate(lr.fit(matrix.subset(train))
-                            for train, _, _ in runs))
+                  (lr.fit(matrix.subset(train)) for train, _, _ in runs))
         # map, not a loop over models, so that no frame holds the last
         # model while the next forests grow.
-        for at, fit in map(partial(scored, ats), models):
+        for at, fit in zip(ats, map(partial(_scored, matrix, score), runs,
+                                    models)):
             fits[at] = fit
     return fits
 

@@ -16,6 +16,7 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 
 import numpy as np
 
@@ -292,13 +293,13 @@ def _best_cuts(view: BinnedMatrix, rows: np.ndarray, labels: np.ndarray,
 
 
 def _sample(bootstrap: bool, task) -> tuple:
-    """The sample of task (forest, i, rows, seed), tree i of the forest on
-    rows seeded by seed: its distinct rows in their order in rows; their
+    """The sample of task (i, rows, seed), tree i of a forest on rows
+    seeded by seed: its distinct rows in their order in rows; their
     bootstrap counts (all ones without bootstrap); and its candidate seed.
     The tree draws from two streams (dataset.splitmix64) whose seeds
     derive from (seed, i) alone, here and nowhere else: its bootstrap
     counts, and its candidate keys."""
-    _, i, rows, seed = task
+    i, rows, seed = task
     tree_seed = mix_seed(seed, i)
     n = len(rows)
     counts = np.ones(n, dtype=int)
@@ -316,9 +317,9 @@ def _sample(bootstrap: bool, task) -> tuple:
 
 def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
                 growth: tuple, _jobs: int, tasks):
-    """map_chunks's function over tasks: grow one tree per task (forest,
-    tree index, rows, forest seed), each drawing its own sample (_sample),
-    and yield ((forest, tree index), tree, raw importance) per tree.
+    """map_chunks's function over tasks: grow one tree per task (tree
+    index, rows, forest seed), each drawing its own sample (_sample), and
+    yield (tree, raw importance) per tree, in task order.
 
     labels holds the label of each row of view as booleans. growth,
     ForestConfig.resolve's (k, min_leaf, max_depth), holds for every
@@ -353,11 +354,11 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
         started, rows_in_flight = [], 0
         while (rows_in_flight < ROWS_IN_FLIGHT
                and (task := next(tasks, None)) is not None):
-            started.append((task[:2], *_sample(bootstrap, task)))
-            rows_in_flight += len(started[-1][1])
+            started.append(_sample(bootstrap, task))
+            rows_in_flight += len(started[-1][0])
         if not started:
             return
-        keys, rows, counts, seed = zip(*started)
+        rows, counts, seed = zip(*started)
         size = list(map(len, rows))
         buffer = [np.concatenate(part, dtype=np.int32)
                   for part in (rows, counts)]
@@ -365,9 +366,9 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
         first = np.cumsum(size) - size
         n_total, n_pos = np.add.reduceat(
             [buffer[1], buffer[1] * labels[buffer[0]]], first, axis=1)
-        front = np.stack([np.arange(len(keys)), first, size, n_total, n_pos])
+        front = np.stack([np.arange(len(seed)), first, size, n_total, n_pos])
         seed = np.array(seed, dtype=np.uint64)
-        drawn = np.zeros(len(keys), dtype=int)
+        drawn = np.zeros(len(seed), dtype=int)
         levels = []
         while front.size:
             tree, start, slots, n, n_pos = front
@@ -384,7 +385,7 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
                 seed[owner, None],
                 (drawn[owner] + width * rank)[:, None] + np.arange(width)
             ), k - 1, axis=1)[:, :k], axis=1)
-            drawn += width * np.bincount(owner, minlength=len(keys))
+            drawn += width * np.bincount(owner, minlength=len(seed))
 
             feature = np.full(len(n), -1)
             threshold, gain = np.zeros((2, len(n)))
@@ -413,15 +414,15 @@ def _grow_trees(view: BinnedMatrix, labels: np.ndarray, bootstrap: bool,
         # The batch's arrays are freed before its trees are handed on, and
         # its trees (kept by their forests) before the next batch starts.
         del buffer
-        grown = _batch_trees(keys, levels, width)
+        grown = _batch_trees(len(seed), levels, width)
         del levels
         yield from grown
         del grown
 
 
-def _batch_trees(keys, levels, width: int) -> list:
-    """(key, tree, raw importance) of each tree of a finished batch, in
-    keys' order, from its levels records (_grow_trees)."""
+def _batch_trees(n_trees: int, levels, width: int) -> list:
+    """(tree, raw importance) of each of a finished batch's n_trees trees,
+    in the order they started, from its levels records (_grow_trees)."""
     tree, record = (np.concatenate(part, axis=-1) for part in zip(*levels))
     # Each tree's nodes in level order.
     order = np.argsort(tree, kind="stable")
@@ -431,10 +432,10 @@ def _batch_trees(keys, levels, width: int) -> list:
     inner = feature >= 0
     importance = np.bincount(
         tree[inner] * width + feature[inner], weights=weighted[inner],
-        minlength=len(keys) * width).reshape(len(keys), width)
+        minlength=n_trees * width).reshape(n_trees, width)
     # Level order lists the children of each level's splits left to
     # right, so split s (in level order) has children 2s + 1, 2s + 2.
-    first = np.searchsorted(tree, np.arange(len(keys)))
+    first = np.searchsorted(tree, np.arange(n_trees))
     splits_before = np.cumsum(inner) - inner
     left = np.where(inner, 2 * (splits_before
                                 - splits_before[first][tree]) + 1, -1)
@@ -442,8 +443,8 @@ def _batch_trees(keys, levels, width: int) -> list:
               n.astype(np.int32))
     bounds = np.append(first, len(tree)).tolist()
     # Each array its own, so that a kept tree holds only its nodes.
-    return [(key, Tree(*(x[a:b].copy() for x in arrays)), raw)
-            for key, a, b, raw in zip(keys, bounds, bounds[1:], importance)]
+    return [(Tree(*(x[a:b].copy() for x in arrays)), raw)
+            for a, b, raw in zip(bounds, bounds[1:], importance)]
 
 
 def _search(view: BinnedMatrix, labels: np.ndarray, buffer: list,
@@ -492,8 +493,9 @@ def _assemble(column_names,
 def fit_forests(matrix: EncodedMatrix, config: ForestConfig, forests,
                 n_jobs: int = 1):
     """Fit one forest per (rows, seed) in forests, each the model that
-    fit_forest(matrix.subset(rows), config, seed) fits; yields (index,
-    model) when the batch that grows its last tree ends (_grow_trees).
+    fit_forest(matrix.subset(rows), config, seed) fits, and yield the
+    models in the order of forests: batches and chunks hand back their
+    trees in the order they were listed.
 
     One config serves every forest and is checked against the matrix
     before any tree grows. One BinnedMatrix serves all forests, and the
@@ -505,39 +507,36 @@ def fit_forests(matrix: EncodedMatrix, config: ForestConfig, forests,
     view = BinnedMatrix.of(matrix.X)
     growth = config.resolve(view.n_features)
     y = matrix.y
-    grown, missing = {}, {}
 
     def trees():
         for f, (rows, seed) in enumerate(forests):
             rows = row_numbers(rows, len(y), ForestError,
                                f"forest {f}'s rows")
             if len(rows) < 2:
-                raise ForestError(f"need at least 2 samples, got {len(rows)}")
+                raise ForestError(f"forest {f} needs at least 2 samples, "
+                                  f"got {len(rows)}")
             n_pos = y[rows].sum()
             if n_pos == 0 or n_pos == len(rows):
-                raise ForestError("training labels contain a single class")
-            grown[f] = [None] * config.n_trees
-            missing[f] = config.n_trees
+                raise ForestError(f"forest {f}'s training labels contain a "
+                                  f"single class")
             for i in range(config.n_trees):
-                yield f, i, rows, seed
+                yield i, rows, seed
 
-    for (f, i), tree, importance in map_chunks(
-            partial(_grow_trees, view, y != 0, config.bootstrap, growth),
-            trees(), n_jobs):
-        grown[f][i] = tree, importance
-        missing[f] -= 1
-        if not missing[f]:
-            del missing[f]
-            yield f, _assemble(matrix.column_names, grown.pop(f))
+    grown = iter(map_chunks(
+        partial(_grow_trees, view, y != 0, config.bootstrap, growth),
+        trees(), n_jobs))
+    for first in grown:
+        yield _assemble(matrix.column_names,
+                        [first, *islice(grown, config.n_trees - 1)])
 
 
 def fit_forest(matrix: EncodedMatrix, config: ForestConfig, seed: int = 0,
                n_jobs: int = 1) -> ForestModel:
     """Fit the ensemble; deterministic given seed, parallel or not.
 
-    With n_jobs > 1 the trees are grown in worker processes.
+    With n_jobs > 1 the trees grow on up to min(n_jobs, usable cores) workers.
     """
-    [(_, model)] = fit_forests(
+    [model] = fit_forests(
         matrix, config, [(np.arange(matrix.n_samples), seed)], n_jobs)
     return model
 

@@ -403,6 +403,16 @@ class TestInputChecks:
                      str(tmp_path / "missing.csv")]) == 1
         assert "--k must be in [1, 43], got 44" in capsys.readouterr().err
 
+    def test_case_study_pivot_checked_before_the_data_loads(self, tmp_path,
+                                                            capsys):
+        with pytest.raises(SystemExit) as e:
+            main(["case-study", "--pivot", "Nope", "--data",
+                  str(tmp_path / "missing.csv")])
+        assert e.value.code == 2
+        err = capsys.readouterr().err
+        assert "argument --pivot: invalid choice: 'Nope'" in err
+        assert "missing.csv" not in err
+
 
 class TestNameMap:
     def test_validate_with_map(self, tmp_path):

@@ -654,7 +654,7 @@ class TestFitForests:
         events = []
         draw, search = forest.splitmix64, forest._search
         sample, grow_trees = forest._sample, forest._grow_trees
-        growing = {}  # distinct rows of each tree started and not done
+        growing = []  # distinct rows of each tree started and not done
         finished = False  # a tree finished since the last one started
 
         def draw_spy(seed, counter):
@@ -675,17 +675,18 @@ class TestFitForests:
             assert not (growing and finished)
             finished = False
             drawn = sample(bootstrap, task)
-            growing[task[:2]] = len(drawn[0])
+            growing.append(len(drawn[0]))
             # The rows of the trees in flight, this one last.
-            in_flight.append(list(growing.values()))
+            in_flight.append(list(growing))
             return drawn
 
         def grow_spy(*args):
             nonlocal finished
-            for key, *grown in grow_trees(*args):
-                del growing[key]
+            # Trees come back in the order they started.
+            for grown in grow_trees(*args):
+                growing.pop(0)
                 finished = True
-                yield key, *grown
+                yield grown
 
         monkeypatch.setattr(forest, "splitmix64", draw_spy)
         monkeypatch.setattr(forest, "_search", search_spy)
@@ -695,9 +696,10 @@ class TestFitForests:
             in_flight.clear()
             events.clear()
             together = list(fit_forests(m, cfg, iter(forests)))
-            assert sorted(i for i, _ in together) == list(range(len(forests)))
-            for i, model in together:
-                assert same_forest(model, expected[i]), cfg
+            # Models come back in the order of the forests.
+            assert len(together) == len(forests)
+            for model, alone_model in zip(together, expected):
+                assert same_forest(model, alone_model), cfg
             # Each tree started while the rows of the others were under
             # the budget.
             assert not growing
@@ -806,13 +808,26 @@ class TestFitForests:
         m = TestModelIdentity._noisy_matrix()
         forests = self._forests(m.n_samples)
         cfg = ForestConfig(n_trees=3, max_depth=5)
-        serial = dict(fit_forests(m, cfg, forests))
+        serial = list(fit_forests(m, cfg, forests))
         parallel = list(fit_forests(m, cfg, forests, n_jobs=2))
         assert recording_pool == [(2, 1)]
-        # Models come back as they complete, in either mode.
-        assert sorted(i for i, _ in parallel) == list(range(len(forests)))
-        for i, model in parallel:
-            assert same_forest(model, serial[i])
+        # Models come back in the order of the forests, in either mode.
+        assert len(serial) == len(parallel) == len(forests)
+        for model, serial_model in zip(parallel, serial):
+            assert same_forest(model, serial_model)
+
+    def test_pool_returns_forests_in_order(self, monkeypatch):
+        # A real pool of two workers: 15 tree tasks in chunks of 8 and 7,
+        # so forest 1's trees grow in both workers.
+        monkeypatch.setattr(forest, "_usable_cores", lambda: 2)
+        m = TestModelIdentity._noisy_matrix()
+        forests = self._forests(m.n_samples)[:3]
+        cfg = ForestConfig(n_trees=5)
+        serial = list(fit_forests(m, cfg, forests))
+        pooled = list(fit_forests(m, cfg, forests, n_jobs=2))
+        assert len(pooled) == len(serial) == 3
+        for model, serial_model in zip(pooled, serial):
+            assert same_forest(model, serial_model)
 
     def test_config_checked_before_any_pool(self, recording_pool,
                                             monkeypatch):
@@ -827,7 +842,8 @@ class TestFitForests:
 
     def test_single_class_forest_rejected(self):
         m = matrix_from(np.arange(8.0)[:, None], [0, 0, 0, 0, 1, 1, 1, 1])
-        with pytest.raises(ForestError, match="single class"):
+        with pytest.raises(ForestError, match="forest 1's training labels "
+                                              "contain a single class"):
             list(fit_forests(m, ForestConfig(n_trees=2),
                              [(range(8), 0), (range(4), 1)]))
 
@@ -851,8 +867,8 @@ class TestFitForests:
             list(fit_forests(m, ForestConfig(n_trees=2),
                              [(range(12), 0), (rows, 1)]))
         # An empty list is no rows, whatever dtype NumPy gives it.
-        with pytest.raises(ForestError, match="need at least 2 samples, "
-                                              "got 0"):
+        with pytest.raises(ForestError, match="forest 0 needs at least 2 "
+                                              "samples, got 0"):
             list(fit_forests(m, ForestConfig(n_trees=2), [([], 0)]))
 
     def test_tree_arrays_own_their_data(self):
@@ -862,8 +878,8 @@ class TestFitForests:
         dtypes = {"feature": np.int32, "threshold": np.float64,
                   "left": np.int32, "value": np.float64,
                   "n_samples": np.int32}
-        for _, model in fit_forests(m, ForestConfig(n_trees=4),
-                                    self._forests(m.n_samples)):
+        for model in fit_forests(m, ForestConfig(n_trees=4),
+                                 self._forests(m.n_samples)):
             for tree in model.trees:
                 assert len(tree.feature) > 1
                 for name, dtype in dtypes.items():
@@ -909,7 +925,7 @@ class TestFitForests:
         for seed in range(4):
             for fps in (1, 2, 4):
                 cfg = ForestConfig(n_trees=3, features_per_split=fps)
-                [(_, together)] = fit_forests(whole, cfg, [(rows, seed)])
+                [together] = fit_forests(whole, cfg, [(rows, seed)])
                 assert same_forest(together,
                                    fit_forest(whole.subset(rows), cfg, seed))
 
